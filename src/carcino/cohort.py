@@ -152,8 +152,14 @@ class FoldAssignment:
     def from_dict(cls, data: dict) -> "FoldAssignment":
         if not isinstance(data, dict) or not {"k", "seed", "assignment"} <= set(data):
             raise CarcinoError("fold file must contain 'k', 'seed' and 'assignment'")
-        assignment = {str(k): int(v) for k, v in data["assignment"].items()}
-        return cls(k=int(data["k"]), seed=int(data["seed"]), assignment=assignment)
+        k = int(data["k"])
+        if k < 1:
+            raise CarcinoError(f"fold count must be >= 1, got {k}")
+        assignment = {str(vid): int(f) for vid, f in data["assignment"].items()}
+        outside = sorted(vid for vid, f in assignment.items() if not 0 <= f < k)
+        if outside:
+            raise CarcinoError(f"fold index outside [0, {k}) for video(s): {outside}")
+        return cls(k=k, seed=int(data["seed"]), assignment=assignment)
 
 
 def stratified_kfold(cohort: Cohort, k: int, seed: int = 0) -> FoldAssignment:
@@ -210,6 +216,7 @@ def load_folds(path: str | Path) -> FoldAssignment:
 
 
 def _mask64(seed: int) -> int:
+    """A seed as the unsigned 64-bit word numpy's SeedSequence accepts."""
     return int(seed) & 0xFFFF_FFFF_FFFF_FFFF
 
 
@@ -462,14 +469,15 @@ def _evaluate_run(
     entry["stations"] = stations
     entry["stations_average"] = _average_prf(list(stations.values()))
 
+    # the ground-truth score and indication follow the scoring rules in use
+    gt_fs = [pipeline.compute_fs(ground_truth[vid].stations, constants) for vid in ok_ids]
+    gt_its = [pipeline.compute_its(fs, constants) for fs in gt_fs]
     pred_fs = [predictions[vid].fs for vid in ok_ids]
-    gt_fs = [ground_truth[vid].fs for vid in ok_ids]
     rmse = metrics.fs_rmse(pred_fs, gt_fs)
     entry["fs_rmse"] = rmse
     entry["fs_rmse_normalized"] = metrics.normalized_rmse(rmse, constants)
 
     pred_its = [predictions[vid].its for vid in ok_ids]
-    gt_its = [ground_truth[vid].its for vid in ok_ids]
     its_counts = metrics.its_confusions(pred_its, gt_its)
     its_rows = {ind.value: _prf_dict(counts) for ind, counts in its_counts.items()}
     entry["its"] = its_rows
@@ -499,10 +507,10 @@ def _evaluate_run(
             "fs": predictions[vid].fs,
             "its": predictions[vid].its.value,
             "stations": list(predictions[vid].stations),
-            "gt_fs": ground_truth[vid].fs,
-            "gt_its": ground_truth[vid].its.value,
+            "gt_fs": fs,
+            "gt_its": its.value,
         }
-        for vid in ok_ids
+        for vid, fs, its in zip(ok_ids, gt_fs, gt_its)
     }
     return entry
 
@@ -621,9 +629,10 @@ def evaluate_cohort(
     if predictor == "oracle":
         predictor_name = "oracle"
         for vid in unique_ids:
-            gt = ground_truth[vid]
+            stations = ground_truth[vid].stations
+            fs = pipeline.compute_fs(stations, constants)
             predictions[vid] = VideoPrediction(
-                video_id=vid, stations=gt.stations, fs=gt.fs, its=gt.its
+                video_id=vid, stations=stations, fs=fs, its=pipeline.compute_its(fs, constants)
             )
     elif predictor == "pipeline":
         predictor_name = "pipeline"

@@ -425,10 +425,7 @@ def canonical_json(data) -> str:
 
 def load_manifest(path: str | Path) -> VideoManifest:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = path.read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

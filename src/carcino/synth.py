@@ -25,7 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from . import maskio
-from .cohort import CohortVideo, EvalRun, evaluate_cohort, load_cohort, save_cohort_index
+from .cohort import (
+    CohortVideo,
+    EvalRun,
+    _mask64,
+    evaluate_cohort,
+    load_cohort,
+    save_cohort_index,
+)
 from .core import (
     Indication,
     ScoringConstants,
@@ -167,10 +174,6 @@ class SynthSpec:
             return cls.from_dict(data)
         except TypeError as exc:
             raise InvalidSpecError(f"{path}: {exc}") from exc
-
-
-def _mask64(seed: int) -> int:
-    return int(seed) & 0xFFFF_FFFF_FFFF_FFFF
 
 
 def _rng(seed: int, *counters: int) -> np.random.Generator:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to check the production paths.
 
 These deliberately share no code with the package: components come from
-a naive flood fill over pixel sets, and frame classification recomputes
-station involvement with plain Python loops. Slow and obviously
-correct, for small inputs only.
+a naive flood fill over pixel sets, nodule assignment is the former
+per-nodule loop, and frame classification recomputes station
+involvement with plain Python loops. Slow and obviously correct, for
+small inputs only.
 """
 
 from __future__ import annotations
@@ -42,6 +43,33 @@ def flood_components(mask, connectivity: int = 8) -> list[frozenset]:
         components.append(frozenset(component))
     components.sort(key=lambda comp: min(comp))
     return components
+
+
+def loop_assign(pixel_arrays, organ_masks, organ_conf) -> list[tuple]:
+    """Reference nodule assignment, one nodule at a time: for each (n, 2)
+    (row, col) pixel array, the (8,) int64 overlap counts per organ and
+    the winning organ code (greatest count, then greatest float64 sum of
+    the organ's confidence over the overlap, then lowest code), or None
+    when the nodule overlaps no organ."""
+    masks_flat = organ_masks.reshape(8, -1)
+    conf_flat = organ_conf.reshape(8, -1).astype(np.float64)
+    width = organ_masks.shape[2]
+    results = []
+    for px in pixel_arrays:
+        flat = px[:, 0].astype(np.int64) * width + px[:, 1]
+        overlap = masks_flat[:, flat]
+        counts = overlap.sum(axis=1)
+        conf_sums = (conf_flat[:, flat] * overlap).sum(axis=1)
+        best = None
+        for code in range(8):
+            if counts[code] == 0:
+                continue
+            if best is None or counts[code] > counts[best] or (
+                counts[code] == counts[best] and conf_sums[code] > conf_sums[best]
+            ):
+                best = code
+        results.append((counts.astype(np.int64), best))
+    return results
 
 
 def naive_station_vector(frame, constants) -> tuple[bool, ...]:

@@ -261,6 +261,19 @@ def test_evaluate_rejects_missing_folds_file(tmp_path):
     assert main(["evaluate", str(index), "--folds", str(tmp_path / "nope.json")]) == 4
 
 
+def test_evaluate_rejects_out_of_range_fold_index(small_cohort_index, tmp_path, capsys):
+    """A fold index of 9 with k=4 used to leave its video out of every
+    run: 11 of 12 videos evaluated and exit 0."""
+    folds_path = tmp_path / "folds.json"
+    assert main(["split", str(small_cohort_index), "--k", "4", "--out", str(folds_path)]) == 0
+    folds = json.loads(folds_path.read_text())
+    folds["assignment"][sorted(folds["assignment"])[0]] = 9
+    folds_path.write_text(json.dumps(folds))
+    code = main(["evaluate", str(small_cohort_index), "--folds", str(folds_path)])
+    assert code == 2
+    assert "outside [0, 4)" in capsys.readouterr().err
+
+
 # --- simulate ----------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from carcino.cohort import (
     runs_from_folds,
     stratified_kfold,
 )
-from carcino.core import Indication
+from carcino.core import Indication, ScoringConstants
 from carcino.errors import (
     CarcinoError,
     MissingGroundTruthError,
@@ -410,3 +410,28 @@ def test_runs_from_folds_validates_coverage(small_cohort_index):
     )
     with pytest.raises(CarcinoError):
         runs_from_folds(cohort, partial)
+
+
+@pytest.mark.parametrize("k, index", [(4, 9), (4, 4), (4, -1), (0, 0)])
+def test_fold_file_rejects_fold_index_outside_range(k, index):
+    data = {"k": k, "seed": 0, "assignment": {"v000": 0, "v001": index}}
+    with pytest.raises(CarcinoError):
+        FoldAssignment.from_dict(data)
+
+
+def test_ground_truth_score_follows_points_per_station(small_cohort_index):
+    """The stored ground truth is written at 2 points per station; an
+    evaluation at 3 points must score the truth at 3 points too."""
+    cohort = load_cohort(small_cohort_index)
+    constants = ScoringConstants(points_per_positive_station=3)
+    folds = stratified_kfold(cohort, k=2, seed=0)
+    for predictor in ("pipeline", "oracle"):
+        report = evaluate_cohort(
+            cohort, folds, constants, predictor=predictor, compute_dice=False
+        )
+        assert report["summary"]["fs_rmse"]["mean"] == 0.0
+        assert report["summary"]["its_average"]["f1"]["mean"] == 1.0
+        for entry in report["runs"]:
+            for row in entry["videos"].values():
+                assert row["gt_fs"] == 3 * sum(row["stations"])
+                assert row["gt_fs"] == row["fs"] and row["gt_its"] == row["its"]

@@ -15,7 +15,7 @@ from carcino.errors import (
 )
 
 from conftest import blank_organ_conf, make_frame, write_video
-from oracles import flood_components, naive_station_vector
+from oracles import flood_components, loop_assign, naive_station_vector
 
 CONSTANTS = ScoringConstants()
 
@@ -187,6 +187,62 @@ def test_connected_components_pixels_are_row_major_sorted():
         assert np.all(np.diff(flat) > 0)
 
 
+def _comb(n):
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:, ::2] = True  # teeth, joined only by the last row
+    mask[-1] = True
+    return mask
+
+
+def _checkerboard(n):
+    rows, cols = np.indices((n, n))
+    return (rows + cols) % 2 == 0
+
+
+def _serpentine(n):
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True  # links alternate between the right and left ends
+    mask[3::4, 0] = True
+    return mask
+
+
+def _spiral(n):
+    """A one-pixel path winding inwards with one-pixel gaps."""
+    mask = np.zeros((n, n), dtype=bool)
+    steps = [n - 1] * 3
+    length = n - 3
+    while length > 0:
+        steps += [length, length]
+        length -= 2
+    r = c = 0
+    mask[r, c] = True
+    for turn, step in enumerate(steps):
+        dr, dc = [(0, 1), (1, 0), (0, -1), (-1, 0)][turn % 4]
+        for _ in range(step):
+            r, c = r + dr, c + dc
+            mask[r, c] = True
+    return mask
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize(
+    "make_mask",
+    [_comb, _checkerboard, _serpentine, _spiral, lambda n: np.ones((n, n), dtype=bool)],
+    ids=["comb", "checkerboard", "serpentine", "spiral", "full"],
+)
+def test_connected_components_structured_masks_match_flood_fill(make_mask, connectivity):
+    """Masks whose components chain many runs across many rows, the
+    longest merges for the label propagation."""
+    mask = make_mask(64)
+    nodules = pipeline.connected_components(mask, connectivity=connectivity)
+    assert [n.pixel_set for n in nodules] == flood_components(mask, connectivity=connectivity)
+    for nodule in nodules:
+        assert nodule.pixels.dtype == np.int32 and nodule.pixels.shape == (nodule.size, 2)
+        flat = nodule.pixels[:, 0].astype(np.int64) * 64 + nodule.pixels[:, 1]
+        assert np.all(np.diff(flat) > 0)
+
+
 # --- nodule assignment ---------------------------------------------------------
 
 
@@ -250,6 +306,47 @@ def test_assign_dimension_mismatch():
     masks, conf = _masks_and_conf((4, 4))
     with pytest.raises(DimensionMismatchError):
         pipeline.assign_nodules([], masks, conf[:, :3, :3])
+
+
+def test_assign_rejects_pixels_outside_frame():
+    masks, conf = _masks_and_conf((4, 4))
+    inside = _nodule([(0, 0)])
+    for bad in ([(4, 0)], [(0, 4)], [(-1, 0)]):
+        nodule = pipeline.Nodule(id=7, pixels=np.array(bad, dtype=np.int32))
+        with pytest.raises(DimensionMismatchError, match="nodule 7"):
+            pipeline.assign_nodules([inside, nodule], masks, conf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    height=st.integers(1, 12),
+    width=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+    twins=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+    same_conf=st.booleans(),
+)
+def test_assign_matches_loop_reference_with_forced_ties(height, width, seed, twins, same_conf):
+    """Copying one organ plane onto another forces equal overlap counts
+    for every nodule; copying its confidences too forces equal sums, so
+    the lowest code must win. Confidences are multiples of 1/64, whose
+    float64 sums are exact in any order, so the vectorised sums and the
+    reference's must agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    pc = rng.random((height, width)) < 0.5
+    masks = rng.random((8, height, width)) < 0.4
+    conf = (rng.integers(0, 65, (8, height, width)) / 64).astype(np.float32)
+    for src, dst in twins:
+        masks[dst] = masks[src]
+        if same_conf:
+            conf[dst] = conf[src]
+    nodules = pipeline.connected_components(pc)
+    expected = loop_assign([n.pixels for n in nodules], masks, conf)
+    pipeline.assign_nodules(nodules, masks, conf)
+    for nodule, (counts, best) in zip(nodules, expected):
+        assert nodule.overlap_counts.dtype == np.int64
+        assert list(nodule.overlap_counts) == list(counts)
+        expected_organ = OrganClass(best) if best is not None else None
+        assert nodule.assigned_organ is expected_organ
 
 
 # --- frame classification -------------------------------------------------------
