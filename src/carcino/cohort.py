@@ -30,6 +30,7 @@ from .core import (
     Station,
     STATION_DISPLAY,
     STATION_SLUGS,
+    _is_int,
 )
 from .errors import (
     CarcinoError,
@@ -152,14 +153,17 @@ class FoldAssignment:
     def from_dict(cls, data: dict) -> "FoldAssignment":
         if not isinstance(data, dict) or not {"k", "seed", "assignment"} <= set(data):
             raise CarcinoError("fold file must contain 'k', 'seed' and 'assignment'")
-        k = int(data["k"])
+        k, seed, assignment = data["k"], data["seed"], data["assignment"]
+        if not _is_int(k) or not _is_int(seed):
+            raise CarcinoError("fold file: 'k' and 'seed' must be integers")
         if k < 1:
             raise CarcinoError(f"fold count must be >= 1, got {k}")
-        assignment = {str(vid): int(f) for vid, f in data["assignment"].items()}
+        if not isinstance(assignment, dict) or not all(map(_is_int, assignment.values())):
+            raise CarcinoError("fold file: 'assignment' must map video ids to integer folds")
         outside = sorted(vid for vid, f in assignment.items() if not 0 <= f < k)
         if outside:
             raise CarcinoError(f"fold index outside [0, {k}) for video(s): {outside}")
-        return cls(k=k, seed=int(data["seed"]), assignment=assignment)
+        return cls(k=k, seed=seed, assignment={str(vid): f for vid, f in assignment.items()})
 
 
 def stratified_kfold(cohort: Cohort, k: int, seed: int = 0) -> FoldAssignment:

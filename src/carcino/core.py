@@ -13,6 +13,7 @@ binary mask files and reports stay portable across implementations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -122,6 +123,25 @@ def organs_of(station: Station | int) -> tuple[OrganClass, ...]:
     return tuple(o for o in OrganClass if _ORGAN_TO_STATION[o] is station)
 
 
+def _is_int(value) -> bool:
+    """True for a Python int; bools are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_scalar_fields(obj, error: type[CarcinoError]) -> None:
+    """Raise ``error`` unless every dataclass field of obj declared ``int``
+    holds an int and every field declared ``float`` holds a finite int
+    or float; bools are neither. Fields of other types are not checked."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and not _is_int(value):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("float", float) and not (
+            _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+        ):
+            raise error(f"{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScoringConstants:
     """Pipeline thresholds and scoring rules, threaded explicitly.
@@ -152,6 +172,7 @@ class ScoringConstants:
     min_nodule_pixels: int = 1
 
     def __post_init__(self) -> None:
+        _check_scalar_fields(self, CarcinoError)
         if not 0.0 < self.organ_confidence_threshold <= 1.0:
             raise CarcinoError("organ_confidence_threshold must lie in (0, 1]")
         if not 0.0 < self.pc_confidence_threshold <= 1.0:

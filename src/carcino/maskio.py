@@ -29,6 +29,7 @@ relevance score, and optionally the clinical ground truth for the video.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,13 +99,14 @@ def _dtype_code_of(arr: np.ndarray) -> int:
 def _validate_values(arr: np.ndarray, dtype_code: int, context: str = "") -> None:
     where = f" in {context}" if context else ""
     if dtype_code == DTYPE_CONFIDENCE:
-        if not np.isfinite(arr).all():
-            raise ConfidenceOutOfRangeError(f"non-finite confidence value{where}")
-        if (arr < 0.0).any() or (arr > 1.0).any():
+        # a NaN propagates through min() and max() and fails both tests;
+        # isfinite runs only to pick the message
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            if not np.isfinite(arr).all():
+                raise ConfidenceOutOfRangeError(f"non-finite confidence value{where}")
             raise ConfidenceOutOfRangeError(f"confidence value outside [0, 1]{where}")
-    else:
-        if (arr > MAX_LABEL).any():
-            raise LabelOutOfRangeError(f"label value above {MAX_LABEL}{where}")
+    elif arr.max() > MAX_LABEL:
+        raise LabelOutOfRangeError(f"label value above {MAX_LABEL}{where}")
 
 
 def _validate_array(arr: np.ndarray) -> int:
@@ -120,26 +122,37 @@ def _validate_array(arr: np.ndarray) -> int:
     return code
 
 
-def encode_raster(arr: np.ndarray) -> bytes:
-    """Serialize a (channels, height, width) array to MSK1 bytes."""
+def _encode_parts(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The MSK1 header and the C-contiguous payload array of a raster."""
     code = _validate_array(arr)
     channels, height, width = arr.shape
     header = _HEADER.pack(MAGIC, width, height, channels, code)
-    payload = np.ascontiguousarray(arr.astype(_NUMPY_DTYPES[code], copy=False)).tobytes()
-    return header + payload
+    payload = np.ascontiguousarray(arr.astype(_NUMPY_DTYPES[code], copy=False))
+    return header, payload
+
+
+def encode_raster(arr: np.ndarray) -> bytes:
+    """Serialize a (channels, height, width) array to MSK1 bytes."""
+    header, payload = _encode_parts(arr)
+    return header + payload.tobytes()
 
 
 def write_raster(arr: np.ndarray, dest: str | Path | BinaryIO) -> int:
     """Write an array as an MSK1 file; returns the byte count written.
 
-    Invariant violations raise before anything is written.
+    Invariant violations raise before anything is written. The payload
+    is written from the array's own buffer, without a bytes copy.
     """
-    blob = encode_raster(arr)
+    header, payload = _encode_parts(arr)
+    data = memoryview(payload).cast("B")
     if hasattr(dest, "write"):
-        dest.write(blob)
+        dest.write(header)
+        dest.write(data)
     else:
-        Path(dest).write_bytes(blob)
-    return len(blob)
+        with open(dest, "wb") as fh:
+            fh.write(header)
+            fh.write(data)
+    return len(header) + data.nbytes
 
 
 def decode_raster(blob: bytes, context: str = "") -> np.ndarray:
@@ -271,7 +284,13 @@ def _require(mapping: dict, field: str, context: str):
 def _as_number(value, field: str, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ManifestError(f"{context}: field {field!r} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ManifestError(f"{context}: field {field!r} must be a finite number")
+    return number
 
 
 def _parse_ground_truth(data: dict, context: str) -> VideoGroundTruth:

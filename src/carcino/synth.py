@@ -38,6 +38,8 @@ from .core import (
     ScoringConstants,
     Station,
     STATION_SLUGS,
+    _check_scalar_fields,
+    _is_int,
     organs_of,
 )
 from .errors import InvalidSpecError
@@ -84,6 +86,7 @@ class NoiseSpec:
     miss_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_scalar_fields(self, InvalidSpecError)
         if self.confidence_jitter < 0:
             raise InvalidSpecError("confidence_jitter must be >= 0")
         if self.boundary_morph < 0:
@@ -117,6 +120,18 @@ class SynthSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self) -> None:
+        _check_scalar_fields(self, InvalidSpecError)
+        for name in ("frame_size", "nodules_per_positive_station"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))):
+                raise InvalidSpecError(f"{name} must be two integers, got {value!r}")
+        if not isinstance(self.station_prevalence, tuple) or any(
+            isinstance(p, bool) or not isinstance(p, (int, float))
+            for p in self.station_prevalence
+        ):
+            raise InvalidSpecError("station_prevalence must be a list of numbers")
+        if not isinstance(self.noise, NoiseSpec):
+            raise InvalidSpecError("noise must be an object of noise parameters")
         if self.n_videos < 1:
             raise InvalidSpecError("n_videos must be >= 1")
         width, height = self.frame_size
@@ -150,14 +165,9 @@ class SynthSpec:
         if "seed" not in data:
             raise InvalidSpecError("spec needs a 'seed'")
         kwargs = dict(data)
-        if "frame_size" in kwargs:
-            kwargs["frame_size"] = tuple(kwargs["frame_size"])
-        if "station_prevalence" in kwargs:
-            kwargs["station_prevalence"] = tuple(kwargs["station_prevalence"])
-        if "nodules_per_positive_station" in kwargs:
-            kwargs["nodules_per_positive_station"] = tuple(
-                kwargs["nodules_per_positive_station"]
-            )
+        for name in ("frame_size", "station_prevalence", "nodules_per_positive_station"):
+            if isinstance(kwargs.get(name), list):
+                kwargs[name] = tuple(kwargs[name])
         if isinstance(kwargs.get("noise"), dict):
             kwargs["noise"] = NoiseSpec(**kwargs["noise"])
         return cls(**kwargs)
@@ -182,40 +192,39 @@ def _rng(seed: int, *counters: int) -> np.random.Generator:
     )
 
 
-def _shift(mask: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    out = np.zeros_like(mask)
-    h, w = mask.shape
-    rs_src = slice(max(0, -dr), min(h, h - dr))
-    cs_src = slice(max(0, -dc), min(w, w - dc))
-    rs_dst = slice(max(0, dr), min(h, h + dr))
-    cs_dst = slice(max(0, dc), min(w, w + dc))
-    out[rs_dst, cs_dst] = mask[rs_src, cs_src]
-    return out
+def _square_pass(src: np.ndarray, dst: np.ndarray, combine: np.ufunc, erode: bool) -> None:
+    """dst = each pixel of src combined with its two neighbours along
+    axis 1; pixels beyond the frame count as false."""
+    dst[:] = src
+    combine(dst[:, 1:], src[:, :-1], out=dst[:, 1:])
+    combine(dst[:, :-1], src[:, 1:], out=dst[:, :-1])
+    if erode:
+        dst[:, 0] = False
+        dst[:, -1] = False
+
+
+def _square_morph(mask: np.ndarray, amount: int, erode: bool) -> np.ndarray:
+    """amount iterations of the 3x3 square. The square is separable, so
+    each iteration is a 3-tap pass along the rows, then one along the
+    columns."""
+    combine = np.bitwise_and if erode else np.bitwise_or
+    result = mask.copy()
+    rows = np.empty_like(result)
+    for _ in range(amount):
+        _square_pass(result, rows, combine, erode)
+        _square_pass(rows.T, result.T, combine, erode)
+    return result
 
 
 def binary_dilate(mask: np.ndarray, amount: int) -> np.ndarray:
     """Chebyshev dilation: amount iterations of the 8-neighbourhood."""
-    result = mask.copy()
-    for _ in range(amount):
-        grown = result.copy()
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr or dc:
-                    grown |= _shift(result, dr, dc)
-        result = grown
-    return result
+    return _square_morph(mask, amount, erode=False)
 
 
 def binary_erode(mask: np.ndarray, amount: int) -> np.ndarray:
-    result = mask.copy()
-    for _ in range(amount):
-        shrunk = result.copy()
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr or dc:
-                    shrunk &= _shift(result, dr, dc)
-        result = shrunk
-    return result
+    """Chebyshev erosion: amount iterations of the 8-neighbourhood, with
+    pixels beyond the frame counting as false."""
+    return _square_morph(mask, amount, erode=True)
 
 
 def _organ_cell(organ: int, width: int, height: int) -> tuple[int, int, int, int]:
@@ -237,41 +246,71 @@ def _organ_layout(rng: np.random.Generator, width: int, height: int) -> np.ndarr
         r0, r1, c0, c1 = r0 + 1, r1 - 1, c0 + 1, c1 - 1
         use_ellipse = bool(rng.integers(0, 2))
         if use_ellipse:
+            # a pixel inside the ellipse has |row - cy| <= ry, which holds
+            # for rows r0..r1-1 only (likewise for the columns), so the
+            # formula is evaluated on the inset cell
             cy, cx = (r0 + r1 - 1) / 2.0, (c0 + c1 - 1) / 2.0
             ry, rx = max((r1 - r0) / 2.0, 0.5), max((c1 - c0) / 2.0, 0.5)
-            rows = np.arange(height)[:, None]
-            cols = np.arange(width)[None, :]
-            masks[organ] = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+            rows = np.arange(r0, r1)[:, None]
+            cols = np.arange(c0, c1)[None, :]
+            masks[organ, r0:r1, c0:c1] = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
         else:
             masks[organ, r0:r1, c0:c1] = True
     return masks
 
 
-def _disc(center: tuple[int, int], radius: int, height: int, width: int) -> np.ndarray:
-    rows = np.arange(height)[:, None]
-    cols = np.arange(width)[None, :]
-    return (rows - center[0]) ** 2 + (cols - center[1]) ** 2 <= radius * radius
+Window = tuple[slice, slice]
+
+
+def _disc(
+    center: tuple[int, int], radius: int, height: int, width: int
+) -> tuple[Window, np.ndarray]:
+    """The pixels within radius of center (which lies in the frame): the
+    disc's bounding window, clipped to the frame, and its mask there."""
+    row, col = center
+    r0, r1 = max(row - radius, 0), min(row + radius + 1, height)
+    c0, c1 = max(col - radius, 0), min(col + radius + 1, width)
+    rows = np.arange(r0, r1)[:, None]
+    cols = np.arange(c0, c1)[None, :]
+    return (slice(r0, r1), slice(c0, c1)), (rows - row) ** 2 + (cols - col) ** 2 <= radius * radius
+
+
+def _nodule_site(organ_mask: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """Where a nodule may be centred in this organ, as (radius, flat
+    frame indices), or None if the organ has no pixel. A disc of radius
+    2, 1 or 0 fits wherever the mask eroded by radius+1 is still true
+    (the +1 keeps one clear pixel to the boundary); the largest radius
+    that fits somewhere wins, and the last resort is a radius-0 disc on
+    any organ pixel.
+
+    The erosions run on the mask's bounding box: the mask is false all
+    round it, so they give the same pixels as on the whole frame.
+    """
+    width = organ_mask.shape[1]
+    rows = np.flatnonzero(organ_mask.any(axis=1))
+    cols = np.flatnonzero(organ_mask.any(axis=0))
+    if not rows.size:
+        return None
+    r0, c0 = rows[0], cols[0]
+    box = organ_mask[r0 : rows[-1] + 1, c0 : cols[-1] + 1]
+    eroded = [box]
+    for _ in range(3):
+        eroded.append(binary_erode(eroded[-1], 1))
+    for radius, mask in ((2, eroded[3]), (1, eroded[2]), (0, eroded[1]), (0, box)):
+        rr, cc = np.nonzero(mask)  # row-major, like np.flatnonzero on the frame
+        if rr.size:  # always true for the box, which holds an organ pixel
+            break
+    return radius, (rr + r0) * width + (cc + c0)
 
 
 def _plant_nodule(
-    rng: np.random.Generator, organ_mask: np.ndarray
-) -> np.ndarray | None:
-    """A small disc strictly inside the organ mask, or None if the organ
-    is too small to host one."""
-    height, width = organ_mask.shape
-    for radius in (2, 1, 0):
-        # a disc of this radius fits wherever the mask eroded by radius+1
-        # is still true (the +1 keeps one clear pixel to the boundary)
-        candidates = np.flatnonzero(binary_erode(organ_mask, radius + 1))
-        if candidates.size:
-            position = int(candidates[rng.integers(0, candidates.size)])
-            center = (position // width, position % width)
-            return _disc(center, radius, height, width)
-    inside = np.flatnonzero(organ_mask)
-    if inside.size:
-        position = int(inside[rng.integers(0, inside.size)])
-        return _disc((position // width, position % width), 0, height, width)
-    return None
+    rng: np.random.Generator, site: tuple[int, np.ndarray], height: int, width: int
+) -> tuple[Window, np.ndarray]:
+    """A small disc strictly inside an organ, as _disc returns it,
+    centred on a random candidate of the organ's _nodule_site."""
+    radius, candidates = site
+    position = int(candidates[rng.integers(0, candidates.size)])
+    return _disc((position // width, position % width), radius, height, width)
 
 
 def _morph(rng: np.random.Generator, mask: np.ndarray, max_amount: int) -> np.ndarray:
@@ -292,8 +331,12 @@ def _confidence_map(
 ) -> np.ndarray:
     conf = np.where(mask, hi, lo)
     if jitter > 0:
-        conf = conf + rng.normal(0.0, jitter, size=mask.shape)
-    return np.clip(conf, 0.0, 1.0).astype(np.float32)
+        # the plateau goes into the drawn noise: float addition commutes
+        noise = rng.normal(0.0, jitter, size=mask.shape)
+        noise += conf
+        conf = noise
+    np.clip(conf, 0.0, 1.0, out=conf)
+    return conf.astype(np.float32)
 
 
 def _generate_frame(
@@ -307,8 +350,7 @@ def _generate_frame(
 
     Draw order from the frame generator is fixed: layout, planting,
     prediction noise. Returns organ/pc confidence maps, ground-truth
-    rasters, the relevance score, and the planted nodule mask pairs
-    (for generation-time containment checks).
+    rasters and the relevance score.
     """
     width, height = spec.frame_size
     noise = spec.noise
@@ -319,7 +361,8 @@ def _generate_frame(
     for organ in range(8):
         gt_labels[organ_masks[organ]] = organ + 1
 
-    planted: list[tuple[int, np.ndarray]] = []  # (organ code, nodule mask)
+    planted: list[tuple[Window, np.ndarray]] = []  # nodule discs, as _disc returns them
+    sites: dict[int, tuple | None] = {}  # organ code -> its _nodule_site, made on first use
     gt_pc = np.zeros((height, width), dtype=bool)
     if is_roi:
         for station, involved in zip(Station, planted_stations):
@@ -330,13 +373,15 @@ def _generate_frame(
             organs = organs_of(station)
             for _ in range(count):
                 organ = organs[int(rng.integers(0, len(organs)))]
-                nodule = _plant_nodule(rng, organ_masks[organ])
-                if nodule is None:
+                if organ not in sites:
+                    sites[organ] = _nodule_site(organ_masks[organ])
+                if sites[organ] is None:
                     continue
-                if (nodule & ~organ_masks[organ]).any():
+                window, disc = _plant_nodule(rng, sites[organ], height, width)
+                if (disc & ~organ_masks[organ][window]).any():
                     raise AssertionError("planted nodule escaped its organ mask")
-                planted.append((int(organ), nodule))
-                gt_pc |= nodule
+                planted.append((window, disc))
+                gt_pc[window] |= disc
 
     # prediction rasters, derived from truth through the noise model
     pred_organ_masks = organ_masks
@@ -352,17 +397,18 @@ def _generate_frame(
     )
 
     pred_pc = np.zeros((height, width), dtype=bool)
-    for _, nodule in planted:
+    for window, disc in planted:
         if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
             continue
-        pred_pc |= nodule
+        pred_pc[window] |= disc
     if noise.boundary_morph > 0 and pred_pc.any():
         pred_pc = _morph(rng, pred_pc, noise.boundary_morph)
     if noise.false_blob_rate > 0:
         for _ in range(int(rng.poisson(noise.false_blob_rate))):
             radius = int(rng.integers(1, 3))
             center = (int(rng.integers(0, height)), int(rng.integers(0, width)))
-            pred_pc |= _disc(center, radius, height, width)
+            window, disc = _disc(center, radius, height, width)
+            pred_pc[window] |= disc
     pc_conf = _confidence_map(rng, pred_pc, HI_PC, LO_PC, noise.confidence_jitter)
 
     roi_base = ROI_HI if is_roi else ROI_LO
@@ -376,7 +422,6 @@ def _generate_frame(
         "gt_labels": gt_labels[np.newaxis, :, :],
         "gt_pc": gt_pc.astype(np.uint8)[np.newaxis, :, :],
         "roi_score": roi_score,
-        "planted": planted,
     }
 
 

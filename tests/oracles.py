@@ -2,9 +2,9 @@
 
 These deliberately share no code with the package: components come from
 a naive flood fill over pixel sets, nodule assignment is the former
-per-nodule loop, and frame classification recomputes station
-involvement with plain Python loops. Slow and obviously correct, for
-small inputs only.
+per-nodule loop, morphology is the former eight-shift loop, and frame
+classification recomputes station involvement with plain Python loops.
+Slow and obviously correct, for small inputs only.
 """
 
 from __future__ import annotations
@@ -70,6 +70,45 @@ def loop_assign(pixel_arrays, organ_masks, organ_conf) -> list[tuple]:
                 best = code
         results.append((counts.astype(np.int64), best))
     return results
+
+
+def _shift(mask: np.ndarray, dr: int, dc: int) -> np.ndarray:
+    out = np.zeros_like(mask)
+    h, w = mask.shape
+    rs_src = slice(max(0, -dr), min(h, h - dr))
+    cs_src = slice(max(0, -dc), min(w, w - dc))
+    rs_dst = slice(max(0, dr), min(h, h + dr))
+    cs_dst = slice(max(0, dc), min(w, w + dc))
+    out[rs_dst, cs_dst] = mask[rs_src, cs_src]
+    return out
+
+
+def shift_dilate(mask: np.ndarray, amount: int) -> np.ndarray:
+    """Reference Chebyshev dilation: each iteration ORs the mask with its
+    eight one-pixel shifts (pixels shifted in from outside are false)."""
+    result = mask.copy()
+    for _ in range(amount):
+        grown = result.copy()
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                if dr or dc:
+                    grown |= _shift(result, dr, dc)
+        result = grown
+    return result
+
+
+def shift_erode(mask: np.ndarray, amount: int) -> np.ndarray:
+    """Reference Chebyshev erosion: each iteration ANDs the mask with its
+    eight one-pixel shifts (pixels shifted in from outside are false)."""
+    result = mask.copy()
+    for _ in range(amount):
+        shrunk = result.copy()
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                if dr or dc:
+                    shrunk &= _shift(result, dr, dc)
+        result = shrunk
+    return result
 
 
 def naive_station_vector(frame, constants) -> tuple[bool, ...]:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from carcino import maskio, synth
 from carcino.cli import main
@@ -274,6 +275,56 @@ def test_evaluate_rejects_out_of_range_fold_index(small_cohort_index, tmp_path, 
     assert "outside [0, 4)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "folds",
+    [
+        {"k": "x", "seed": 0, "assignment": {}},
+        {"k": 2, "seed": 0, "assignment": []},
+        {"k": 2, "seed": "0", "assignment": {}},
+        {"k": 2, "seed": 0, "assignment": {"v0000": 1.5}},
+    ],
+)
+def test_evaluate_malformed_fold_file_exits_2(tmp_path, capsys, folds):
+    """Each of these used to escape main with ValueError or AttributeError."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    folds_path = tmp_path / "folds.json"
+    folds_path.write_text(json.dumps(folds))
+    assert main(["evaluate", str(index), "--folds", str(folds_path)]) == 2
+    assert "fold file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"pc_confidence_threshold": "x"}',
+        '{"frame_sampling_interval": Infinity}',
+        '{"min_nodule_pixels": 1.5}',
+        '{"its_cutoff": true}',
+    ],
+)
+def test_score_malformed_config_exits_2(tmp_path, capsys, config):
+    """A string threshold used to raise TypeError; an infinite interval
+    used to pass validation and crash in the JSON writer."""
+    video = load_cohort(_mini_cohort(tmp_path, n_videos=1)).videos[0]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config)
+    assert main(["score", str(video.manifest_path), "--config", str(config_path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "value", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="int-1e400")]
+)
+def test_score_non_finite_manifest_number_exits_2(tmp_path, capsys, value):
+    """Python's json reads NaN and Infinity; a manifest carrying one used
+    to be scored and then crash in the JSON writer."""
+    video = load_cohort(_mini_cohort(tmp_path, n_videos=1)).videos[0]
+    text = video.manifest_path.read_text()
+    video.manifest_path.write_text(text.replace('"time_s": 0.0', f'"time_s": {value}', 1))
+    assert main(["score", str(video.manifest_path)]) == 2
+    assert "time_s" in capsys.readouterr().err
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -356,6 +407,32 @@ def test_simulate_invalid_spec_exits_2(tmp_path, capsys):
         json.dumps({"seed": 1, "noise": {"confidence_jitter": -1.0}})
     )
     assert main(["simulate", str(spec_path), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"seed": 1, "frame_size": [32]},
+        {"seed": "a"},
+        {"seed": 1, "n_videos": 2.5},
+        {"seed": True},
+        {"seed": 1, "frames_per_video": "2"},
+        {"seed": 1, "nodules_per_positive_station": [1.5, 2]},
+        {"seed": 1, "station_prevalence": 0.5},
+        {"seed": 1, "noise": 3},
+        {"seed": 1, "noise": {"false_blob_rate": float("inf")}},
+        {"seed": 1, "noise": {"boundary_morph": 1.5}},
+    ],
+)
+def test_simulate_malformed_spec_field_exits_2_before_writing(tmp_path, capsys, spec):
+    """Each of these used to exit 1 with a traceback, some only after
+    creating --out."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "x"
+    assert main(["simulate", str(spec_path), "--out", str(out_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # --- report ------------------------------------------------------------------

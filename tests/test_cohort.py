@@ -419,6 +419,22 @@ def test_fold_file_rejects_fold_index_outside_range(k, index):
         FoldAssignment.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"k": "x", "seed": 0, "assignment": {}},
+        {"k": 2.0, "seed": 0, "assignment": {}},
+        {"k": True, "seed": 0, "assignment": {}},
+        {"k": 2, "seed": None, "assignment": {}},
+        {"k": 2, "seed": 0, "assignment": []},
+        {"k": 2, "seed": 0, "assignment": {"v000": "1"}},
+    ],
+)
+def test_fold_file_rejects_wrong_types(data):
+    with pytest.raises(CarcinoError):
+        FoldAssignment.from_dict(data)
+
+
 def test_ground_truth_score_follows_points_per_station(small_cohort_index):
     """The stored ground truth is written at 2 points per station; an
     evaluation at 3 points must score the truth at 3 points too."""

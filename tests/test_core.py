@@ -97,6 +97,12 @@ def test_constants_are_overridable():
         ("frame_sampling_interval", 0.0),
         ("fs_step", 0),
         ("min_nodule_pixels", 0),
+        ("pc_confidence_threshold", "x"),
+        ("organ_confidence_threshold", float("nan")),
+        ("frame_sampling_interval", float("inf")),
+        ("roi_threshold", True),
+        ("min_nodule_pixels", 1.5),
+        ("its_cutoff", None),
     ],
 )
 def test_constants_reject_out_of_range(field, value):

@@ -258,6 +258,21 @@ def test_manifest_rejects_roi_score_out_of_range(tmp_path):
         maskio.load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="int-1e400")],
+)
+@pytest.mark.parametrize("field", ["time_s", "roi_score", "roi_segments"])
+def test_manifest_rejects_non_finite_numbers(field, value):
+    data = _minimal_manifest()
+    if field == "roi_segments":
+        data["roi_segments"] = [[0.0, value]]
+    else:
+        data["frames"][0][field] = value
+    with pytest.raises(ManifestError):
+        maskio.manifest_from_dict(data)
+
+
 def test_manifest_save_load_roundtrip(tmp_path):
     manifest = write_video(
         tmp_path,

@@ -1,14 +1,20 @@
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from carcino import maskio, pipeline, synth
 from carcino.cohort import load_cohort
 from carcino.core import Indication
 from carcino.errors import InvalidSpecError
 from carcino.synth import NoiseSpec, SynthSpec, generate_cohort, monte_carlo_sweep, oracle_fs
+
+from oracles import shift_dilate, shift_erode
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -51,6 +57,53 @@ def test_same_spec_generates_identical_bytes(tmp_path):
     generate_cohort(spec, dir_a)
     generate_cohort(spec, dir_b)
     assert _tree_bytes(dir_a) == _tree_bytes(dir_b)
+
+
+# SHA-256 over (relative path, SHA-256 of the file) of every file that
+# generate_cohort writes, taken from the generator as it stood before its
+# morphology, nodule placement and shape drawing were reworked for speed
+PINNED_TREES = [
+    (
+        SynthSpec(
+            seed=17,
+            n_videos=3,
+            frame_size=(48, 40),
+            frames_per_video=3,
+            nonroi_frames_per_video=1,
+            station_prevalence=(0.8,) * 6,
+            nodules_per_positive_station=(2, 4),
+            noise=NoiseSpec(
+                confidence_jitter=0.1, boundary_morph=2, false_blob_rate=3.0, miss_rate=0.25
+            ),
+        ),
+        "657993e8c5982255012a79f6665de9c7cede4ef10ef50b918d7b11a947fed453",
+    ),
+    (
+        # the smallest frame: 3x3 organ cells, so nodules fall back to radius 0
+        SynthSpec(
+            seed=5,
+            n_videos=2,
+            frame_size=(16, 17),
+            frames_per_video=2,
+            station_prevalence=(1.0,) * 6,
+            noise=NoiseSpec(
+                confidence_jitter=0.05, boundary_morph=2, false_blob_rate=2.0, miss_rate=0.1
+            ),
+        ),
+        "a91a08f224d8175a7060810977928d532333c08ca835e17185e55ab1b0d76466",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_TREES)
+def test_generated_bytes_are_pinned(tmp_path, spec, digest):
+    """Generated cohorts are a compatibility surface: any change to these
+    bytes needs a deliberate, documented generator-version bump."""
+    generate_cohort(spec, tmp_path)
+    tree = hashlib.sha256()
+    for rel, data in _tree_bytes(tmp_path).items():
+        tree.update(rel.encode() + b"\0" + hashlib.sha256(data).digest())
+    assert tree.hexdigest() == digest
 
 
 def test_different_seed_differs(tmp_path):
@@ -230,3 +283,48 @@ def test_morphology_helpers():
     assert synth.binary_erode(grown, 1).sum() == 1
     assert synth.binary_erode(mask, 1).sum() == 0
     assert np.array_equal(synth.binary_dilate(mask, 0), mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mask=arrays(bool, st.tuples(st.integers(1, 9), st.integers(1, 9))),
+    amount=st.integers(0, 3),
+)
+@example(mask=np.ones((1, 6), dtype=bool), amount=1)
+@example(mask=np.ones((6, 1), dtype=bool), amount=2)
+@example(mask=np.ones((1, 1), dtype=bool), amount=3)
+def test_morphology_matches_shift_loop_reference(mask, amount):
+    before = mask.copy()
+    for new, reference in ((synth.binary_dilate, shift_dilate), (synth.binary_erode, shift_erode)):
+        result = new(mask, amount)
+        assert result.dtype == bool
+        assert np.array_equal(result, reference(mask, amount))
+    assert np.array_equal(mask, before)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_disc_window_matches_full_frame_formula(radius):
+    height, width = 9, 7
+    rows, cols = np.arange(height)[:, None], np.arange(width)[None, :]
+    for row in (0, 1, height // 2, height - 2, height - 1):
+        for col in (0, 1, width // 2, width - 2, width - 1):
+            full = (rows - row) ** 2 + (cols - col) ** 2 <= radius * radius
+            window, disc = synth._disc((row, col), radius, height, width)
+            drawn = np.zeros((height, width), dtype=bool)
+            drawn[window] = disc
+            assert np.array_equal(drawn, full)
+
+
+@pytest.mark.parametrize("width, height", [(16, 16), (16, 17), (17, 23), (48, 40), (97, 256)])
+def test_ellipse_lies_inside_its_inset_cell(width, height):
+    """_organ_layout evaluates the ellipse on the inset cell only; the
+    full-frame formula must set no pixel outside it."""
+    rows, cols = np.arange(height)[:, None], np.arange(width)[None, :]
+    for organ in range(8):
+        r0, r1, c0, c1 = synth._organ_cell(organ, width, height)
+        r0, r1, c0, c1 = r0 + 1, r1 - 1, c0 + 1, c1 - 1
+        cy, cx = (r0 + r1 - 1) / 2.0, (c0 + c1 - 1) / 2.0
+        ry, rx = (r1 - r0) / 2.0, (c1 - c0) / 2.0
+        full = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+        full[r0:r1, c0:c1] = False
+        assert not full.any()
