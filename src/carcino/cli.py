@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -145,10 +146,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             levels = [float(x) for x in args.levels.split(",") if x != ""]
         except ValueError:
             raise CarcinoError(f"--levels must be comma-separated numbers, got {args.levels!r}") from None
-        workdir = Path(args.out) if args.out else Path(args.spec).parent / "sweep_work"
         constants = _resolve_constants(args)
         report = synth.monte_carlo_sweep(
-            spec, args.sweep, levels, args.replicates, workdir, constants, jobs=jobs
+            spec, args.sweep, levels, args.replicates, constants, jobs=jobs
         )
         if args.out_json:
             Path(args.out_json).write_text(maskio.canonical_json(report), encoding="utf-8")
@@ -166,21 +166,49 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# report kind -> its text renderer and the top-level keys that renderer reads
+_RENDERERS = {
+    "cohort_evaluation": (
+        cohort_mod.render_report_text,
+        ("cohort", "n_videos", "mode", "predictor", "runs", "summary"),
+    ),
+    "monte_carlo_sweep": (synth.render_sweep_text, ("param", "replicates", "levels")),
+}
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is beyond the float range")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        report = json.loads(
+            Path(args.report).read_text(encoding="utf-8"),
+            parse_float=_finite_float,
+            parse_constant=_reject_constant,
+        )
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise CarcinoError(f"{args.report}: invalid JSON ({exc})") from exc
+    if not isinstance(report, dict):
+        raise CarcinoError(f"{args.report}: expected a JSON object")
     if args.format == "json":
         sys.stdout.write(maskio.canonical_json(report))
         return EXIT_OK
     kind = report.get("kind")
-    if kind == "cohort_evaluation":
-        sys.stdout.write(cohort_mod.render_report_text(report))
-    elif kind == "monte_carlo_sweep":
-        sys.stdout.write(synth.render_sweep_text(report))
-    else:
+    if not isinstance(kind, str) or kind not in _RENDERERS:
         raise CarcinoError(f"{args.report}: unknown report kind {kind!r}")
+    render, keys = _RENDERERS[kind]
+    missing = [key for key in keys if key not in report]
+    if missing:
+        raise CarcinoError(f"{args.report}: {kind} report misses key(s) {missing}")
+    sys.stdout.write(render(report))
     return EXIT_OK
 
 
@@ -230,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic cohort or run a sweep")
     p_sim.add_argument("spec", help="synthetic cohort spec JSON")
-    p_sim.add_argument("--out", metavar="DIR", help="output directory")
+    p_sim.add_argument(
+        "--out",
+        metavar="DIR",
+        help="output directory for the cohort; a --sweep writes nothing there",
+    )
     p_sim.add_argument(
         "--sweep", metavar="PARAM", help="noise parameter to sweep (e.g. miss_rate)"
     )

@@ -16,7 +16,7 @@ import concurrent.futures
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -281,19 +281,23 @@ def _new_dice_lists() -> dict[str, list]:
     return lists
 
 
-def _assess_video(
-    manifest_path: str,
+def _assess_frames(
+    records: Iterable,
+    load: Callable[[object], maskio.ConfidenceFrame],
     constants: ScoringConstants,
     want_dice: bool,
     want_roi: bool,
 ) -> dict:
     """Score one video and collect its frame-level evaluation data.
 
-    Single pass over the manifest's frames: ROI-passing frames feed the
-    video-level chain; frames carrying ground-truth rasters (and not
-    flagged as non-ROI) feed per-label Dice; frames carrying a relevance
-    flag feed the ROI confusion. Any per-video error is recorded, not
-    raised, so one broken video cannot sink a run.
+    Single pass over the records, which are manifest FrameRecords or
+    generated ConfidenceFrames (both carry frame_index, roi_score,
+    gt_roi, gt_labels and gt_pc); load(record) returns the record's
+    ConfidenceFrame and is called only for frames the pass needs.
+    ROI-passing frames feed the video-level chain; frames carrying
+    ground-truth rasters (and not flagged as non-ROI) feed per-label
+    Dice; frames carrying a relevance flag feed the ROI confusion.
+    Errors propagate to the caller.
     """
     result: dict = {"prediction": None, "dice": None, "roi": None}
     dice_lists = _new_dice_lists() if want_dice else None
@@ -301,67 +305,85 @@ def _assess_video(
     saw_roi_flag = False
     organ_threshold = np.float32(constants.organ_confidence_threshold)
     pc_threshold = np.float32(constants.pc_confidence_threshold)
+    assessments = []
+    shape: tuple[int, int] | None = None
+    for record in records:
+        roi_pass = record.roi_score >= constants.roi_threshold
+        if want_roi and record.gt_roi is not None:
+            saw_roi_flag = True
+            if roi_pass and record.gt_roi:
+                roi_counts[0] += 1
+            elif roi_pass:
+                roi_counts[1] += 1
+            elif not record.gt_roi:
+                roi_counts[2] += 1
+            else:
+                roi_counts[3] += 1
+        has_gt_raster = record.gt_labels is not None or record.gt_pc is not None
+        need_dice = want_dice and has_gt_raster and record.gt_roi is not False
+        if not roi_pass and not need_dice:
+            continue
+        frame = load(record)
+        if shape is None:
+            shape = (frame.height, frame.width)
+        elif (frame.height, frame.width) != shape:
+            raise CarcinoError(
+                f"frame {record.frame_index}: raster size "
+                f"{(frame.height, frame.width)} differs from {shape}"
+            )
+        if need_dice:
+            if frame.gt_labels is not None:
+                for organ in OrganClass:
+                    pred = frame.organ_conf[organ] >= organ_threshold
+                    gt = frame.gt_labels == organ + 1
+                    dice_lists[organ.slug].append(metrics.dice(gt, pred))
+            if frame.gt_pc is not None:
+                pred = frame.pc_conf >= pc_threshold
+                dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pred))
+        if roi_pass:
+            assessments.append(pipeline.classify_frame(frame, constants))
+    if assessments:
+        stations = pipeline.aggregate_video(assessments)
+        fs = pipeline.compute_fs(stations, constants)
+        its = pipeline.compute_its(fs, constants)
+        result["prediction"] = {
+            "stations": [bool(s) for s in stations],
+            "fs": fs,
+            "its": its.value,
+            "frames_used": len(assessments),
+        }
+    else:
+        result["prediction"] = {
+            "error": f"no frame reached the ROI threshold {constants.roi_threshold}"
+        }
+    if want_dice:
+        result["dice"] = dice_lists
+    if want_roi and saw_roi_flag:
+        result["roi"] = roi_counts
+    return result
+
+
+def _assess_video(
+    manifest_path: str,
+    constants: ScoringConstants,
+    want_dice: bool,
+    want_roi: bool,
+) -> dict:
+    """_assess_frames over the frames of one manifest, loaded from disk.
+    Any per-video error is recorded, not raised, so one broken video
+    cannot sink a run."""
     try:
         manifest = maskio.load_manifest(manifest_path)
-        assessments = []
-        shape: tuple[int, int] | None = None
-        for record in manifest.frames:
-            roi_pass = record.roi_score >= constants.roi_threshold
-            if want_roi and record.gt_roi is not None:
-                saw_roi_flag = True
-                if roi_pass and record.gt_roi:
-                    roi_counts[0] += 1
-                elif roi_pass:
-                    roi_counts[1] += 1
-                elif not record.gt_roi:
-                    roi_counts[2] += 1
-                else:
-                    roi_counts[3] += 1
-            has_gt_raster = record.gt_labels is not None or record.gt_pc is not None
-            need_dice = want_dice and has_gt_raster and record.gt_roi is not False
-            if not roi_pass and not need_dice:
-                continue
-            frame = maskio.load_frame(record, manifest.base_dir)
-            if shape is None:
-                shape = (frame.height, frame.width)
-            elif (frame.height, frame.width) != shape:
-                raise CarcinoError(
-                    f"frame {record.frame_index}: raster size "
-                    f"{(frame.height, frame.width)} differs from {shape}"
-                )
-            if need_dice:
-                if frame.gt_labels is not None:
-                    for organ in OrganClass:
-                        pred = frame.organ_conf[organ] >= organ_threshold
-                        gt = frame.gt_labels == organ + 1
-                        dice_lists[organ.slug].append(metrics.dice(gt, pred))
-                if frame.gt_pc is not None:
-                    pred = frame.pc_conf >= pc_threshold
-                    dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pred))
-            if roi_pass:
-                assessments.append(pipeline.classify_frame(frame, constants))
-        if assessments:
-            stations = pipeline.aggregate_video(assessments)
-            fs = pipeline.compute_fs(stations, constants)
-            its = pipeline.compute_its(fs, constants)
-            result["prediction"] = {
-                "stations": [bool(s) for s in stations],
-                "fs": fs,
-                "its": its.value,
-                "frames_used": len(assessments),
-            }
-        else:
-            result["prediction"] = {
-                "error": f"no frame reached the ROI threshold {constants.roi_threshold}"
-            }
-        if want_dice:
-            result["dice"] = dice_lists
-        if want_roi and saw_roi_flag:
-            result["roi"] = roi_counts
+        return _assess_frames(
+            manifest.frames,
+            lambda record: maskio.load_frame(record, manifest.base_dir),
+            constants,
+            want_dice,
+            want_roi,
+        )
     except (CarcinoError, OSError) as exc:
         # all-or-nothing per video: a broken raster voids its frame metrics
         return {"prediction": {"error": str(exc)}, "dice": None, "roi": None}
-    return result
 
 
 def _assess_video_task(args: tuple[str, dict, bool, bool]) -> dict:

@@ -15,12 +15,14 @@ reproducible byte-for-byte under any scheduling.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
+import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,9 +30,12 @@ from . import maskio
 from .cohort import (
     CohortVideo,
     EvalRun,
+    _assess_frames,
+    _evaluate_run,
     _mask64,
-    evaluate_cohort,
-    load_cohort,
+    _prediction_from_assess,
+    _summary_value,
+    evaluate_cohort,  # noqa: F401  unused here; perfbench's tracer self-test probes this binding
     save_cohort_index,
 )
 from .core import (
@@ -42,9 +47,14 @@ from .core import (
     _is_int,
     organs_of,
 )
-from .errors import InvalidSpecError
-from .maskio import FrameRecord, VideoGroundTruth, VideoManifest, canonical_json
-from .metrics import summarize_runs
+from .errors import EmptyCohortError, InvalidSpecError
+from .maskio import (
+    ConfidenceFrame,
+    FrameRecord,
+    VideoGroundTruth,
+    VideoManifest,
+    canonical_json,
+)
 from .pipeline import sample_frame_times
 
 __all__ = [
@@ -328,7 +338,11 @@ def _confidence_map(
     hi: float,
     lo: float,
     jitter: float,
-) -> np.ndarray:
+    out: np.ndarray,
+) -> None:
+    """Write the confidence plane of mask into the float32 array out: the
+    float64 plateau (hi on the mask, lo off it) plus Gaussian noise of
+    std-dev jitter, clipped to [0, 1], then cast."""
     conf = np.where(mask, hi, lo)
     if jitter > 0:
         # the plateau goes into the drawn noise: float addition commutes
@@ -336,21 +350,22 @@ def _confidence_map(
         noise += conf
         conf = noise
     np.clip(conf, 0.0, 1.0, out=conf)
-    return conf.astype(np.float32)
+    out[...] = conf
 
 
 def _generate_frame(
     spec: SynthSpec,
     video_index: int,
     frame_index: int,
+    time_s: float,
     planted_stations: Sequence[bool],
     is_roi: bool,
-) -> dict:
+) -> ConfidenceFrame:
     """Truth and prediction rasters for one frame.
 
     Draw order from the frame generator is fixed: layout, planting,
-    prediction noise. Returns organ/pc confidence maps, ground-truth
-    rasters and the relevance score.
+    prediction noise. Returns the organ/pc confidence maps and the
+    relevance score with the ground-truth rasters and relevance flag.
     """
     width, height = spec.frame_size
     noise = spec.noise
@@ -389,12 +404,11 @@ def _generate_frame(
         pred_organ_masks = np.stack(
             [_morph(rng, organ_masks[o], noise.boundary_morph) for o in range(8)]
         )
-    organ_conf = np.stack(
-        [
-            _confidence_map(rng, pred_organ_masks[o], HI_ORGAN, LO_ORGAN, noise.confidence_jitter)
-            for o in range(8)
-        ]
-    )
+    organ_conf = np.empty((8, height, width), dtype=np.float32)
+    for o in range(8):
+        _confidence_map(
+            rng, pred_organ_masks[o], HI_ORGAN, LO_ORGAN, noise.confidence_jitter, organ_conf[o]
+        )
 
     pred_pc = np.zeros((height, width), dtype=bool)
     for window, disc in planted:
@@ -409,20 +423,24 @@ def _generate_frame(
             center = (int(rng.integers(0, height)), int(rng.integers(0, width)))
             window, disc = _disc(center, radius, height, width)
             pred_pc[window] |= disc
-    pc_conf = _confidence_map(rng, pred_pc, HI_PC, LO_PC, noise.confidence_jitter)
+    pc_conf = np.empty((height, width), dtype=np.float32)
+    _confidence_map(rng, pred_pc, HI_PC, LO_PC, noise.confidence_jitter, pc_conf)
 
     roi_base = ROI_HI if is_roi else ROI_LO
     roi_score = roi_base
     if noise.confidence_jitter > 0:
         roi_score = float(np.clip(roi_base + rng.normal(0.0, noise.confidence_jitter), 0.0, 1.0))
 
-    return {
-        "organ_conf": organ_conf,
-        "pc_conf": pc_conf[np.newaxis, :, :],
-        "gt_labels": gt_labels[np.newaxis, :, :],
-        "gt_pc": gt_pc.astype(np.uint8)[np.newaxis, :, :],
-        "roi_score": roi_score,
-    }
+    return ConfidenceFrame(
+        frame_index=frame_index,
+        time_s=time_s,
+        organ_conf=organ_conf,
+        pc_conf=pc_conf,
+        roi_score=roi_score,
+        gt_labels=gt_labels,
+        gt_pc=gt_pc.astype(np.uint8),
+        gt_roi=is_roi,
+    )
 
 
 def _planted_stations(spec: SynthSpec, video_index: int) -> tuple[bool, ...]:
@@ -437,55 +455,65 @@ def _video_ground_truth(stations: tuple[bool, ...]) -> VideoGroundTruth:
     return VideoGroundTruth(stations=stations, fs=fs, its=its)
 
 
-def _generate_video(spec: SynthSpec, video_index: int, video_dir: Path) -> VideoManifest:
-    video_id = f"v{video_index:04d}"
-    frames_dir = video_dir / "frames"
-    frames_dir.mkdir(parents=True, exist_ok=True)
-    stations = _planted_stations(spec, video_index)
+def _video_id(video_index: int) -> str:
+    return f"v{video_index:04d}"
 
-    constants = ScoringConstants()
-    segment_end = constants.frame_sampling_interval * (spec.frames_per_video - 1)
-    roi_times = sample_frame_times([(0.0, segment_end)], constants.frame_sampling_interval)
 
-    records: list[FrameRecord] = []
-    n_total = spec.frames_per_video + spec.nonroi_frames_per_video
-    for frame_index in range(n_total):
+def _roi_segment_end(spec: SynthSpec) -> float:
+    """End time of the video's single ROI segment, which starts at 0."""
+    return float(ScoringConstants().frame_sampling_interval * (spec.frames_per_video - 1))
+
+
+def _video_frames(
+    spec: SynthSpec, video_index: int, stations: Sequence[bool]
+) -> Iterator[ConfidenceFrame]:
+    """The frames of one video, generated one at a time: the ROI frames,
+    sampled across the ROI segment, then the non-ROI frames after it."""
+    interval = ScoringConstants().frame_sampling_interval
+    segment_end = _roi_segment_end(spec)
+    roi_times = sample_frame_times([(0.0, segment_end)], interval)
+    for frame_index in range(spec.frames_per_video + spec.nonroi_frames_per_video):
         is_roi = frame_index < spec.frames_per_video
         if is_roi:
             time_s = roi_times[frame_index]
         else:
-            extra = frame_index - spec.frames_per_video + 1
-            time_s = segment_end + extra * constants.frame_sampling_interval
-        frame = _generate_frame(spec, video_index, frame_index, stations, is_roi)
-        stem = f"f{frame_index:04d}"
+            time_s = segment_end + (frame_index - spec.frames_per_video + 1) * interval
+        yield _generate_frame(spec, video_index, frame_index, float(time_s), stations, is_roi)
+
+
+def _generate_video(spec: SynthSpec, video_index: int, video_dir: Path) -> VideoManifest:
+    frames_dir = video_dir / "frames"
+    frames_dir.mkdir(parents=True, exist_ok=True)
+    stations = _planted_stations(spec, video_index)
+
+    records: list[FrameRecord] = []
+    for frame in _video_frames(spec, video_index, stations):
+        stem = f"f{frame.frame_index:04d}"
         paths = {
             "organ_conf": f"frames/{stem}.organ.msk",
             "pc_conf": f"frames/{stem}.pc.msk",
             "gt_labels": f"frames/{stem}.gtlab.msk",
             "gt_pc": f"frames/{stem}.gtpc.msk",
         }
-        maskio.write_raster(frame["organ_conf"], video_dir / paths["organ_conf"])
-        maskio.write_raster(frame["pc_conf"], video_dir / paths["pc_conf"])
-        maskio.write_raster(frame["gt_labels"], video_dir / paths["gt_labels"])
-        maskio.write_raster(frame["gt_pc"], video_dir / paths["gt_pc"])
+        maskio.write_raster(frame.organ_conf, video_dir / paths["organ_conf"])
+        maskio.write_raster(frame.pc_conf[np.newaxis], video_dir / paths["pc_conf"])
+        maskio.write_raster(frame.gt_labels[np.newaxis], video_dir / paths["gt_labels"])
+        maskio.write_raster(frame.gt_pc[np.newaxis], video_dir / paths["gt_pc"])
         records.append(
             FrameRecord(
-                frame_index=frame_index,
-                time_s=float(time_s),
-                organ_conf=paths["organ_conf"],
-                pc_conf=paths["pc_conf"],
-                roi_score=frame["roi_score"],
-                gt_labels=paths["gt_labels"],
-                gt_pc=paths["gt_pc"],
-                gt_roi=is_roi,
+                frame_index=frame.frame_index,
+                time_s=frame.time_s,
+                roi_score=frame.roi_score,
+                gt_roi=frame.gt_roi,
+                **paths,
             )
         )
 
     manifest = VideoManifest(
-        video_id=video_id,
+        video_id=_video_id(video_index),
         frames=tuple(records),
         ground_truth=_video_ground_truth(stations),
-        roi_segments=((0.0, float(segment_end)),),
+        roi_segments=((0.0, _roi_segment_end(spec)),),
         base_dir=video_dir,
     )
     maskio.save_manifest(manifest, video_dir / "manifest.json")
@@ -501,9 +529,8 @@ def generate_cohort(spec: SynthSpec, out_dir: str | Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for video_index in range(spec.n_videos):
-        video_id = f"v{video_index:04d}"
-        video_dir = out_dir / "videos" / video_id
-        _generate_video(spec, video_index, video_dir)
+        video_id = _video_id(video_index)
+        _generate_video(spec, video_index, out_dir / "videos" / video_id)
         entries.append((video_id, f"videos/{video_id}/manifest.json"))
     index_path = out_dir / "index.json"
     save_cohort_index(f"synth-{_mask64(spec.seed)}", entries, index_path)
@@ -542,12 +569,56 @@ def _replicate_seed(seed: int, level_index: int, replicate: int) -> int:
     )
 
 
+def _noise_level(param: str, level: float) -> int | float:
+    """A sweep level as the value of the noise field param, cast to the
+    field's declared type; an int field takes whole numbers only."""
+    declared = next(f.type for f in fields(NoiseSpec) if f.name == param)
+    if declared in ("int", int):
+        if not float(level).is_integer():
+            raise InvalidSpecError(f"{param} takes whole-number levels, got {level}")
+        return int(level)
+    return float(level)
+
+
+def _checked_frame(frame: ConfidenceFrame) -> ConfidenceFrame:
+    """A generated frame after the checks write_raster applies to its
+    confidence rasters."""
+    maskio._validate_array(frame.organ_conf)
+    maskio._validate_array(frame.pc_conf[np.newaxis])
+    return frame
+
+
+def _sweep_video(task: tuple[SynthSpec, int, ScoringConstants]) -> dict:
+    """Generate one video of a replicate cohort and assess it in memory,
+    with Dice and ROI accuracy off."""
+    spec, video_index, constants = task
+    frames = _video_frames(spec, video_index, _planted_stations(spec, video_index))
+    return _assess_frames(frames, _checked_frame, constants, want_dice=False, want_roi=False)
+
+
+def _replicate_run(spec: SynthSpec, assessed: Sequence[dict], constants: ScoringConstants) -> dict:
+    """The single run over all videos of one replicate cohort, built from
+    the per-video assessments in video order, as evaluate_cohort builds
+    it from the written cohort."""
+    ids = [_video_id(i) for i in range(spec.n_videos)]
+    run = _evaluate_run(
+        EvalRun(label="all", video_ids=tuple(ids)),
+        {vid: _prediction_from_assess(vid, data) for vid, data in zip(ids, assessed)},
+        {vid: _video_ground_truth(_planted_stations(spec, i)) for i, vid in enumerate(ids)},
+        dict(zip(ids, assessed)),
+        constants,
+        "frame",
+    )
+    if run["error"] is not None:
+        raise EmptyCohortError("every run failed: no video could be scored")
+    return run
+
+
 def monte_carlo_sweep(
     base_spec: SynthSpec,
     param: str,
     levels: Sequence[float],
     replicates: int,
-    workdir: str | Path,
     constants: ScoringConstants | None = None,
     jobs: int = 1,
 ) -> dict:
@@ -558,6 +629,10 @@ def monte_carlo_sweep(
     it (single run over all videos), and collect normalized RMSE,
     per-station F1, and indication F1. Returns per-level summaries plus
     the raw replicate values.
+
+    The replicate cohorts are generated and scored in memory, frame by
+    frame; nothing is written. With jobs > 1 one process pool scores the
+    videos of every replicate; results are the same for any jobs count.
     """
     noise_fields = {f.name for f in fields(NoiseSpec)}
     if param not in noise_fields:
@@ -567,16 +642,32 @@ def monte_carlo_sweep(
     if not levels:
         raise InvalidSpecError("need at least one noise level")
     constants = constants or ScoringConstants()
-    workdir = Path(workdir)
-
-    def summary_of(vals: list) -> dict | None:
-        try:
-            return summarize_runs(vals).to_dict()
-        except Exception:
-            return None
+    specs = [
+        [
+            replace(
+                base_spec,
+                seed=_replicate_seed(base_spec.seed, level_index, replicate),
+                noise=replace(base_spec.noise, **{param: _noise_level(param, level)}),
+            )
+            for replicate in range(replicates)
+        ]
+        for level_index, level in enumerate(levels)
+    ]
+    tasks = [
+        (spec, video_index, constants)
+        for level_specs in specs
+        for spec in level_specs
+        for video_index in range(spec.n_videos)
+    ]
+    if jobs > 1 and len(tasks) > 1:
+        context = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            assessed = iter(list(pool.map(_sweep_video, tasks)))
+    else:
+        assessed = map(_sweep_video, tasks)
 
     level_entries = []
-    for level_index, level in enumerate(levels):
+    for level, level_specs in zip(levels, specs):
         values: dict[str, list] = {
             "fs_rmse": [],
             "fs_rmse_normalized": [],
@@ -584,26 +675,10 @@ def monte_carlo_sweep(
             "its_f1_average": [],
         }
         station_values: dict[str, list] = {slug: [] for slug in STATION_SLUGS}
-        for replicate in range(replicates):
-            noise_kwargs = {param: type(getattr(base_spec.noise, param))(level)}
-            spec = replace(
-                base_spec,
-                seed=_replicate_seed(base_spec.seed, level_index, replicate),
-                noise=replace(base_spec.noise, **noise_kwargs),
+        for spec in level_specs:
+            run = _replicate_run(
+                spec, [next(assessed) for _ in range(spec.n_videos)], constants
             )
-            cohort_dir = workdir / f"level{level_index:02d}_rep{replicate:03d}"
-            index_path = generate_cohort(spec, cohort_dir)
-            cohort = load_cohort(index_path)
-            report = evaluate_cohort(
-                cohort,
-                [EvalRun(label="all", video_ids=tuple(v.video_id for v in cohort.videos))],
-                constants,
-                jobs=jobs,
-                compute_dice=False,
-                compute_roi=False,
-                mode="sweep",
-            )
-            run = report["runs"][0]
             values["fs_rmse"].append(run["fs_rmse"])
             values["fs_rmse_normalized"].append(run["fs_rmse_normalized"])
             values["station_f1_average"].append(run["stations_average"]["f1"])
@@ -616,12 +691,12 @@ def monte_carlo_sweep(
                 "replicates": replicates,
                 "values": {**values, "stations_f1": station_values},
                 "summary": {
-                    "fs_rmse": summary_of(values["fs_rmse"]),
-                    "fs_rmse_normalized": summary_of(values["fs_rmse_normalized"]),
-                    "station_f1_average": summary_of(values["station_f1_average"]),
-                    "its_f1_average": summary_of(values["its_f1_average"]),
+                    "fs_rmse": _summary_value(values["fs_rmse"]),
+                    "fs_rmse_normalized": _summary_value(values["fs_rmse_normalized"]),
+                    "station_f1_average": _summary_value(values["station_f1_average"]),
+                    "its_f1_average": _summary_value(values["its_f1_average"]),
                     "stations_f1": {
-                        slug: summary_of(station_values[slug]) for slug in STATION_SLUGS
+                        slug: _summary_value(station_values[slug]) for slug in STATION_SLUGS
                     },
                 },
             }

@@ -4,12 +4,19 @@ These deliberately share no code with the package: components come from
 a naive flood fill over pixel sets, nodule assignment is the former
 per-nodule loop, morphology is the former eight-shift loop, and frame
 classification recomputes station involvement with plain Python loops.
-Slow and obviously correct, for small inputs only.
+Slow and obviously correct, for small inputs only. The one exception is
+disk_sweep_run, the former disk-backed sweep replicate, which runs the
+package's own write, load and evaluate path.
 """
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
+
+from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
+from carcino.synth import generate_cohort
 
 
 def flood_components(mask, connectivity: int = 8) -> list[frozenset]:
@@ -151,3 +158,21 @@ def naive_station_vector(frame, constants) -> tuple[bool, ...]:
         if best is not None:
             stations[organ_station[best]] = True
     return tuple(stations)
+
+
+def disk_sweep_run(spec, constants) -> dict:
+    """Reference sweep replicate: write the cohort of spec, read it back
+    and evaluate all its videos as one run, with Dice and ROI accuracy
+    off; returns the run entry (EmptyCohortError when every video
+    fails)."""
+    with tempfile.TemporaryDirectory() as workdir:
+        cohort = load_cohort(generate_cohort(spec, workdir))
+        report = evaluate_cohort(
+            cohort,
+            [EvalRun(label="all", video_ids=tuple(v.video_id for v in cohort.videos))],
+            constants,
+            compute_dice=False,
+            compute_roi=False,
+            mode="sweep",
+        )
+    return report["runs"][0]

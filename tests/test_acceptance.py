@@ -210,16 +210,14 @@ def test_split_properties_on_101_videos(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_monte_carlo_miss_rate_extremes(tmp_path):
+def test_monte_carlo_miss_rate_extremes():
     """Sweep miss_rate over {0, 1}: level 0 gives normalized RMSE 0 in
     every replicate; level 1 (no false blobs) gives all-negative
     predictions whose RMSE equals the closed-form RMS of the planted
     scores. Tolerance 1e-9, under 2 minutes."""
     started = time.monotonic()
     base = SynthSpec(seed=4242, n_videos=10, frame_size=(32, 32), frames_per_video=3)
-    report = synth.monte_carlo_sweep(
-        base, "miss_rate", [0.0, 1.0], replicates=2, workdir=tmp_path / "work"
-    )
+    report = synth.monte_carlo_sweep(base, "miss_rate", [0.0, 1.0], replicates=2)
     level0, level1 = report["levels"]
     assert all(abs(v) < 1e-9 for v in level0["values"]["fs_rmse_normalized"])
     for rep_index, observed in enumerate(level1["values"]["fs_rmse"]):

@@ -391,6 +391,57 @@ def test_simulate_sweep_level_replicate_counts(tmp_path, capsys):
     assert all(len(e["values"]["fs_rmse"]) == 2 for e in report["levels"])
 
 
+def _sweep_spec(tmp_path, **fields) -> Path:
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps({"seed": 43, "n_videos": 3, "frame_size": [32, 32], "frames_per_video": 2,
+                    "nonroi_frames_per_video": 1, **fields})
+    )
+    return spec_path
+
+
+def test_simulate_sweep_bytes_identical_across_jobs_and_writes_nothing(tmp_path):
+    spec_path = _sweep_spec(
+        tmp_path, noise={"confidence_jitter": 0.2, "boundary_morph": 1, "false_blob_rate": 1.0}
+    )
+    reports = {}
+    for jobs in (1, 2, 3):
+        out_dir, out_json = tmp_path / f"work{jobs}", tmp_path / f"sweep{jobs}.json"
+        code = main(
+            ["simulate", str(spec_path), "--sweep", "miss_rate", "--levels", "0,0.5",
+             "--replicates", "2", "--jobs", str(jobs), "--out", str(out_dir),
+             "--out-json", str(out_json)]
+        )
+        assert code == 0
+        assert not out_dir.exists()
+        reports[jobs] = out_json.read_bytes()
+    assert reports[1] == reports[2] == reports[3]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "spec.json", "sweep1.json", "sweep2.json", "sweep3.json"
+    ]
+
+
+def test_simulate_sweep_fractional_int_level_exits_2(tmp_path, capsys):
+    spec_path = _sweep_spec(tmp_path)
+    code = main(["simulate", str(spec_path), "--sweep", "boundary_morph", "--levels", "0,1.7"])
+    assert code == 2
+    assert "whole-number" in capsys.readouterr().err
+
+
+def test_simulate_sweep_with_no_scorable_video_exits_2(tmp_path, capsys):
+    """No zero-jitter frame reaches an ROI threshold of 1.0 (ROI frames
+    score 0.95), so every video of the replicate fails."""
+    spec_path = _sweep_spec(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"roi_threshold": 1.0}))
+    code = main(
+        ["simulate", str(spec_path), "--sweep", "miss_rate", "--levels", "0",
+         "--config", str(config)]
+    )
+    assert code == 2
+    assert "every run failed" in capsys.readouterr().err
+
+
 def test_simulate_bad_levels_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"seed": 1, "n_videos": 2, "frames_per_video": 1}))
@@ -453,3 +504,22 @@ def test_report_rejects_unknown_kind(tmp_path):
     path = tmp_path / "weird.json"
     path.write_text(json.dumps({"kind": "mystery"}))
     assert main(["report", str(path), "--format", "text"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [
+        ('{"kind": "cohort_evaluation", "fs_rmse": NaN}', "json"),
+        ('{"kind": "cohort_evaluation", "fs_rmse": 1e400}', "json"),
+        ("[1, 2]", "text"),
+        ('{"kind": "cohort_evaluation", "cohort": "c", "n_videos": 1, "mode": "custom", '
+         '"predictor": "pipeline", "runs": []}', "text"),
+    ],
+    ids=["nan", "overflow", "list", "no-summary"],
+)
+def test_report_malformed_file_exits_2(tmp_path, capsys, text, fmt):
+    """Each of these used to escape main with a traceback."""
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", str(path), "--format", fmt]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carcino import maskio
-from carcino.core import Indication
+from carcino.core import STATION_SLUGS, Indication
 from carcino.errors import (
     BadMagicError,
+    CarcinoError,
     ChannelCountMismatchError,
     ConfidenceOutOfRangeError,
     DimensionMismatchError,
@@ -153,6 +154,29 @@ def test_raster_path_appears_in_error_message(tmp_path):
     with pytest.raises(BadMagicError) as excinfo:
         maskio.read_raster(path)
     assert str(path) in str(excinfo.value)
+
+
+@st.composite
+def _msk1_blobs(draw):
+    """An MSK1 header with small dimensions and a known or unknown dtype
+    code, over a payload of the size the header implies or any size."""
+    width, height, channels = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    code = draw(st.integers(0, 2))
+    size = width * height * channels * (4 if code == maskio.DTYPE_CONFIDENCE else 1)
+    payload = draw(st.binary(min_size=size, max_size=size) | st.binary(max_size=2 * size + 2))
+    return maskio._HEADER.pack(maskio.MAGIC, width, height, channels, code) + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=64) | _msk1_blobs())
+def test_decode_raster_raises_only_package_errors(blob):
+    """Arbitrary bytes, and MSK1 headers over arbitrary payloads, either
+    decode or raise a CarcinoError subclass."""
+    try:
+        arr = maskio.decode_raster(blob)
+    except CarcinoError:
+        return
+    assert arr.ndim == 3
 
 
 # --- manifests -------------------------------------------------------------
@@ -320,3 +344,49 @@ def test_load_frame_rejects_nonbinary_gt_pc(tmp_path):
     rec = maskio.FrameRecord(0, 0.0, "organ.msk", "pc.msk", 1.0, gt_pc="gtpc.msk")
     with pytest.raises(LabelOutOfRangeError):
         maskio.load_frame(rec, video_dir)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+_valid_frame = _minimal_manifest()["frames"][0]
+_frames = st.builds(
+    lambda base, changes: {**base, **changes},
+    st.sampled_from([_valid_frame, {}]),
+    st.dictionaries(
+        st.sampled_from([*_valid_frame, "gt_labels", "gt_pc", "gt_roi"]),
+        st.floats(0, 1) | st.integers(0, 3) | st.sampled_from(["f.msk", True]) | _json_values,
+        max_size=2,
+    ),
+)
+_ground_truths = st.fixed_dictionaries(
+    {
+        "stations": st.dictionaries(
+            st.sampled_from(list(STATION_SLUGS) + ["liver"]), st.booleans(), min_size=5
+        ) | _json_values,
+        "fs": st.integers(0, 12) | _json_values,
+        "its": st.sampled_from([i.value for i in Indication]) | _json_values,
+    },
+)
+_manifests = st.fixed_dictionaries(
+    {"video_id": st.just("v1"), "frames": st.lists(_frames, max_size=3)},
+    optional={
+        "ground_truth": _ground_truths | _json_values,
+        "roi_segments": st.lists(st.lists(st.floats() | _json_values, max_size=3), max_size=2)
+        | _json_values,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_manifests | _json_values)
+def test_manifest_from_dict_raises_only_package_errors(data):
+    """Arbitrary JSON values, and manifest-shaped objects holding them,
+    either parse or raise a CarcinoError subclass."""
+    try:
+        manifest = maskio.manifest_from_dict(data)
+    except CarcinoError:
+        return
+    assert isinstance(manifest, maskio.VideoManifest)

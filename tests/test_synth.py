@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 from carcino import maskio, pipeline, synth
 from carcino.cohort import load_cohort
-from carcino.core import Indication
-from carcino.errors import InvalidSpecError
+from carcino.core import Indication, ScoringConstants
+from carcino.errors import EmptyCohortError, InvalidSpecError
 from carcino.synth import NoiseSpec, SynthSpec, generate_cohort, monte_carlo_sweep, oracle_fs
 
-from oracles import shift_dilate, shift_erode
+from oracles import disk_sweep_run, shift_dilate, shift_erode
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -211,9 +212,9 @@ def test_noise_perturbs_but_stays_valid(tmp_path):
             assert frame.organ_conf.max() <= 1.0
 
 
-def test_sweep_degenerate_single_cell(tmp_path):
+def test_sweep_degenerate_single_cell():
     spec = SynthSpec(seed=12, n_videos=3, frame_size=(32, 32), frames_per_video=2)
-    report = monte_carlo_sweep(spec, "miss_rate", [0.0], 1, tmp_path / "work")
+    report = monte_carlo_sweep(spec, "miss_rate", [0.0], 1)
     assert report["param"] == "miss_rate"
     assert len(report["levels"]) == 1
     entry = report["levels"][0]
@@ -222,9 +223,9 @@ def test_sweep_degenerate_single_cell(tmp_path):
     assert len(entry["values"]["fs_rmse"]) == 1
 
 
-def test_sweep_miss_rate_extremes(tmp_path):
+def test_sweep_miss_rate_extremes():
     spec = SynthSpec(seed=13, n_videos=6, frame_size=(32, 32), frames_per_video=2)
-    report = monte_carlo_sweep(spec, "miss_rate", [0.0, 1.0], 2, tmp_path / "work")
+    report = monte_carlo_sweep(spec, "miss_rate", [0.0, 1.0], 2)
     zero, one = report["levels"]
     assert zero["summary"]["fs_rmse_normalized"]["mean"] == 0.0
     assert all(v == 0.0 for v in zero["values"]["fs_rmse"])
@@ -243,9 +244,9 @@ def test_sweep_miss_rate_extremes(tmp_path):
         assert abs(observed - expected) < 1e-9
 
 
-def test_sweep_integer_noise_parameter(tmp_path):
+def test_sweep_integer_noise_parameter():
     spec = SynthSpec(seed=15, n_videos=2, frame_size=(32, 32), frames_per_video=1)
-    report = monte_carlo_sweep(spec, "boundary_morph", [0, 2], 1, tmp_path / "work")
+    report = monte_carlo_sweep(spec, "boundary_morph", [0, 2], 1)
     assert report["levels"][0]["summary"]["fs_rmse"]["mean"] == 0.0
     assert report["levels"][1]["level"] == 2.0
 
@@ -255,9 +256,9 @@ def test_noise_spec_is_zero_flag():
     assert not NoiseSpec(miss_rate=0.1).is_zero
 
 
-def test_sweep_csv_rendering(tmp_path):
+def test_sweep_csv_rendering():
     spec = SynthSpec(seed=14, n_videos=2, frame_size=(32, 32), frames_per_video=1)
-    report = monte_carlo_sweep(spec, "miss_rate", [0.0, 1.0], 2, tmp_path / "work")
+    report = monte_carlo_sweep(spec, "miss_rate", [0.0, 1.0], 2)
     csv_text = synth.render_sweep_csv(report)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "param,level,replicate,fs_rmse,fs_rmse_normalized,station_f1_average,its_f1_average"
@@ -265,14 +266,100 @@ def test_sweep_csv_rendering(tmp_path):
     assert lines[1].startswith("miss_rate,0.0,0,")
 
 
-def test_sweep_rejects_bad_arguments(tmp_path):
+def test_sweep_rejects_bad_arguments():
     spec = SynthSpec(seed=1, n_videos=2, frames_per_video=1)
     with pytest.raises(InvalidSpecError):
-        monte_carlo_sweep(spec, "not_a_knob", [0.0], 1, tmp_path)
+        monte_carlo_sweep(spec, "not_a_knob", [0.0], 1)
     with pytest.raises(InvalidSpecError):
-        monte_carlo_sweep(spec, "miss_rate", [], 1, tmp_path)
+        monte_carlo_sweep(spec, "miss_rate", [], 1)
     with pytest.raises(InvalidSpecError):
-        monte_carlo_sweep(spec, "miss_rate", [0.0], 0, tmp_path)
+        monte_carlo_sweep(spec, "miss_rate", [0.0], 0)
+
+
+def test_sweep_level_takes_the_declared_field_type():
+    """A level is cast with the noise field's declared type, not with the
+    type of the base spec's value: an int 0 jitter used to sweep 0.45 as
+    int(0.45) == 0 and report RMSE 0."""
+    shape = dict(seed=17, n_videos=4, frame_size=(32, 32), frames_per_video=2)
+    as_int = monte_carlo_sweep(
+        SynthSpec(**shape, noise=NoiseSpec(confidence_jitter=0)), "confidence_jitter", [0.45], 1
+    )
+    as_float = monte_carlo_sweep(
+        SynthSpec(**shape, noise=NoiseSpec(confidence_jitter=0.0)), "confidence_jitter", [0.45], 1
+    )
+    assert as_int["levels"] == as_float["levels"]
+    assert as_int["levels"][0]["values"]["fs_rmse"][0] > 0
+
+
+def test_sweep_rejects_fractional_level_of_int_field():
+    spec = SynthSpec(seed=1, n_videos=2, frame_size=(32, 32), frames_per_video=1)
+    with pytest.raises(InvalidSpecError, match="whole-number"):
+        monte_carlo_sweep(spec, "boundary_morph", [1.0, 1.7], 1)
+
+
+_noise = st.builds(
+    NoiseSpec,
+    confidence_jitter=st.sampled_from([0.0, 0.05, 0.3, 0.6]),
+    boundary_morph=st.integers(0, 2),
+    false_blob_rate=st.sampled_from([0.0, 0.5, 3.0]),
+    miss_rate=st.sampled_from([0.0, 0.3, 1.0]),
+)
+_sweep_specs = st.builds(
+    SynthSpec,
+    seed=st.integers(0, 2**64 - 1),
+    n_videos=st.integers(1, 3),
+    frame_size=st.tuples(st.integers(16, 28), st.integers(16, 28)),
+    frames_per_video=st.integers(1, 3),
+    station_prevalence=st.tuples(*[st.sampled_from([0.0, 0.5, 1.0])] * 6),
+    nodules_per_positive_station=st.sampled_from([(1, 1), (1, 3), (2, 4)]),
+    nonroi_frames_per_video=st.integers(0, 2),
+    noise=_noise,
+)
+
+
+def _run_or_error(make_run):
+    try:
+        return make_run()
+    except EmptyCohortError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_sweep_specs, roi_threshold=st.sampled_from([0.5, 0.9]))
+def test_in_memory_replicate_matches_disk_reference(spec, roi_threshold):
+    """The replicate scored from the generator equals the former
+    write-then-read replicate, run entry for run entry; strong jitter
+    moves ROI scores across the threshold both ways."""
+    constants = ScoringConstants(roi_threshold=roi_threshold)
+    in_memory = _run_or_error(
+        lambda: synth._replicate_run(
+            spec,
+            [synth._sweep_video((spec, i, constants)) for i in range(spec.n_videos)],
+            constants,
+        )
+    )
+    assert in_memory == _run_or_error(lambda: disk_sweep_run(spec, constants))
+
+
+def test_sweep_values_follow_replicate_order():
+    base = SynthSpec(
+        seed=18, n_videos=3, frame_size=(24, 24), frames_per_video=2,
+        noise=NoiseSpec(confidence_jitter=0.2, false_blob_rate=1.0),
+    )
+    levels = [0.0, 0.6]
+    report = monte_carlo_sweep(base, "miss_rate", levels, 2)
+    for level_index, (level, entry) in enumerate(zip(levels, report["levels"])):
+        for replicate in range(2):
+            spec = replace(
+                base,
+                seed=synth._replicate_seed(base.seed, level_index, replicate),
+                noise=replace(base.noise, miss_rate=level),
+            )
+            run = disk_sweep_run(spec, ScoringConstants())
+            assert entry["values"]["fs_rmse"][replicate] == run["fs_rmse"]
+            assert entry["values"]["its_f1_average"][replicate] == run["its_average"]["f1"]
+            for slug, values in entry["values"]["stations_f1"].items():
+                assert values[replicate] == run["stations"][slug]["f1"]
 
 
 def test_morphology_helpers():
