@@ -40,8 +40,8 @@ from .pipeline import (
     compute_fs,
     compute_its,
     connected_components,
-    filter_roi_frames,
     sample_frame_times,
+    score_frames,
     score_video,
     threshold_organ_masks,
     threshold_pc_mask,

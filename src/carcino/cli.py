@@ -166,13 +166,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# report kind -> its text renderer and the top-level keys that renderer reads
 _RENDERERS = {
-    "cohort_evaluation": (
-        cohort_mod.render_report_text,
-        ("cohort", "n_videos", "mode", "predictor", "runs", "summary"),
-    ),
-    "monte_carlo_sweep": (synth.render_sweep_text, ("param", "replicates", "levels")),
+    "cohort_evaluation": cohort_mod.render_report_text,
+    "monte_carlo_sweep": synth.render_sweep_text,
 }
 
 
@@ -204,11 +200,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     kind = report.get("kind")
     if not isinstance(kind, str) or kind not in _RENDERERS:
         raise CarcinoError(f"{args.report}: unknown report kind {kind!r}")
-    render, keys = _RENDERERS[kind]
-    missing = [key for key in keys if key not in report]
-    if missing:
-        raise CarcinoError(f"{args.report}: {kind} report misses key(s) {missing}")
-    sys.stdout.write(render(report))
+    try:
+        text = _RENDERERS[kind](report)
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        # the renderers read the layout evaluate and simulate write; any
+        # other layout fails on the key, index or value it lacks
+        raise CarcinoError(
+            f"{args.report}: malformed {kind} report ({type(exc).__name__}: {exc})"
+        ) from exc
+    sys.stdout.write(text)
     return EXIT_OK
 
 

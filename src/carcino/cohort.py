@@ -15,8 +15,9 @@ from __future__ import annotations
 import concurrent.futures
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .maskio import VideoGroundTruth, canonical_json
 from .metrics import ConfusionCounts
+from .pipeline import PC_DICE_KEY
 
 __all__ = [
     "Cohort",
@@ -59,7 +61,6 @@ __all__ = [
     "render_report_text",
 ]
 
-PC_DICE_KEY = "peritoneal_carcinomatosis"
 ORGAN_AVG_DICE_KEY = "anatomical_structures_average"
 REPORT_SCHEMA = "carcino.report.v1"
 
@@ -275,92 +276,29 @@ def independent_runs(cohort: Cohort, n_models: int = 1) -> list[EvalRun]:
     return [EvalRun(label=f"model{i}", video_ids=ids) for i in range(n_models)]
 
 
-def _new_dice_lists() -> dict[str, list]:
-    lists: dict[str, list] = {slug: [] for slug in ORGAN_SLUGS}
-    lists[PC_DICE_KEY] = []
-    return lists
+class _Scored(NamedTuple):
+    """One video's prediction with the frame-level data evaluation reads
+    (Dice lists, ROI counts), as a worker returns it: the per-frame
+    nodules stay behind, so no pixel arrays cross a process pool."""
+
+    prediction: VideoPrediction
+    dice: dict[str, list] | None = None
+    roi: ConfusionCounts | None = None
 
 
-def _assess_frames(
-    records: Iterable,
-    load: Callable[[object], maskio.ConfidenceFrame],
-    constants: ScoringConstants,
-    want_dice: bool,
-    want_roi: bool,
-) -> dict:
-    """Score one video and collect its frame-level evaluation data.
+def _failed(video_id: str, exc: Exception) -> _Scored:
+    return _Scored(VideoPrediction(video_id, None, None, None, error=str(exc)))
 
-    Single pass over the records, which are manifest FrameRecords or
-    generated ConfidenceFrames (both carry frame_index, roi_score,
-    gt_roi, gt_labels and gt_pc); load(record) returns the record's
-    ConfidenceFrame and is called only for frames the pass needs.
-    ROI-passing frames feed the video-level chain; frames carrying
-    ground-truth rasters (and not flagged as non-ROI) feed per-label
-    Dice; frames carrying a relevance flag feed the ROI confusion.
-    Errors propagate to the caller.
-    """
-    result: dict = {"prediction": None, "dice": None, "roi": None}
-    dice_lists = _new_dice_lists() if want_dice else None
-    roi_counts = [0, 0, 0, 0]  # tp, fp, tn, fn
-    saw_roi_flag = False
-    organ_threshold = np.float32(constants.organ_confidence_threshold)
-    pc_threshold = np.float32(constants.pc_confidence_threshold)
-    assessments = []
-    shape: tuple[int, int] | None = None
-    for record in records:
-        roi_pass = record.roi_score >= constants.roi_threshold
-        if want_roi and record.gt_roi is not None:
-            saw_roi_flag = True
-            if roi_pass and record.gt_roi:
-                roi_counts[0] += 1
-            elif roi_pass:
-                roi_counts[1] += 1
-            elif not record.gt_roi:
-                roi_counts[2] += 1
-            else:
-                roi_counts[3] += 1
-        has_gt_raster = record.gt_labels is not None or record.gt_pc is not None
-        need_dice = want_dice and has_gt_raster and record.gt_roi is not False
-        if not roi_pass and not need_dice:
-            continue
-        frame = load(record)
-        if shape is None:
-            shape = (frame.height, frame.width)
-        elif (frame.height, frame.width) != shape:
-            raise CarcinoError(
-                f"frame {record.frame_index}: raster size "
-                f"{(frame.height, frame.width)} differs from {shape}"
-            )
-        if need_dice:
-            if frame.gt_labels is not None:
-                for organ in OrganClass:
-                    pred = frame.organ_conf[organ] >= organ_threshold
-                    gt = frame.gt_labels == organ + 1
-                    dice_lists[organ.slug].append(metrics.dice(gt, pred))
-            if frame.gt_pc is not None:
-                pred = frame.pc_conf >= pc_threshold
-                dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pred))
-        if roi_pass:
-            assessments.append(pipeline.classify_frame(frame, constants))
-    if assessments:
-        stations = pipeline.aggregate_video(assessments)
-        fs = pipeline.compute_fs(stations, constants)
-        its = pipeline.compute_its(fs, constants)
-        result["prediction"] = {
-            "stations": [bool(s) for s in stations],
-            "fs": fs,
-            "its": its.value,
-            "frames_used": len(assessments),
-        }
-    else:
-        result["prediction"] = {
-            "error": f"no frame reached the ROI threshold {constants.roi_threshold}"
-        }
-    if want_dice:
-        result["dice"] = dice_lists
-    if want_roi and saw_roi_flag:
-        result["roi"] = roi_counts
-    return result
+
+def _predicted(
+    video: pipeline.VideoAssessment,
+    dice: dict[str, list] | None = None,
+    roi: ConfusionCounts | None = None,
+) -> _Scored:
+    prediction = VideoPrediction(
+        video.video_id, video.station_positive, video.fs, video.its, video.frames_used
+    )
+    return _Scored(prediction, dice, roi)
 
 
 def _assess_video(
@@ -368,41 +306,26 @@ def _assess_video(
     constants: ScoringConstants,
     want_dice: bool,
     want_roi: bool,
-) -> dict:
-    """_assess_frames over the frames of one manifest, loaded from disk.
-    Any per-video error is recorded, not raised, so one broken video
-    cannot sink a run."""
+    video_id: str,
+) -> _Scored:
+    """pipeline.score_frames over the frames of one manifest, loaded from
+    disk. Any per-video error is recorded, not raised, so one broken
+    video cannot sink a run."""
     try:
         manifest = maskio.load_manifest(manifest_path)
-        return _assess_frames(
-            manifest.frames,
-            lambda record: maskio.load_frame(record, manifest.base_dir),
-            constants,
-            want_dice,
-            want_roi,
+        return _predicted(
+            *pipeline.score_frames(
+                video_id,
+                manifest.frames,
+                lambda record: maskio.load_frame(record, manifest.base_dir),
+                constants,
+                want_dice,
+                want_roi,
+            )
         )
     except (CarcinoError, OSError) as exc:
         # all-or-nothing per video: a broken raster voids its frame metrics
-        return {"prediction": {"error": str(exc)}, "dice": None, "roi": None}
-
-
-def _assess_video_task(args: tuple[str, dict, bool, bool]) -> dict:
-    manifest_path, constants_dict, want_dice, want_roi = args
-    constants = ScoringConstants.from_dict(constants_dict)
-    return _assess_video(manifest_path, constants, want_dice, want_roi)
-
-
-def _prediction_from_assess(video_id: str, data: dict) -> VideoPrediction:
-    pred = data["prediction"]
-    if "error" in pred:
-        return VideoPrediction(video_id, None, None, None, error=pred["error"])
-    return VideoPrediction(
-        video_id=video_id,
-        stations=tuple(pred["stations"]),
-        fs=pred["fs"],
-        its=Indication(pred["its"]),
-        frames_used=pred["frames_used"],
-    )
+        return _failed(video_id, exc)
 
 
 def _aggregate_dice(per_video: list[dict[str, list] | None], average: str) -> dict | None:
@@ -452,12 +375,12 @@ def _average_prf(rows: list[dict]) -> dict:
 
 def _evaluate_run(
     run: EvalRun,
-    predictions: dict[str, VideoPrediction],
+    scored: dict[str, _Scored],
     ground_truth: dict[str, VideoGroundTruth],
-    frame_data: dict[str, dict],
     constants: ScoringConstants,
     dice_average: str,
 ) -> dict:
+    predictions = {vid: scored[vid].prediction for vid in run.video_ids}
     ok_ids = [vid for vid in run.video_ids if predictions[vid].ok]
     failed = {
         vid: predictions[vid].error for vid in run.video_ids if not predictions[vid].ok
@@ -509,24 +432,15 @@ def _evaluate_run(
     entry["its"] = its_rows
     entry["its_average"] = _average_prf(list(its_rows.values()))
 
-    entry["dice"] = _aggregate_dice(
-        [frame_data.get(vid, {}).get("dice") for vid in ok_ids], dice_average
-    )
+    entry["dice"] = _aggregate_dice([scored[vid].dice for vid in ok_ids], dice_average)
 
-    roi_total = ConfusionCounts()
-    saw_roi = False
-    for vid in ok_ids:
-        roi = frame_data.get(vid, {}).get("roi")
-        if roi is not None:
-            saw_roi = True
-            roi_total = roi_total + ConfusionCounts(tp=roi[0], fp=roi[1], tn=roi[2], fn=roi[3])
-    if saw_roi:
+    roi = [scored[vid].roi for vid in ok_ids if scored[vid].roi is not None]
+    entry["roi_balanced_accuracy"] = None
+    if roi:
         try:
-            entry["roi_balanced_accuracy"] = metrics.balanced_accuracy(roi_total)
+            entry["roi_balanced_accuracy"] = metrics.balanced_accuracy(sum(roi, ConfusionCounts()))
         except CarcinoError:
-            entry["roi_balanced_accuracy"] = None
-    else:
-        entry["roi_balanced_accuracy"] = None
+            pass
 
     entry["videos"] = {
         vid: {
@@ -648,8 +562,7 @@ def evaluate_cohort(
     unique_ids = sorted(seen, key=position.__getitem__)
 
     ground_truth = {vid: by_id[vid].ground_truth for vid in unique_ids}
-    predictions: dict[str, VideoPrediction] = {}
-    frame_data: dict[str, dict] = {}
+    scored: dict[str, _Scored] = {}
     predictor_name: str
 
     if predictor == "oracle":
@@ -657,33 +570,32 @@ def evaluate_cohort(
         for vid in unique_ids:
             stations = ground_truth[vid].stations
             fs = pipeline.compute_fs(stations, constants)
-            predictions[vid] = VideoPrediction(
-                video_id=vid, stations=stations, fs=fs, its=pipeline.compute_its(fs, constants)
+            scored[vid] = _Scored(
+                VideoPrediction(vid, stations, fs, pipeline.compute_its(fs, constants))
             )
     elif predictor == "pipeline":
         predictor_name = "pipeline"
-        tasks = [
-            (str(by_id[vid].manifest_path), constants.to_dict(), compute_dice, compute_roi)
-            for vid in unique_ids
-        ]
-        if jobs > 1 and len(tasks) > 1:
+        args = (
+            [str(by_id[vid].manifest_path) for vid in unique_ids],
+            repeat(constants),
+            repeat(compute_dice),
+            repeat(compute_roi),
+            unique_ids,
+        )
+        if jobs > 1 and len(unique_ids) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_assess_video_task, tasks))
+                scored = dict(zip(unique_ids, pool.map(_assess_video, *args)))
         else:
-            results = [_assess_video_task(task) for task in tasks]
-        for vid, data in zip(unique_ids, results):
-            predictions[vid] = _prediction_from_assess(vid, data)
-            frame_data[vid] = data
+            scored = dict(zip(unique_ids, map(_assess_video, *args)))
     elif callable(predictor):
         predictor_name = getattr(predictor, "__name__", "custom")
         for vid in unique_ids:
-            predictions[vid] = predictor(by_id[vid])
+            scored[vid] = _Scored(predictor(by_id[vid]))
     else:
         raise CarcinoError(f"unknown predictor {predictor!r}")
 
     run_entries = [
-        _evaluate_run(run, predictions, ground_truth, frame_data, constants, dice_average)
-        for run in run_list
+        _evaluate_run(run, scored, ground_truth, constants, dice_average) for run in run_list
     ]
     if all(entry["error"] is not None for entry in run_entries):
         raise EmptyCohortError("every run failed: no video could be scored")

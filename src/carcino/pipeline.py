@@ -8,6 +8,10 @@ when at least one nodule sits on it, OR the station vectors over all
 frames, and convert the positive-station count into the total score and
 the surgery indication.
 
+score_frames runs that chain once per video for every caller: score_video
+over a manifest, cohort evaluation over a manifest with frame-level Dice
+and ROI counts, and the Monte Carlo sweep over generated frames.
+
 All thresholds use >= semantics. Thresholds are compared at float32
 precision, matching the raster payload, so a pixel stored as the
 nearest float32 to the threshold value is included.
@@ -19,12 +23,12 @@ number of workers and the video-level OR is order-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
-from . import maskio
-from .core import Indication, OrganClass, ScoringConstants, Station, station_of
+from . import maskio, metrics
+from .core import ORGAN_SLUGS, Indication, OrganClass, ScoringConstants, Station, station_of
 from .errors import (
     ChannelCountMismatchError,
     DimensionMismatchError,
@@ -34,13 +38,13 @@ from .errors import (
     OverlappingSegmentsError,
 )
 from .maskio import ConfidenceFrame, VideoManifest
+from .metrics import ConfusionCounts
 
 __all__ = [
     "Nodule",
     "FrameAssessment",
     "VideoAssessment",
     "sample_frame_times",
-    "filter_roi_frames",
     "threshold_organ_masks",
     "threshold_pc_mask",
     "connected_components",
@@ -49,10 +53,12 @@ __all__ = [
     "aggregate_video",
     "compute_fs",
     "compute_its",
+    "score_frames",
     "score_video",
 ]
 
 _ORGANS = tuple(OrganClass)
+PC_DICE_KEY = "peritoneal_carcinomatosis"  # Dice list of the carcinomatosis mask
 
 
 @dataclass(eq=False)
@@ -158,13 +164,6 @@ def sample_frame_times(
             times.append(t)
             k += 1
     return times
-
-
-def filter_roi_frames(frames: list, roi_threshold: float) -> list:
-    """Keep frames whose relevance score reaches the threshold
-    (>= semantics), preserving order. Works on any records exposing a
-    roi_score attribute (manifest entries or loaded frames)."""
-    return [f for f in frames if f.roi_score >= roi_threshold]
 
 
 def threshold_organ_masks(frame: ConfidenceFrame, constants: ScoringConstants) -> np.ndarray:
@@ -378,47 +377,93 @@ def compute_its(fs: int, constants: ScoringConstants) -> Indication:
     return Indication.SURGERY_INDICATED
 
 
-def score_video(
-    manifest: VideoManifest,
-    constants: ScoringConstants | None = None,
-    base_dir: str | Path | None = None,
-) -> VideoAssessment:
-    """Run the full chain over one video manifest.
+def score_frames(
+    video_id: str,
+    records: Iterable,
+    load: Callable[[object], ConfidenceFrame],
+    constants: ScoringConstants,
+    want_dice: bool = False,
+    want_roi: bool = False,
+) -> tuple[VideoAssessment, dict[str, list] | None, ConfusionCounts | None]:
+    """Run the full chain over one video's frames in a single pass.
 
-    Frames are ROI-filtered on the manifest's relevance scores before
-    any raster is read; remaining frames must share one raster size
-    (no silent resampling). Deterministic for fixed inputs and constants.
+    records are manifest FrameRecords or ConfidenceFrames; both carry
+    frame_index, roi_score, gt_roi, gt_labels and gt_pc. load(record)
+    returns the record's ConfidenceFrame and is called only for frames
+    the pass needs: those whose relevance score reaches the ROI
+    threshold (>= semantics) feed the station chain, and with want_dice
+    those carrying a ground-truth raster, unless flagged non-ROI, feed
+    per-label Dice. Loaded frames must share one raster size (no silent
+    resampling).
+
+    Returns the assessment, the Dice lists (want_dice: one list per
+    organ slug and PC_DICE_KEY, in record order) and the ROI confusion
+    counts over the records carrying a relevance flag (want_roi; None
+    when no record carries one). Raises NoAssessableFramesError when no
+    frame reaches the ROI threshold.
     """
-    constants = constants or ScoringConstants()
-    base = Path(base_dir) if base_dir is not None else manifest.base_dir
-    if base is None:
-        raise ValueError("manifest has no base_dir; pass base_dir explicitly")
-    kept = filter_roi_frames(list(manifest.frames), constants.roi_threshold)
-    if not kept:
-        raise NoAssessableFramesError(
-            f"video {manifest.video_id!r}: no frame reached the ROI threshold "
-            f"{constants.roi_threshold}"
-        )
+    dice_lists = {key: [] for key in (*ORGAN_SLUGS, PC_DICE_KEY)} if want_dice else None
+    roi_counts = [0, 0, 0, 0]  # tp, fp, tn, fn
+    saw_roi_flag = False
     assessments: list[FrameAssessment] = []
     shape: tuple[int, int] | None = None
-    for record in kept:
-        frame = maskio.load_frame(record, base)
+    for record in records:
+        roi_pass = record.roi_score >= constants.roi_threshold
+        if want_roi and record.gt_roi is not None:
+            saw_roi_flag = True
+            roi_counts[2 * (not roi_pass) + (roi_pass != record.gt_roi)] += 1
+        has_gt_raster = record.gt_labels is not None or record.gt_pc is not None
+        need_dice = want_dice and has_gt_raster and record.gt_roi is not False
+        if not roi_pass and not need_dice:
+            continue
+        frame = load(record)
         if shape is None:
             shape = (frame.height, frame.width)
         elif (frame.height, frame.width) != shape:
             raise DimensionMismatchError(
-                f"video {manifest.video_id!r} frame {record.frame_index}: "
-                f"raster size {(frame.height, frame.width)} differs from {shape}"
+                f"frame {record.frame_index}: raster size "
+                f"{(frame.height, frame.width)} differs from {shape}"
             )
-        assessments.append(classify_frame(frame, constants))
+        if need_dice and frame.gt_labels is not None:
+            organ_masks = threshold_organ_masks(frame, constants)
+            for organ in OrganClass:
+                dice_lists[organ.slug].append(
+                    metrics.dice(frame.gt_labels == organ + 1, organ_masks[organ])
+                )
+        if need_dice and frame.gt_pc is not None:
+            pc_mask = threshold_pc_mask(frame, constants)
+            dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pc_mask))
+        if roi_pass:
+            assessments.append(classify_frame(frame, constants))
+    if not assessments:
+        raise NoAssessableFramesError(
+            f"no frame reached the ROI threshold {constants.roi_threshold}"
+        )
     stations = aggregate_video(assessments)
     fs = compute_fs(stations, constants)
-    its = compute_its(fs, constants)
-    return VideoAssessment(
-        video_id=manifest.video_id,
+    video = VideoAssessment(
+        video_id=video_id,
         station_positive=stations,
         fs=fs,
-        its=its,
+        its=compute_its(fs, constants),
         frames_used=len(assessments),
         frames=assessments,
     )
+    roi = ConfusionCounts(*roi_counts) if want_roi and saw_roi_flag else None
+    return video, dice_lists, roi
+
+
+def score_video(
+    manifest: VideoManifest, constants: ScoringConstants | None = None
+) -> VideoAssessment:
+    """score_frames over one manifest, its rasters read from the
+    manifest's base_dir. Deterministic for fixed inputs and constants."""
+    if manifest.base_dir is None:
+        raise ValueError("manifest has no base_dir to read its rasters from")
+    video, _, _ = score_frames(
+        manifest.video_id,
+        manifest.frames,
+        lambda record: maskio.load_frame(record, manifest.base_dir),
+        constants or ScoringConstants(),
+    )
+    return video

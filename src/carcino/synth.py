@@ -30,16 +30,16 @@ from . import maskio
 from .cohort import (
     CohortVideo,
     EvalRun,
-    _assess_frames,
     _evaluate_run,
+    _failed,
     _mask64,
-    _prediction_from_assess,
+    _predicted,
+    _Scored,
     _summary_value,
     evaluate_cohort,  # noqa: F401  unused here; perfbench's tracer self-test probes this binding
     save_cohort_index,
 )
 from .core import (
-    Indication,
     ScoringConstants,
     Station,
     STATION_SLUGS,
@@ -47,7 +47,7 @@ from .core import (
     _is_int,
     organs_of,
 )
-from .errors import EmptyCohortError, InvalidSpecError
+from .errors import EmptyCohortError, InvalidSpecError, NoAssessableFramesError
 from .maskio import (
     ConfidenceFrame,
     FrameRecord,
@@ -55,7 +55,7 @@ from .maskio import (
     VideoManifest,
     canonical_json,
 )
-from .pipeline import sample_frame_times
+from .pipeline import compute_fs, compute_its, sample_frame_times, score_frames
 
 __all__ = [
     "NoiseSpec",
@@ -83,7 +83,8 @@ class NoiseSpec:
     confidence_jitter: std-dev of additive Gaussian noise on every
         confidence map (result clamped to [0, 1]).
     boundary_morph: maximum magnitude, in pixels, of a random dilation
-        or erosion applied to each predicted mask.
+        or erosion applied to each predicted mask; a SynthSpec bounds it
+        by its larger frame side.
     false_blob_rate: expected number of spurious carcinomatosis blobs
         per frame (Poisson).
     miss_rate: probability that a planted nodule is suppressed in a
@@ -158,6 +159,11 @@ class SynthSpec:
             raise InvalidSpecError("nodules_per_positive_station must satisfy 1 <= lo <= hi")
         if self.nonroi_frames_per_video < 0:
             raise InvalidSpecError("nonroi_frames_per_video must be >= 0")
+        if self.noise.boundary_morph > max(width, height):
+            raise InvalidSpecError(
+                f"boundary_morph must be at most the frame size {max(width, height)}, "
+                f"got {self.noise.boundary_morph}"
+            )
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -450,9 +456,11 @@ def _planted_stations(spec: SynthSpec, video_index: int) -> tuple[bool, ...]:
 
 
 def _video_ground_truth(stations: tuple[bool, ...]) -> VideoGroundTruth:
-    fs = 2 * sum(stations)
-    its = Indication.SURGERY_CONTRAINDICATED if fs >= 8 else Indication.SURGERY_INDICATED
-    return VideoGroundTruth(stations=stations, fs=fs, its=its)
+    """The stored ground truth, scored by the default rules the manifest
+    format requires."""
+    constants = ScoringConstants()
+    fs = compute_fs(stations, constants)
+    return VideoGroundTruth(stations=stations, fs=fs, its=compute_its(fs, constants))
 
 
 def _video_id(video_index: int) -> str:
@@ -588,24 +596,30 @@ def _checked_frame(frame: ConfidenceFrame) -> ConfidenceFrame:
     return frame
 
 
-def _sweep_video(task: tuple[SynthSpec, int, ScoringConstants]) -> dict:
-    """Generate one video of a replicate cohort and assess it in memory,
-    with Dice and ROI accuracy off."""
+def _sweep_video(task: tuple[SynthSpec, int, ScoringConstants]) -> _Scored:
+    """Generate one video of a replicate cohort and score it in memory,
+    with Dice and ROI accuracy off. A video no frame of which reaches the
+    ROI threshold fails; any other error propagates."""
     spec, video_index, constants = task
+    video_id = _video_id(video_index)
     frames = _video_frames(spec, video_index, _planted_stations(spec, video_index))
-    return _assess_frames(frames, _checked_frame, constants, want_dice=False, want_roi=False)
+    try:
+        return _predicted(*score_frames(video_id, frames, _checked_frame, constants))
+    except NoAssessableFramesError as exc:
+        return _failed(video_id, exc)
 
 
-def _replicate_run(spec: SynthSpec, assessed: Sequence[dict], constants: ScoringConstants) -> dict:
+def _replicate_run(
+    spec: SynthSpec, scored: Sequence[_Scored], constants: ScoringConstants
+) -> dict:
     """The single run over all videos of one replicate cohort, built from
-    the per-video assessments in video order, as evaluate_cohort builds
-    it from the written cohort."""
+    the per-video results in video order, as evaluate_cohort builds it
+    from the written cohort."""
     ids = [_video_id(i) for i in range(spec.n_videos)]
     run = _evaluate_run(
         EvalRun(label="all", video_ids=tuple(ids)),
-        {vid: _prediction_from_assess(vid, data) for vid, data in zip(ids, assessed)},
+        dict(zip(ids, scored)),
         {vid: _video_ground_truth(_planted_stations(spec, i)) for i, vid in enumerate(ids)},
-        dict(zip(ids, assessed)),
         constants,
         "frame",
     )

@@ -4,9 +4,10 @@ These deliberately share no code with the package: components come from
 a naive flood fill over pixel sets, nodule assignment is the former
 per-nodule loop, morphology is the former eight-shift loop, and frame
 classification recomputes station involvement with plain Python loops.
-Slow and obviously correct, for small inputs only. The one exception is
-disk_sweep_run, the former disk-backed sweep replicate, which runs the
-package's own write, load and evaluate path.
+Slow and obviously correct, for small inputs only. Two exceptions run
+the package's own steps: disk_sweep_run, the former disk-backed sweep
+replicate, runs the write, load and evaluate path, and assess_frames,
+the former evaluation loop, runs the per-frame chain.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import tempfile
 
 import numpy as np
 
+from carcino import metrics, pipeline
 from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
+from carcino.core import OrganClass
+from carcino.errors import CarcinoError
 from carcino.synth import generate_cohort
 
 
@@ -176,3 +180,75 @@ def disk_sweep_run(spec, constants) -> dict:
             mode="sweep",
         )
     return report["runs"][0]
+
+
+def assess_frames(records, load, constants, want_dice: bool, want_roi: bool) -> dict:
+    """Reference per-video loop: the former evaluation loop, which kept
+    its own ROI filter, raster-size check, Dice thresholds and
+    aggregation next to pipeline.score_video's. Returns {"prediction":
+    {"stations", "fs", "its", "frames_used"} or {"error"}, "dice": per
+    label lists or None, "roi": [tp, fp, tn, fn] or None}; raises
+    CarcinoError on a raster-size change."""
+    result: dict = {"prediction": None, "dice": None, "roi": None}
+    dice_lists = {organ.slug: [] for organ in OrganClass}
+    dice_lists["peritoneal_carcinomatosis"] = []
+    roi_counts = [0, 0, 0, 0]  # tp, fp, tn, fn
+    saw_roi_flag = False
+    organ_threshold = np.float32(constants.organ_confidence_threshold)
+    pc_threshold = np.float32(constants.pc_confidence_threshold)
+    assessments = []
+    shape = None
+    for record in records:
+        roi_pass = record.roi_score >= constants.roi_threshold
+        if want_roi and record.gt_roi is not None:
+            saw_roi_flag = True
+            if roi_pass and record.gt_roi:
+                roi_counts[0] += 1
+            elif roi_pass:
+                roi_counts[1] += 1
+            elif not record.gt_roi:
+                roi_counts[2] += 1
+            else:
+                roi_counts[3] += 1
+        has_gt_raster = record.gt_labels is not None or record.gt_pc is not None
+        need_dice = want_dice and has_gt_raster and record.gt_roi is not False
+        if not roi_pass and not need_dice:
+            continue
+        frame = load(record)
+        if shape is None:
+            shape = (frame.height, frame.width)
+        elif (frame.height, frame.width) != shape:
+            raise CarcinoError(
+                f"frame {record.frame_index}: raster size "
+                f"{(frame.height, frame.width)} differs from {shape}"
+            )
+        if need_dice:
+            if frame.gt_labels is not None:
+                for organ in OrganClass:
+                    pred = frame.organ_conf[organ] >= organ_threshold
+                    gt = frame.gt_labels == organ + 1
+                    dice_lists[organ.slug].append(metrics.dice(gt, pred))
+            if frame.gt_pc is not None:
+                pred = frame.pc_conf >= pc_threshold
+                dice_lists["peritoneal_carcinomatosis"].append(metrics.dice(frame.gt_pc > 0, pred))
+        if roi_pass:
+            assessments.append(pipeline.classify_frame(frame, constants))
+    if assessments:
+        stations = pipeline.aggregate_video(assessments)
+        fs = pipeline.compute_fs(stations, constants)
+        its = pipeline.compute_its(fs, constants)
+        result["prediction"] = {
+            "stations": [bool(s) for s in stations],
+            "fs": fs,
+            "its": its.value,
+            "frames_used": len(assessments),
+        }
+    else:
+        result["prediction"] = {
+            "error": f"no frame reached the ROI threshold {constants.roi_threshold}"
+        }
+    if want_dice:
+        result["dice"] = dice_lists
+    if want_roi and saw_roi_flag:
+        result["roi"] = roi_counts
+    return result

@@ -6,7 +6,7 @@ import pytest
 
 from carcino import maskio, synth
 from carcino.cli import main
-from carcino.cohort import load_cohort
+from carcino.cohort import _summarize_report, load_cohort, save_cohort_index
 from carcino.synth import SynthSpec, oracle_fs
 
 from conftest import blank_organ_conf, ground_truth_for, write_video
@@ -40,8 +40,6 @@ def _uniform_manifest_cohort(tmp_path, n=101) -> Path:
         rel = f"v{i:04d}.json"
         maskio.save_manifest(manifest, root / rel)
         entries.append((f"v{i:04d}", rel))
-    from carcino.cohort import save_cohort_index
-
     index = root / "index.json"
     save_cohort_index("uniform", entries, index)
     return index
@@ -152,6 +150,38 @@ def test_score_constants_override_changes_result(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert code == 0
     assert record["fs"] == 0  # 0.97 plateau no longer reaches the threshold
+
+
+def _frame(size: int, roi_score: float = 1.0) -> dict:
+    return {
+        "organ_conf": blank_organ_conf((size, size), 0.95),
+        "pc_conf": np.zeros((size, size), dtype=np.float32),
+        "roi_score": roi_score,
+    }
+
+
+@pytest.mark.parametrize(
+    "frames, score_exit, message",
+    [
+        ([_frame(16, roi_score=0.0)] * 2, 3, "no frame reached the ROI threshold 0.5"),
+        ([_frame(16), _frame(17)], 2, "frame 1: raster size (17, 17) differs from (16, 16)"),
+    ],
+    ids=["no-roi-frame", "mixed-sizes"],
+)
+def test_score_and_evaluate_fail_a_video_alike(tmp_path, capsys, frames, score_exit, message):
+    """score and evaluate run one chain: the video score rejects is the
+    one evaluate lists as failed, with the same message."""
+    gt = ground_truth_for((False,) * 6)
+    bad = write_video(tmp_path, "bad", frames, ground_truth=gt)
+    write_video(tmp_path, "good", [_frame(16)], ground_truth=gt)
+    index = tmp_path / "index.json"
+    save_cohort_index("c", [("bad", "bad/manifest.json"), ("good", "good/manifest.json")], index)
+
+    assert main(["score", str(bad.base_dir / "manifest.json")]) == score_exit
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "report.json"
+    assert main(["evaluate", str(index), "--independent", "--out-json", str(out)]) == 0
+    assert json.loads(out.read_text())["runs"][0]["failed"] == {"bad": message}
 
 
 # --- split -------------------------------------------------------------------
@@ -428,6 +458,15 @@ def test_simulate_sweep_fractional_int_level_exits_2(tmp_path, capsys):
     assert "whole-number" in capsys.readouterr().err
 
 
+def test_simulate_sweep_boundary_morph_beyond_frame_exits_2(tmp_path, capsys):
+    """A level of 1e20 used to reach the generator and crash there with
+    ValueError."""
+    spec_path = _sweep_spec(tmp_path)
+    code = main(["simulate", str(spec_path), "--sweep", "boundary_morph", "--levels", "1,1e20"])
+    assert code == 2
+    assert "boundary_morph must be at most the frame size" in capsys.readouterr().err
+
+
 def test_simulate_sweep_with_no_scorable_video_exits_2(tmp_path, capsys):
     """No zero-jitter frame reaches an ROI threshold of 1.0 (ROI frames
     score 0.95), so every video of the replicate fails."""
@@ -473,6 +512,7 @@ def test_simulate_invalid_spec_exits_2(tmp_path, capsys):
         {"seed": 1, "noise": 3},
         {"seed": 1, "noise": {"false_blob_rate": float("inf")}},
         {"seed": 1, "noise": {"boundary_morph": 1.5}},
+        {"seed": 1, "noise": {"boundary_morph": 10**20}},
     ],
 )
 def test_simulate_malformed_spec_field_exits_2_before_writing(tmp_path, capsys, spec):
@@ -506,6 +546,21 @@ def test_report_rejects_unknown_kind(tmp_path):
     assert main(["report", str(path), "--format", "text"]) == 2
 
 
+def _evaluation_text(**changes) -> str:
+    """A renderable cohort_evaluation report with no run, changed as given."""
+    report = {"kind": "cohort_evaluation", "cohort": "c", "n_videos": 1, "mode": "custom",
+              "predictor": "pipeline", "runs": [], "summary": _summarize_report([])}
+    return json.dumps({**report, **changes})
+
+
+def test_report_renders_a_run_free_evaluation(tmp_path, capsys):
+    """The base of the malformed cases below renders."""
+    path = tmp_path / "report.json"
+    path.write_text(_evaluation_text())
+    assert main(["report", str(path), "--format", "text"]) == 0
+    assert "Videos failing to score: 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "text, fmt",
     [
@@ -514,8 +569,11 @@ def test_report_rejects_unknown_kind(tmp_path):
         ("[1, 2]", "text"),
         ('{"kind": "cohort_evaluation", "cohort": "c", "n_videos": 1, "mode": "custom", '
          '"predictor": "pipeline", "runs": []}', "text"),
+        (_evaluation_text(summary={}), "text"),
+        (_evaluation_text(runs=[{}]), "text"),
+        (_evaluation_text(summary={**_summarize_report([]), "stations": [1, 2]}), "text"),
     ],
-    ids=["nan", "overflow", "list", "no-summary"],
+    ids=["nan", "overflow", "list", "no-summary", "empty-summary", "empty-run", "stations-list"],
 )
 def test_report_malformed_file_exits_2(tmp_path, capsys, text, fmt):
     """Each of these used to escape main with a traceback."""

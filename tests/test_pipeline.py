@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from carcino import maskio, pipeline, synth
 from carcino.core import Indication, OrganClass, ScoringConstants, Station
 from carcino.errors import (
+    CarcinoError,
     ChannelCountMismatchError,
     DimensionMismatchError,
     InvalidSegmentError,
@@ -15,7 +16,7 @@ from carcino.errors import (
 )
 
 from conftest import blank_organ_conf, make_frame, write_video
-from oracles import flood_components, loop_assign, naive_station_vector
+from oracles import assess_frames, flood_components, loop_assign, naive_station_vector
 
 CONSTANTS = ScoringConstants()
 
@@ -45,19 +46,6 @@ def test_sample_frame_times_errors():
         pipeline.sample_frame_times([(0, 10), (5, 20)], 5)
     with pytest.raises(InvalidSegmentError):
         pipeline.sample_frame_times([(10, 3)], 5)
-
-
-# --- ROI filtering -----------------------------------------------------------
-
-
-def test_filter_roi_keeps_at_or_above_threshold():
-    frames = [
-        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), roi_score=s)
-        for s in (0.9, 0.2, 0.5)
-    ]
-    kept = pipeline.filter_roi_frames(frames, 0.5)
-    assert [f.roi_score for f in kept] == [0.9, 0.5]  # 0.5 kept: >= semantics
-    assert pipeline.filter_roi_frames(frames, 0.0) == frames
 
 
 # --- thresholding ------------------------------------------------------------
@@ -586,3 +574,109 @@ def test_assessment_json_record_shape(tmp_path):
     assert record["its"] == "SurgeryIndicated"
     assert record["station_positive"]["diaphragm"] is True
     assert record["frames"][0]["nodules"] == [{"id": 0, "size": 1, "organ": "diaphragm"}]
+
+
+# --- score_frames: the one per-video loop -----------------------------------
+
+
+def test_score_frames_keeps_frames_at_or_above_roi_threshold():
+    frames = [
+        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), roi_score=s, frame_index=i)
+        for i, s in enumerate((0.9, 0.2, 0.5))
+    ]
+    for threshold, kept in ((0.5, [0, 2]), (0.0, [0, 1, 2])):  # 0.5 kept: >= semantics
+        constants = ScoringConstants(roi_threshold=threshold)
+        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
+        assert [fa.frame_index for fa in video.frames] == kept
+        assert video.frames_used == len(kept)
+
+
+def test_score_frames_loads_only_frames_it_needs():
+    gt = {"gt_labels": np.zeros((2, 2), np.uint8), "gt_pc": np.zeros((2, 2), np.uint8)}
+    frames = [
+        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), roi_score=0.9, frame_index=0),
+        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), roi_score=0.1, frame_index=1),
+        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), 0.1, 2, gt_roi=True, **gt),
+        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), 0.1, 3, gt_roi=False, **gt),
+    ]
+    for want_dice, loaded in ((False, [0]), (True, [0, 2])):
+        calls = []
+        pipeline.score_frames(
+            "v", frames, lambda f: calls.append(f.frame_index) or f, CONSTANTS, want_dice
+        )
+        assert calls == loaded
+
+
+_ROI_SCORES = (0.0, float(np.nextafter(0.5, 0.0)), 0.5, 0.9)  # 0.5 is the threshold
+_CONF_VALUES = np.array([0.0, 0.69, 0.7, 0.89, 0.9, 1.0], dtype=np.float32)
+
+
+@st.composite
+def _videos(draw):
+    """Small in-memory videos: ROI scores at and around the threshold,
+    optional ground-truth rasters and relevance flags, and now and then a
+    frame of another size."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for i in range(n):
+        shape = (4, 5) if draw(st.integers(0, 9)) == 0 else (4, 4)
+        extra = {"gt_roi": draw(st.sampled_from([None, True, False]))}
+        if draw(st.booleans()):
+            extra["gt_labels"] = rng.integers(0, 9, shape, dtype=np.uint8)
+        if draw(st.booleans()):
+            extra["gt_pc"] = rng.integers(0, 2, shape, dtype=np.uint8)
+        frames.append(
+            make_frame(
+                rng.choice(_CONF_VALUES, (8, *shape)),
+                rng.choice(_CONF_VALUES, shape),
+                roi_score=draw(st.sampled_from(_ROI_SCORES)),
+                frame_index=i,
+                **extra,
+            )
+        )
+    return frames
+
+
+def _outcome(run):
+    """(loaded frame indices, result or (error class, message))."""
+    loaded = []
+    try:
+        result = run(lambda frame: loaded.append(frame.frame_index) or frame)
+    except CarcinoError as exc:
+        result = (type(exc), str(exc))
+    return loaded, result
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=_videos(), want_dice=st.booleans(), want_roi=st.booleans())
+def test_score_frames_matches_former_evaluation_loop(frames, want_dice, want_roi):
+    """The merged loop loads the same frames and yields the same
+    prediction, Dice lists (values and order) and ROI counts as the
+    former evaluation loop; its two failures keep their messages and
+    become NoAssessableFramesError and DimensionMismatchError."""
+
+    def merged(load):
+        video, dice, roi = pipeline.score_frames(
+            "v", frames, load, CONSTANTS, want_dice, want_roi
+        )
+        prediction = {
+            "stations": list(video.station_positive),
+            "fs": video.fs,
+            "its": video.its.value,
+            "frames_used": video.frames_used,
+        }
+        roi = None if roi is None else [roi.tp, roi.fp, roi.tn, roi.fn]
+        return {"prediction": prediction, "dice": dice, "roi": roi}
+
+    loaded, got = _outcome(merged)
+    want_loaded, want = _outcome(
+        lambda load: assess_frames(frames, load, CONSTANTS, want_dice, want_roi)
+    )
+    assert loaded == want_loaded
+    if isinstance(want, tuple):  # the size check
+        assert got == (DimensionMismatchError, want[1])
+    elif "error" in want["prediction"]:
+        assert got == (NoAssessableFramesError, want["prediction"]["error"])
+    else:
+        assert got == want
