@@ -40,7 +40,6 @@ from .pipeline import (
     compute_fs,
     compute_its,
     connected_components,
-    sample_frame_times,
     score_frames,
     score_video,
     threshold_organ_masks,

@@ -94,7 +94,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(args)
     cohort = cohort_mod.load_cohort(args.index)
     if args.independent:
-        runs = cohort_mod.independent_runs(cohort, args.models)
+        runs = cohort_mod.independent_runs(cohort)
         mode = "independent"
     else:
         folds = cohort_mod.load_folds(args.folds)
@@ -161,7 +161,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.out:
         raise CarcinoError("simulate needs --out DIR to write the cohort")
-    index_path = synth.generate_cohort(spec, args.out)
+    index_path = synth.generate_cohort(spec, args.out, jobs=jobs)
     sys.stdout.write(str(index_path) + "\n")
     return EXIT_OK
 
@@ -233,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_eval.add_mutually_exclusive_group(required=True)
     group.add_argument("--folds", metavar="FILE", help="fold assignment file")
     group.add_argument(
-        "--independent", action="store_true", help="evaluate model(s) on the full cohort"
-    )
-    p_eval.add_argument(
-        "--models", type=int, default=1, help="model count in independent mode"
+        "--independent", action="store_true", help="evaluate one run on the full cohort"
     )
     p_eval.add_argument(
         "--predictor", choices=("pipeline", "oracle"), default="pipeline"

@@ -7,17 +7,19 @@ evaluation runner scores every video, compares against the clinical
 ground truth at all levels (station involvement, total score,
 indication, and optionally frame-level Dice and ROI balanced accuracy
 when ground-truth rasters exist), and aggregates mean/std across runs
-(folds in cross-validation mode, models in independent-test mode).
+(folds in cross-validation mode; independent-test mode is one run over
+the whole cohort).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import json
+import multiprocessing
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -268,12 +270,28 @@ def runs_from_folds(cohort: Cohort, folds: FoldAssignment) -> list[EvalRun]:
     return runs
 
 
-def independent_runs(cohort: Cohort, n_models: int = 1) -> list[EvalRun]:
-    """Independent-test mode: every model is evaluated on the full cohort."""
-    if n_models < 1:
-        raise CarcinoError(f"model count must be >= 1, got {n_models}")
-    ids = tuple(v.video_id for v in cohort.videos)
-    return [EvalRun(label=f"model{i}", video_ids=ids) for i in range(n_models)]
+def independent_runs(cohort: Cohort) -> list[EvalRun]:
+    """Independent-test mode: one run, labelled model0, over the full
+    cohort."""
+    return [EvalRun(label="model0", video_ids=tuple(v.video_id for v in cohort.videos))]
+
+
+def _pool_map(fn: Callable, jobs: int, *iterables: Iterable) -> list:
+    """[fn(*task) for task in zip(*iterables)], computed by
+    min(jobs, task count) worker processes; with one worker, fn runs in
+    this process. Results are in task order. Workers are forked where
+    the platform offers fork and started by its default method
+    otherwise. A forked pool starts every worker up front, hence the
+    cap."""
+    tasks = list(zip(*iterables))
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context(method)
+    ) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 class _Scored(NamedTuple):
@@ -575,18 +593,16 @@ def evaluate_cohort(
             )
     elif predictor == "pipeline":
         predictor_name = "pipeline"
-        args = (
+        assessed = _pool_map(
+            _assess_video,
+            jobs,
             [str(by_id[vid].manifest_path) for vid in unique_ids],
             repeat(constants),
             repeat(compute_dice),
             repeat(compute_roi),
             unique_ids,
         )
-        if jobs > 1 and len(unique_ids) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                scored = dict(zip(unique_ids, pool.map(_assess_video, *args)))
-        else:
-            scored = dict(zip(unique_ids, map(_assess_video, *args)))
+        scored = dict(zip(unique_ids, assessed))
     elif callable(predictor):
         predictor_name = getattr(predictor, "__name__", "custom")
         for vid in unique_ids:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
 
@@ -147,8 +147,8 @@ class ScoringConstants:
     """Pipeline thresholds and scoring rules, threaded explicitly.
 
     Defaults are the clinical operating point; every field can be
-    overridden (e.g. for threshold-sweep experiments) via ``replace_with``
-    or a JSON config file.
+    overridden (e.g. for threshold-sweep experiments) via
+    ``dataclasses.replace`` or a JSON config file.
 
     organ_confidence_threshold / pc_confidence_threshold: minimum model
         confidence for a pixel to enter an organ / carcinomatosis mask
@@ -211,6 +211,3 @@ class ScoringConstants:
         if not isinstance(data, dict):
             raise CarcinoError(f"constants file {path}: expected a JSON object")
         return cls.from_dict(data)
-
-    def replace_with(self, **changes) -> "ScoringConstants":
-        return replace(self, **changes)

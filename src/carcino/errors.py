@@ -66,18 +66,6 @@ class PipelineError(CarcinoError):
     pass
 
 
-class NegativeIntervalError(PipelineError):
-    pass
-
-
-class OverlappingSegmentsError(PipelineError):
-    pass
-
-
-class InvalidSegmentError(PipelineError):
-    pass
-
-
 class ChannelCountMismatchError(PipelineError):
     pass
 

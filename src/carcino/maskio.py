@@ -61,7 +61,6 @@ __all__ = [
     "HEADER_SIZE",
     "write_raster",
     "read_raster",
-    "encode_raster",
     "decode_raster",
     "ConfidenceFrame",
     "FrameRecord",
@@ -122,28 +121,16 @@ def _validate_array(arr: np.ndarray) -> int:
     return code
 
 
-def _encode_parts(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The MSK1 header and the C-contiguous payload array of a raster."""
-    code = _validate_array(arr)
-    channels, height, width = arr.shape
-    header = _HEADER.pack(MAGIC, width, height, channels, code)
-    payload = np.ascontiguousarray(arr.astype(_NUMPY_DTYPES[code], copy=False))
-    return header, payload
-
-
-def encode_raster(arr: np.ndarray) -> bytes:
-    """Serialize a (channels, height, width) array to MSK1 bytes."""
-    header, payload = _encode_parts(arr)
-    return header + payload.tobytes()
-
-
 def write_raster(arr: np.ndarray, dest: str | Path | BinaryIO) -> int:
     """Write an array as an MSK1 file; returns the byte count written.
 
     Invariant violations raise before anything is written. The payload
     is written from the array's own buffer, without a bytes copy.
     """
-    header, payload = _encode_parts(arr)
+    code = _validate_array(arr)
+    channels, height, width = arr.shape
+    header = _HEADER.pack(MAGIC, width, height, channels, code)
+    payload = np.ascontiguousarray(arr.astype(_NUMPY_DTYPES[code], copy=False))
     data = memoryview(payload).cast("B")
     if hasattr(dest, "write"):
         dest.write(header)

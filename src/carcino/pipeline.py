@@ -32,10 +32,7 @@ from .core import ORGAN_SLUGS, Indication, OrganClass, ScoringConstants, Station
 from .errors import (
     ChannelCountMismatchError,
     DimensionMismatchError,
-    InvalidSegmentError,
-    NegativeIntervalError,
     NoAssessableFramesError,
-    OverlappingSegmentsError,
 )
 from .maskio import ConfidenceFrame, VideoManifest
 from .metrics import ConfusionCounts
@@ -44,7 +41,6 @@ __all__ = [
     "Nodule",
     "FrameAssessment",
     "VideoAssessment",
-    "sample_frame_times",
     "threshold_organ_masks",
     "threshold_pc_mask",
     "connected_components",
@@ -131,39 +127,6 @@ class VideoAssessment:
                 for fa in self.frames
             ],
         }
-
-
-def sample_frame_times(
-    roi_segments: list[tuple[float, float]] | tuple[tuple[float, float], ...],
-    interval: float,
-) -> list[float]:
-    """Frame timestamps at a fixed interval inside each ROI segment.
-
-    Each segment contributes start, start + interval, ... up to and
-    including its end; segments are emitted in the given order. Times
-    are computed multiplicatively so long segments do not drift.
-    """
-    if interval <= 0:
-        raise NegativeIntervalError(f"sampling interval must be > 0, got {interval}")
-    for start_s, end_s in roi_segments:
-        if end_s < start_s:
-            raise InvalidSegmentError(f"segment ({start_s}, {end_s}) ends before it starts")
-    ordered = sorted(roi_segments)
-    for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
-        if next_start <= prev_end:
-            raise OverlappingSegmentsError(
-                f"segments overlap near t={next_start}; ROIs must be disjoint"
-            )
-    times: list[float] = []
-    for start_s, end_s in roi_segments:
-        k = 0
-        while True:
-            t = start_s + k * interval
-            if t > end_s:
-                break
-            times.append(t)
-            k += 1
-    return times
 
 
 def threshold_organ_masks(frame: ConfidenceFrame, constants: ScoringConstants) -> np.ndarray:

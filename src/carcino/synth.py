@@ -15,12 +15,11 @@ reproducible byte-for-byte under any scheduling.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
-import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -33,6 +32,7 @@ from .cohort import (
     _evaluate_run,
     _failed,
     _mask64,
+    _pool_map,
     _predicted,
     _Scored,
     _summary_value,
@@ -55,7 +55,7 @@ from .maskio import (
     VideoManifest,
     canonical_json,
 )
-from .pipeline import compute_fs, compute_its, sample_frame_times, score_frames
+from .pipeline import compute_fs, compute_its, score_frames
 
 __all__ = [
     "NoiseSpec",
@@ -476,20 +476,20 @@ def _video_frames(
     spec: SynthSpec, video_index: int, stations: Sequence[bool]
 ) -> Iterator[ConfidenceFrame]:
     """The frames of one video, generated one at a time: the ROI frames,
-    sampled across the ROI segment, then the non-ROI frames after it."""
+    one per sampling interval from the start of the ROI segment, then the
+    non-ROI frames after it."""
     interval = ScoringConstants().frame_sampling_interval
     segment_end = _roi_segment_end(spec)
-    roi_times = sample_frame_times([(0.0, segment_end)], interval)
     for frame_index in range(spec.frames_per_video + spec.nonroi_frames_per_video):
         is_roi = frame_index < spec.frames_per_video
         if is_roi:
-            time_s = roi_times[frame_index]
+            time_s = frame_index * interval
         else:
             time_s = segment_end + (frame_index - spec.frames_per_video + 1) * interval
         yield _generate_frame(spec, video_index, frame_index, float(time_s), stations, is_roi)
 
 
-def _generate_video(spec: SynthSpec, video_index: int, video_dir: Path) -> VideoManifest:
+def _generate_video(spec: SynthSpec, video_index: int, video_dir: Path) -> None:
     frames_dir = video_dir / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
     stations = _planted_stations(spec, video_index)
@@ -525,21 +525,25 @@ def _generate_video(spec: SynthSpec, video_index: int, video_dir: Path) -> Video
         base_dir=video_dir,
     )
     maskio.save_manifest(manifest, video_dir / "manifest.json")
-    return manifest
 
 
-def generate_cohort(spec: SynthSpec, out_dir: str | Path) -> Path:
+def generate_cohort(spec: SynthSpec, out_dir: str | Path, jobs: int = 1) -> Path:
     """Write a full synthetic cohort under out_dir; returns the index path.
 
-    Identical specs produce byte-identical directory trees.
+    Identical specs produce byte-identical directory trees, whatever the
+    jobs count: with jobs > 1 a process pool writes the videos.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for video_index in range(spec.n_videos):
-        video_id = _video_id(video_index)
-        _generate_video(spec, video_index, out_dir / "videos" / video_id)
-        entries.append((video_id, f"videos/{video_id}/manifest.json"))
+    ids = [_video_id(i) for i in range(spec.n_videos)]
+    _pool_map(
+        _generate_video,
+        jobs,
+        repeat(spec),
+        range(spec.n_videos),
+        [out_dir / "videos" / video_id for video_id in ids],
+    )
+    entries = [(video_id, f"videos/{video_id}/manifest.json") for video_id in ids]
     index_path = out_dir / "index.json"
     save_cohort_index(f"synth-{_mask64(spec.seed)}", entries, index_path)
     (out_dir / "spec.json").write_text(canonical_json(spec.to_dict()), encoding="utf-8")
@@ -673,12 +677,7 @@ def monte_carlo_sweep(
         for spec in level_specs
         for video_index in range(spec.n_videos)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        context = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            assessed = iter(list(pool.map(_sweep_video, tasks)))
-    else:
-        assessed = map(_sweep_video, tasks)
+    assessed = iter(_pool_map(_sweep_video, jobs, tasks))
 
     level_entries = []
     for level, level_specs in zip(levels, specs):

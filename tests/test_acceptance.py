@@ -89,7 +89,7 @@ def test_pipeline_zero_noise_exactness(acceptance_cohort_index):
         assert assessment.fs == synth.oracle_fs(video)
         assert assessment.station_positive == synth.oracle_stations(video)
     report = evaluate_cohort(
-        cohort, independent_runs(cohort, 1), CONSTANTS, compute_dice=False
+        cohort, independent_runs(cohort), CONSTANTS, compute_dice=False
     )
     run = report["runs"][0]
     for slug, row in run["stations"].items():

@@ -379,6 +379,26 @@ def test_simulate_generates_cohort(tmp_path, capsys):
     assert len(cohort.videos) == 2
 
 
+def test_simulate_jobs_write_the_same_tree(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps({"seed": 32, "n_videos": 3, "frame_size": [32, 32], "frames_per_video": 2,
+                    "nonroi_frames_per_video": 1, "noise": {"confidence_jitter": 0.1}})
+    )
+    trees = {}
+    for jobs in (1, 2):
+        out_dir = tmp_path / f"cohort{jobs}"
+        assert main(["simulate", str(spec_path), "--out", str(out_dir), "--jobs", str(jobs)]) == 0
+        trees[jobs] = {
+            str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*"))
+            if p.is_file()
+        }
+    capsys.readouterr()
+    assert len(trees[1]) == 3 * (3 * 4 + 1) + 2  # rasters and manifest per video, index, spec
+    assert trees[1] == trees[2]
+
+
 def test_simulate_seed_override(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"seed": 1, "n_videos": 1, "frames_per_video": 1}))

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import time
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -201,7 +204,7 @@ def test_duplicate_video_ids_rejected():
 
 def test_oracle_self_evaluation_is_perfect(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
-    report = evaluate_cohort(cohort, independent_runs(cohort, 1), predictor="oracle")
+    report = evaluate_cohort(cohort, independent_runs(cohort), predictor="oracle")
     run = report["runs"][0]
     assert run["fs_rmse"] == 0.0
     for slug, row in run["stations"].items():
@@ -226,7 +229,7 @@ def test_all_negative_predictor_recall_zero(small_cohort_index):
         )
 
     report = evaluate_cohort(
-        cohort, independent_runs(cohort, 1), predictor=all_negative
+        cohort, independent_runs(cohort), predictor=all_negative
     )
     run = report["runs"][0]
     for slug, row in run["stations"].items():
@@ -240,7 +243,7 @@ def test_all_negative_predictor_recall_zero(small_cohort_index):
 
 def test_pipeline_zero_noise_matches_oracle_run(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
-    runs = independent_runs(cohort, 1)
+    runs = independent_runs(cohort)
     via_pipeline = evaluate_cohort(cohort, runs, predictor="pipeline")
     via_oracle = evaluate_cohort(cohort, runs, predictor="oracle")
     for key in ("stations", "stations_average", "its", "its_average"):
@@ -301,7 +304,7 @@ def test_dice_average_modes_differ_as_designed(tmp_path):
     entries = [("va", "va/manifest.json"), ("vb", "vb/manifest.json")]
     cm.save_cohort_index("dicecase", entries, tmp_path / "index.json")
     cohort = load_cohort(tmp_path / "index.json")
-    runs = independent_runs(cohort, 1)
+    runs = independent_runs(cohort)
     by_frame = evaluate_cohort(cohort, runs, dice_average="frame")
     by_video = evaluate_cohort(cohort, runs, dice_average="video")
     assert abs(by_frame["runs"][0]["dice"]["diaphragm"] - 2 / 3) < 1e-12
@@ -312,7 +315,7 @@ def test_dice_and_roi_can_be_disabled(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
     report = evaluate_cohort(
         cohort,
-        independent_runs(cohort, 1),
+        independent_runs(cohort),
         compute_dice=False,
         compute_roi=False,
     )
@@ -343,7 +346,7 @@ def test_evaluate_requires_ground_truth(small_cohort_index):
         ),
     )
     with pytest.raises(MissingGroundTruthError) as excinfo:
-        evaluate_cohort(stripped, independent_runs(stripped, 1), predictor="oracle")
+        evaluate_cohort(stripped, independent_runs(stripped), predictor="oracle")
     assert "v00" in str(excinfo.value)
 
 
@@ -356,7 +359,7 @@ def test_failed_videos_are_recorded_not_fatal(small_cohort_index):
         gt = video.ground_truth
         return VideoPrediction(video.video_id, gt.stations, gt.fs, gt.its)
 
-    report = evaluate_cohort(cohort, independent_runs(cohort, 1), predictor=flaky)
+    report = evaluate_cohort(cohort, independent_runs(cohort), predictor=flaky)
     run = report["runs"][0]
     assert run["n_failed"] == 1
     assert cohort.videos[0].video_id in run["failed"]
@@ -366,20 +369,70 @@ def test_failed_videos_are_recorded_not_fatal(small_cohort_index):
 
 def test_evaluate_deterministic_across_jobs(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
-    runs = independent_runs(cohort, 1)
+    runs = independent_runs(cohort)
     report1 = evaluate_cohort(cohort, runs, jobs=1)
     report2 = evaluate_cohort(cohort, runs, jobs=4)
     assert maskio.canonical_json(report1) == maskio.canonical_json(report2)
 
 
-def test_independent_mode_replicates_model_runs(small_cohort_index):
+def test_independent_mode_is_one_run_over_the_cohort(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
     report = evaluate_cohort(
-        cohort, independent_runs(cohort, 3), mode="independent", compute_dice=False
+        cohort, independent_runs(cohort), mode="independent", compute_dice=False
     )
-    assert len(report["runs"]) == 3
-    assert report["summary"]["fs_rmse"]["n"] == 3
-    assert report["summary"]["fs_rmse"]["std"] == 0.0  # same engine, same videos
+    assert [run["label"] for run in report["runs"]] == ["model0"]
+    assert report["runs"][0]["n_videos"] == len(cohort.videos)
+    assert report["summary"]["fs_rmse"]["n"] == 1
+
+
+def _slow_divmod(a, b):
+    """divmod that takes longer the smaller a is, so that in a pool the
+    tasks below finish in reverse order."""
+    time.sleep(0.02 * (12 - a))
+    return divmod(a, b)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+def test_pool_map_keeps_task_order(jobs):
+    numerators, denominators = [7, 8, 9, 10, 11], [2, 3, 4, 5, 6]
+    expected = [divmod(a, b) for a, b in zip(numerators, denominators)]
+    assert cm._pool_map(_slow_divmod, jobs, numerators, iter(denominators)) == expected
+    assert cm._pool_map(_slow_divmod, jobs, [], []) == []
+
+
+class _InProcessExecutor:
+    """Stands in for ProcessPoolExecutor: records its arguments and maps
+    in this process."""
+
+    made: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.made.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "jobs, tasks, workers", [(1, 5, None), (4, 1, None), (2, 5, 2), (500, 3, 3)]
+)
+def test_pool_map_caps_workers_at_the_task_count(monkeypatch, jobs, tasks, workers):
+    monkeypatch.setattr(cm.concurrent.futures, "ProcessPoolExecutor", _InProcessExecutor)
+    monkeypatch.setattr(_InProcessExecutor, "made", [])
+    assert cm._pool_map(pow, jobs, range(tasks), repeat(2)) == [i**2 for i in range(tasks)]
+    if workers is None:  # one worker: fn runs in this process, no pool
+        assert _InProcessExecutor.made == []
+    else:
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        assert _InProcessExecutor.made == [
+            (workers, multiprocessing.get_context(method).get_start_method())
+        ]
 
 
 def test_run_referencing_unknown_video_rejected(small_cohort_index):
@@ -390,7 +443,7 @@ def test_run_referencing_unknown_video_rejected(small_cohort_index):
 
 def test_report_text_rendering(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
-    report = evaluate_cohort(cohort, independent_runs(cohort, 1))
+    report = evaluate_cohort(cohort, independent_runs(cohort))
     text = render_report_text(report)
     assert "AS Involvement Average" in text
     assert "Stomach, Spleen, Lesser Omentum" in text

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from carcino.core import (
@@ -80,7 +82,7 @@ def test_default_constants_match_clinical_operating_point():
 
 
 def test_constants_are_overridable():
-    c = ScoringConstants().replace_with(pc_confidence_threshold=0.8)
+    c = replace(ScoringConstants(), pc_confidence_threshold=0.8)
     assert c.pc_confidence_threshold == 0.8
     assert c.organ_confidence_threshold == 0.70
 

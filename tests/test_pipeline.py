@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,43 +11,13 @@ from carcino.errors import (
     CarcinoError,
     ChannelCountMismatchError,
     DimensionMismatchError,
-    InvalidSegmentError,
-    NegativeIntervalError,
     NoAssessableFramesError,
-    OverlappingSegmentsError,
 )
 
 from conftest import blank_organ_conf, make_frame, write_video
 from oracles import assess_frames, flood_components, loop_assign, naive_station_vector
 
 CONSTANTS = ScoringConstants()
-
-
-# --- frame time sampling ----------------------------------------------------
-
-
-def test_sample_frame_times_arithmetic_progression():
-    assert pipeline.sample_frame_times([(10, 26)], 5) == [10, 15, 20, 25]
-
-
-def test_sample_frame_times_empty_and_degenerate():
-    assert pipeline.sample_frame_times([], 5) == []
-    assert pipeline.sample_frame_times([(3, 3)], 5) == [3]
-
-
-def test_sample_frame_times_multiple_segments_in_order():
-    assert pipeline.sample_frame_times([(20, 30), (0, 5)], 5) == [20, 25, 30, 0, 5]
-
-
-def test_sample_frame_times_errors():
-    with pytest.raises(NegativeIntervalError):
-        pipeline.sample_frame_times([(0, 10)], 0)
-    with pytest.raises(NegativeIntervalError):
-        pipeline.sample_frame_times([(0, 10)], -2)
-    with pytest.raises(OverlappingSegmentsError):
-        pipeline.sample_frame_times([(0, 10), (5, 20)], 5)
-    with pytest.raises(InvalidSegmentError):
-        pipeline.sample_frame_times([(10, 3)], 5)
 
 
 # --- thresholding ------------------------------------------------------------
@@ -400,7 +372,7 @@ def test_classify_frame_min_nodule_pixels_filter():
     frame = _frame_with_blobs(
         [[(2, 2)]], {OrganClass.LIVER: [(2, 2), (2, 3)]}
     )
-    strict = CONSTANTS.replace_with(min_nodule_pixels=2)
+    strict = replace(CONSTANTS, min_nodule_pixels=2)
     assessment = pipeline.classify_frame(frame, strict)
     assert assessment.station_positive == (False,) * 6
     assert assessment.nodules == []

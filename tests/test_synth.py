@@ -107,6 +107,16 @@ def test_generated_bytes_are_pinned(tmp_path, spec, digest):
     assert tree.hexdigest() == digest
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("spec, digest", PINNED_TREES)
+def test_generated_bytes_are_pinned_at_any_jobs(tmp_path, spec, digest, jobs):
+    generate_cohort(spec, tmp_path, jobs=jobs)
+    tree = hashlib.sha256()
+    for rel, data in _tree_bytes(tmp_path).items():
+        tree.update(rel.encode() + b"\0" + hashlib.sha256(data).digest())
+    assert tree.hexdigest() == digest
+
+
 def test_different_seed_differs(tmp_path):
     a = generate_cohort(SynthSpec(seed=1, n_videos=1, frames_per_video=1), tmp_path / "a")
     b = generate_cohort(SynthSpec(seed=2, n_videos=1, frames_per_video=1), tmp_path / "b")
