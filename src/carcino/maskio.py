@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,12 +144,19 @@ def write_raster(arr: np.ndarray, dest: str | Path | BinaryIO) -> int:
     return len(header) + data.nbytes
 
 
-def decode_raster(blob: bytes, context: str = "") -> np.ndarray:
-    """Parse MSK1 bytes into a (channels, height, width) array."""
-    where = f" in {context}" if context else ""
-    if len(blob) < HEADER_SIZE:
+def _check_header(
+    header: bytes | memoryview, size: int, where: str
+) -> tuple[int, tuple[int, int, int]]:
+    """Validate an MSK1 header against the size of the whole file.
+
+    header holds at least the file's first HEADER_SIZE bytes when the
+    file has that many; size is the file's length in bytes. Returns the
+    dtype code and (channels, height, width). Every check on the
+    header lives here, so bytes and files fail with the same messages.
+    """
+    if size < HEADER_SIZE:
         raise TruncatedPayloadError(f"file shorter than the {HEADER_SIZE}-byte header{where}")
-    magic, width, height, channels, code = _HEADER.unpack_from(blob)
+    magic, width, height, channels, code = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}{where}")
     if code not in _NUMPY_DTYPES:
@@ -155,29 +164,60 @@ def decode_raster(blob: bytes, context: str = "") -> np.ndarray:
     if width < 1 or height < 1 or channels < 1:
         raise MaskFormatError(f"zero-sized raster dimension{where}")
     expected = width * height * channels * _NUMPY_DTYPES[code].itemsize
-    payload = blob[HEADER_SIZE:]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"payload is {len(payload)} bytes, expected {expected}{where}"
-        )
-    if len(payload) > expected:
-        raise MaskFormatError(
-            f"{len(payload) - expected} trailing bytes after payload{where}"
-        )
-    arr = np.frombuffer(payload, dtype=_NUMPY_DTYPES[code]).reshape(channels, height, width)
-    arr = arr.copy()  # frombuffer yields a read-only view
+    payload = size - HEADER_SIZE
+    if payload < expected:
+        raise TruncatedPayloadError(f"payload is {payload} bytes, expected {expected}{where}")
+    if payload > expected:
+        raise MaskFormatError(f"{payload - expected} trailing bytes after payload{where}")
+    return code, (channels, height, width)
+
+
+def decode_raster(blob: bytes | bytearray | memoryview, context: str = "") -> np.ndarray:
+    """Parse MSK1 bytes (any bytes-like object) into a (channels,
+    height, width) array."""
+    where = f" in {context}" if context else ""
+    blob = memoryview(blob).cast("B")
+    code, shape = _check_header(blob, len(blob), where)
+    arr = np.frombuffer(blob, dtype=_NUMPY_DTYPES[code], offset=HEADER_SIZE).reshape(shape)
+    arr = arr.copy()  # frombuffer yields a view of the caller's buffer
     _validate_values(arr, code, context)
     return arr
 
 
-def read_raster(source: str | Path | bytes | BinaryIO) -> np.ndarray:
-    """Read an MSK1 raster from a path, bytes, or binary stream."""
-    if isinstance(source, bytes):
-        return decode_raster(source)
+def _read_file(path: Path) -> np.ndarray:
+    """Read an MSK1 file with one copy of its payload: the header is
+    checked against the file size before the array is allocated, then
+    the payload is read straight into it."""
+    context = str(path)
+    where = f" in {context}"
+    with open(path, "rb", buffering=0) as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):  # a pipe or device has no size to check
+            return decode_raster(fh.readall(), context)
+        header = fh.read(HEADER_SIZE)
+        code, shape = _check_header(header, st.st_size, where)
+        arr = np.empty(shape, dtype=_NUMPY_DTYPES[code])
+        view = memoryview(arr).cast("B")
+        filled = 0
+        while filled < view.nbytes:
+            n = fh.readinto(view[filled:])
+            if not n:  # the file shrank after fstat
+                raise TruncatedPayloadError(
+                    f"payload is {filled} bytes, expected {view.nbytes}{where}"
+                )
+            filled += n
+    _validate_values(arr, code, context)
+    return arr
+
+
+def read_raster(source: str | os.PathLike | bytes | BinaryIO) -> np.ndarray:
+    """Read an MSK1 raster from a path, a bytes-like object, or a binary
+    stream."""
+    if isinstance(source, (str, os.PathLike)):
+        return _read_file(Path(source))
     if hasattr(source, "read"):
         return decode_raster(source.read())
-    path = Path(source)
-    return decode_raster(path.read_bytes(), context=str(path))
+    return decode_raster(source)
 
 
 # --- frames and manifests ------------------------------------------------

@@ -92,10 +92,10 @@ def dice(gt: np.ndarray, pred: np.ndarray) -> float | None:
     pred = np.asarray(pred, dtype=bool)
     if gt.shape != pred.shape:
         raise DimensionMismatchError(f"mask shapes differ: {gt.shape} vs {pred.shape}")
-    denom = int(gt.sum()) + int(pred.sum())
+    denom = int(np.count_nonzero(gt)) + int(np.count_nonzero(pred))
     if denom == 0:
         return None
-    inter = int(np.logical_and(gt, pred).sum())
+    inter = int(np.count_nonzero(np.logical_and(gt, pred)))
     return 2.0 * inter / denom
 
 

@@ -286,13 +286,21 @@ def assign_nodules(
     return nodules
 
 
-def classify_frame(frame: ConfidenceFrame, constants: ScoringConstants) -> FrameAssessment:
+def classify_frame(
+    frame: ConfidenceFrame,
+    constants: ScoringConstants,
+    *,
+    organ_masks: np.ndarray | None = None,
+) -> FrameAssessment:
     """Frame-level station classification.
 
     Threshold, extract nodules, assign them to organs; a station is
     positive iff at least one nodule was assigned to one of its organs.
+    organ_masks, when given, must be threshold_organ_masks(frame,
+    constants); score_frames passes the masks its Dice already used.
     """
-    organ_masks = threshold_organ_masks(frame, constants)
+    if organ_masks is None:
+        organ_masks = threshold_organ_masks(frame, constants)
     pc_mask = threshold_pc_mask(frame, constants)
     if pc_mask.shape != organ_masks.shape[1:]:
         raise DimensionMismatchError(
@@ -387,8 +395,8 @@ def score_frames(
                 f"frame {record.frame_index}: raster size "
                 f"{(frame.height, frame.width)} differs from {shape}"
             )
+        organ_masks = threshold_organ_masks(frame, constants)
         if need_dice and frame.gt_labels is not None:
-            organ_masks = threshold_organ_masks(frame, constants)
             for organ in OrganClass:
                 dice_lists[organ.slug].append(
                     metrics.dice(frame.gt_labels == organ + 1, organ_masks[organ])
@@ -397,7 +405,7 @@ def score_frames(
             pc_mask = threshold_pc_mask(frame, constants)
             dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pc_mask))
         if roi_pass:
-            assessments.append(classify_frame(frame, constants))
+            assessments.append(classify_frame(frame, constants, organ_masks=organ_masks))
     if not assessments:
         raise NoAssessableFramesError(
             f"no frame reached the ROI threshold {constants.roi_threshold}"

@@ -7,20 +7,81 @@ classification recomputes station involvement with plain Python loops.
 Slow and obviously correct, for small inputs only. Two exceptions run
 the package's own steps: disk_sweep_run, the former disk-backed sweep
 replicate, runs the write, load and evaluate path, and assess_frames,
-the former evaluation loop, runs the per-frame chain.
+the former evaluation loop, runs the per-frame chain. The former raster
+decoder and Dice count keep their own header checks and sums; the
+decoder shares only the format constants, the error classes and the
+value check with maskio.
 """
 
 from __future__ import annotations
 
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from carcino import metrics, pipeline
+from carcino import maskio, metrics, pipeline
 from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
 from carcino.core import OrganClass
-from carcino.errors import CarcinoError
+from carcino.errors import (
+    BadMagicError,
+    CarcinoError,
+    DimensionMismatchError,
+    MaskFormatError,
+    TruncatedPayloadError,
+    UnknownDtypeError,
+)
 from carcino.synth import generate_cohort
+
+
+def bytes_decode_raster(blob: bytes, context: str = "") -> np.ndarray:
+    """Reference MSK1 decoder, the former three-copy path: slice the
+    payload off the whole blob, view it, copy the view."""
+    where = f" in {context}" if context else ""
+    if len(blob) < maskio.HEADER_SIZE:
+        raise TruncatedPayloadError(
+            f"file shorter than the {maskio.HEADER_SIZE}-byte header{where}"
+        )
+    magic, width, height, channels, code = maskio._HEADER.unpack_from(blob)
+    if magic != maskio.MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}{where}")
+    if code not in maskio._NUMPY_DTYPES:
+        raise UnknownDtypeError(f"unknown dtype code {code}{where}")
+    if width < 1 or height < 1 or channels < 1:
+        raise MaskFormatError(f"zero-sized raster dimension{where}")
+    expected = width * height * channels * maskio._NUMPY_DTYPES[code].itemsize
+    payload = blob[maskio.HEADER_SIZE :]
+    if len(payload) < expected:
+        raise TruncatedPayloadError(
+            f"payload is {len(payload)} bytes, expected {expected}{where}"
+        )
+    if len(payload) > expected:
+        raise MaskFormatError(
+            f"{len(payload) - expected} trailing bytes after payload{where}"
+        )
+    arr = np.frombuffer(payload, dtype=maskio._NUMPY_DTYPES[code]).reshape(channels, height, width)
+    arr = arr.copy()  # frombuffer yields a read-only view
+    maskio._validate_values(arr, code, context)
+    return arr
+
+
+def bytes_read_raster(path) -> np.ndarray:
+    """Reference file reader: the whole file as bytes, then decoded."""
+    path = Path(path)
+    return bytes_decode_raster(path.read_bytes(), context=str(path))
+
+
+def sum_dice(gt, pred) -> float | None:
+    """Reference Dice over bool sums, as metrics.dice counted before."""
+    gt = np.asarray(gt, dtype=bool)
+    pred = np.asarray(pred, dtype=bool)
+    if gt.shape != pred.shape:
+        raise DimensionMismatchError(f"mask shapes differ: {gt.shape} vs {pred.shape}")
+    denom = int(gt.sum()) + int(pred.sum())
+    if denom == 0:
+        return None
+    inter = int(np.logical_and(gt, pred).sum())
+    return 2.0 * inter / denom
 
 
 def flood_components(mask, connectivity: int = 8) -> list[frozenset]:

@@ -111,6 +111,29 @@ def test_score_bad_magic_exits_4(tmp_path, capsys):
     assert str(raster) in err
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda blob: maskio._HEADER.pack(
+                maskio.MAGIC, 65535, 65535, 255, maskio.DTYPE_CONFIDENCE
+            ),
+            f"payload is 0 bytes, expected {255 * 65535 * 65535 * 4}",
+        ),
+        (lambda blob: blob + b"\x00", "1 trailing bytes after payload"),
+    ],
+    ids=["oversized-header", "trailing-byte"],
+)
+def test_score_corrupt_raster_size_exits_4(tmp_path, capsys, corrupt, message):
+    index = _mini_cohort(tmp_path, n_videos=1)
+    video = load_cohort(index).videos[0]
+    raster = video.manifest_path.parent / "frames" / "f0000.organ.msk"
+    raster.write_bytes(corrupt(raster.read_bytes()))
+    code = main(["score", str(video.manifest_path)])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: {message} in {raster}\n"
+
+
 def test_score_all_frames_filtered_exits_3(tmp_path, capsys):
     manifest = write_video(
         tmp_path,

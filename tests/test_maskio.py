@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from carcino.errors import (
 )
 
 from conftest import ground_truth_for, write_video
+from oracles import bytes_decode_raster, bytes_read_raster
 
 
 def _encode(arr: np.ndarray) -> bytes:
@@ -184,6 +188,91 @@ def test_decode_raster_raises_only_package_errors(blob):
     except CarcinoError:
         return
     assert arr.ndim == 3
+
+
+@st.composite
+def _valid_msk1_blobs(draw):
+    """A valid MSK1 raster of either dtype, 1-9 channels, odd sizes."""
+    channels = draw(st.integers(1, 9))
+    height, width = draw(st.integers(0, 12)) * 2 + 1, draw(st.integers(0, 12)) * 2 + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if draw(st.booleans()):
+        arr = rng.integers(0, maskio.MAX_LABEL + 1, size=(channels, height, width), dtype=np.uint8)
+    else:
+        arr = rng.random((channels, height, width), dtype=np.float32)
+    return _encode(arr)
+
+
+def _outcome(read, source):
+    try:
+        return read(source)
+    except CarcinoError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.writeable == want.flags.writeable
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=64) | _msk1_blobs() | _valid_msk1_blobs())
+def test_file_reader_matches_bytes_reference(tmp_path_factory, blob):
+    """Files read with one copy, and bytes-like objects, decode to the
+    same array, or fail with the same error class and message, as the
+    former read-everything-then-slice decoder."""
+    path = tmp_path_factory.getbasetemp() / "equivalence.msk"
+    path.write_bytes(blob)
+    _assert_same_outcome(_outcome(maskio.read_raster, path), _outcome(bytes_read_raster, path))
+    want = _outcome(bytes_decode_raster, blob)
+    for source in (blob, bytearray(blob), memoryview(blob)):
+        _assert_same_outcome(_outcome(maskio.read_raster, source), want)
+
+
+def test_read_raster_accepts_bytes_like():
+    arr = np.linspace(0, 1, 2 * 3 * 5, dtype=np.float32).reshape(2, 3, 5)
+    blob = _encode(arr)
+    for source in (bytearray(blob), memoryview(blob), np.frombuffer(blob, dtype=np.uint8)):
+        back = maskio.read_raster(source)
+        assert back.dtype == arr.dtype and np.array_equal(back, arr)
+        assert back.flags.writeable
+    with pytest.raises(TruncatedPayloadError, match="payload is 117 bytes, expected 120"):
+        maskio.read_raster(bytearray(blob[:-3]))
+
+
+def test_oversized_header_fails_before_allocating(tmp_path):
+    """A header declaring 255 x 65535 x 65535 float32 (about 4.4 TB) over
+    no payload is reported as truncated, without allocating the payload."""
+    path = tmp_path / "huge.msk"
+    path.write_bytes(maskio._HEADER.pack(maskio.MAGIC, 65535, 65535, 255, maskio.DTYPE_CONFIDENCE))
+    expected = 255 * 65535 * 65535 * 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError) as excinfo:
+            maskio.read_raster(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == f"payload is 0 bytes, expected {expected} in {path}"
+    assert peak < 1 << 20
+
+
+def test_read_raster_from_a_pipe(tmp_path):
+    """A FIFO has no size to check the header against; it is read whole."""
+    arr = np.arange(12, dtype=np.uint8).reshape(1, 3, 4) % 9
+    path = tmp_path / "pipe.msk"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(_encode(arr),), daemon=True)
+    writer.start()
+    back = maskio.read_raster(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back, arr)
 
 
 # --- manifests -------------------------------------------------------------

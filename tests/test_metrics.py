@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carcino.core import Indication, ScoringConstants
 from carcino.errors import (
@@ -22,6 +24,8 @@ from carcino.metrics import (
     station_confusions,
     summarize_runs,
 )
+
+from oracles import sum_dice
 
 IND = Indication.SURGERY_INDICATED
 CONTRA = Indication.SURGERY_CONTRAINDICATED
@@ -75,6 +79,34 @@ def test_dice_one_iff_identical_nonempty():
         value = dice(a, b)
         if value == 1.0:
             assert np.array_equal(a, b) and a.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    height=st.integers(1, 12),
+    width=st.integers(1, 12),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    labels=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(height=3, width=5, density=0.0, labels=False, seed=0)
+@example(height=3, width=5, density=0.0, labels=True, seed=0)
+def test_dice_counts_match_sum_reference(height, width, density, labels, seed):
+    """Counting with count_nonzero gives the value the bool sums gave, on
+    bool masks and on uint8 label planes (any non-zero label is in the
+    mask), None included when both masks are empty."""
+    rng = np.random.default_rng(seed)
+    masks = []
+    for _ in range(2):
+        keep = rng.random((height, width)) < density
+        if labels:
+            masks.append(np.where(keep, rng.integers(1, 9, (height, width)), 0).astype(np.uint8))
+        else:
+            masks.append(keep)
+    got, want = dice(*masks), sum_dice(*masks)
+    assert got == want and type(got) is type(want)
+    if density == 0.0:
+        assert got is None
 
 
 # --- precision / recall / F1 ---------------------------------------------------

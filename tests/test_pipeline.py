@@ -579,6 +579,32 @@ def test_score_frames_loads_only_frames_it_needs():
         assert calls == loaded
 
 
+def test_score_frames_thresholds_organs_once_per_loaded_frame(monkeypatch):
+    """Dice and classification share one set of organ masks per frame;
+    classify_frame still runs once per ROI frame."""
+    gt = {"gt_labels": np.zeros((2, 2), np.uint8), "gt_pc": np.zeros((2, 2), np.uint8)}
+    frames = [
+        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), 0.9, 0, gt_roi=True, **gt),
+        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), 0.1, 1, gt_roi=True, **gt),
+        make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), 0.9, 2),
+    ]
+    calls = {"threshold": [], "classify": []}
+
+    def counted(name, func):
+        def wrapper(frame, *args, **kwargs):
+            calls[name].append(frame.frame_index)
+            return func(frame, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        pipeline, "threshold_organ_masks", counted("threshold", pipeline.threshold_organ_masks)
+    )
+    monkeypatch.setattr(pipeline, "classify_frame", counted("classify", pipeline.classify_frame))
+    pipeline.score_frames("v", frames, lambda f: f, CONSTANTS, want_dice=True)
+    assert calls == {"threshold": [0, 1, 2], "classify": [0, 2]}
+
+
 _ROI_SCORES = (0.0, float(np.nextafter(0.5, 0.0)), 0.5, 0.9)  # 0.5 is the threshold
 _CONF_VALUES = np.array([0.0, 0.69, 0.7, 0.89, 0.9, 1.0], dtype=np.float32)
 
