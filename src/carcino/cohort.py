@@ -16,6 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -282,16 +283,43 @@ def _pool_map(fn: Callable, jobs: int, *iterables: Iterable) -> list:
     this process. Results are in task order. Workers are forked where
     the platform offers fork and started by its default method
     otherwise. A forked pool starts every worker up front, hence the
-    cap."""
+    cap. Where the platform can set CPU affinity, each worker starts on
+    its own CPU (see _spread_worker)."""
     tasks = list(zip(*iterables))
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    context = multiprocessing.get_context(method)
+    placement = {}
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) > 1:
+            placement = {
+                "initializer": _spread_worker,
+                "initargs": (cpus, context.Value("i", 0)),
+            }
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context(method)
+        max_workers=workers, mp_context=context, **placement
     ) as pool:
         return list(pool.map(fn, *zip(*tasks)))
+
+
+def _spread_worker(cpus: list[int], started) -> None:
+    """Pool initializer: move the n-th worker to start (n counted by the
+    shared int started) onto cpus[n % len(cpus)], then allow it every
+    CPU in cpus again. Workers forked in a burst can otherwise all land
+    on one CPU and share it for a whole short call while another CPU
+    idles (seen on 2 vCPUs: evaluate --jobs 2 took twice as long in
+    some calls as in others); the kernel may still move them later."""
+    with started.get_lock():
+        n = started.value
+        started.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[n % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # a CPU went offline since the pool started; placement is only a hint
+        pass
 
 
 class _Scored(NamedTuple):

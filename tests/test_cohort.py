@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import time
 from itertools import repeat
 
@@ -406,7 +407,7 @@ class _InProcessExecutor:
 
     made: list = []
 
-    def __init__(self, max_workers, mp_context):
+    def __init__(self, max_workers, mp_context, initializer=None, initargs=()):
         self.made.append((max_workers, mp_context.get_start_method()))
 
     def __enter__(self):
@@ -433,6 +434,34 @@ def test_pool_map_caps_workers_at_the_task_count(monkeypatch, jobs, tasks, worke
         assert _InProcessExecutor.made == [
             (workers, multiprocessing.get_context(method).get_start_method())
         ]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_spread_worker_starts_each_worker_on_the_next_cpu(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cm.os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)))
+    started = multiprocessing.Value("i", 0)
+    for _ in range(3):
+        cm._spread_worker([2, 5], started)
+    assert started.value == 3
+    assert calls == [
+        (0, {2}), (0, [2, 5]), (0, {5}), (0, [2, 5]), (0, {2}), (0, [2, 5])
+    ]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity and two CPUs",
+)
+def test_pool_map_leaves_workers_every_cpu():
+    cpus = sorted(os.sched_getaffinity(0))
+    masks = cm._pool_map(_affinity_after, 2, [0.05, 0.05, 0.05, 0.05])
+    assert masks == [cpus] * 4
+
+
+def _affinity_after(seconds):
+    time.sleep(seconds)
+    return sorted(os.sched_getaffinity(0))
 
 
 def test_run_referencing_unknown_video_rejected(small_cohort_index):
