@@ -85,6 +85,7 @@ _HEADER = struct.Struct("<4sIIBB")
 HEADER_SIZE = _HEADER.size  # 14 bytes
 
 _NUMPY_DTYPES = {DTYPE_LABEL: np.dtype("u1"), DTYPE_CONFIDENCE: np.dtype("<f4")}
+_ONE_BITS = 0x3F800000  # the float32 1.0 as an unsigned integer
 
 
 def _dtype_code_of(arr: np.ndarray) -> int:
@@ -100,9 +101,13 @@ def _dtype_code_of(arr: np.ndarray) -> int:
 def _validate_values(arr: np.ndarray, dtype_code: int, context: str = "") -> None:
     where = f" in {context}" if context else ""
     if dtype_code == DTYPE_CONFIDENCE:
-        # a NaN propagates through min() and max() and fails both tests;
-        # isfinite runs only to pick the message
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        # read as unsigned integers, the float32 values +0.0 to 1.0 are
+        # the bit patterns 0 to _ONE_BITS, so one max() passes every valid
+        # payload without a -0.0; the float test decides the rest. A NaN
+        # propagates through min() and max() and fails it; isfinite runs
+        # only to pick the message
+        bits = arr.view(arr.dtype.byteorder + "u4")
+        if bits.max() > _ONE_BITS and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             if not np.isfinite(arr).all():
                 raise ConfidenceOutOfRangeError(f"non-finite confidence value{where}")
             raise ConfidenceOutOfRangeError(f"confidence value outside [0, 1]{where}")
@@ -184,16 +189,15 @@ def decode_raster(blob: bytes | bytearray | memoryview, context: str = "") -> np
     return arr
 
 
-def _read_file(path: Path) -> np.ndarray:
+def _read_file(path: str) -> np.ndarray:
     """Read an MSK1 file with one copy of its payload: the header is
     checked against the file size before the array is allocated, then
     the payload is read straight into it."""
-    context = str(path)
-    where = f" in {context}"
+    where = f" in {path}"
     with open(path, "rb", buffering=0) as fh:
         st = os.fstat(fh.fileno())
         if not stat.S_ISREG(st.st_mode):  # a pipe or device has no size to check
-            return decode_raster(fh.readall(), context)
+            return decode_raster(fh.readall(), path)
         header = fh.read(HEADER_SIZE)
         code, shape = _check_header(header, st.st_size, where)
         arr = np.empty(shape, dtype=_NUMPY_DTYPES[code])
@@ -206,7 +210,7 @@ def _read_file(path: Path) -> np.ndarray:
                     f"payload is {filled} bytes, expected {view.nbytes}{where}"
                 )
             filled += n
-    _validate_values(arr, code, context)
+    _validate_values(arr, code, path)
     return arr
 
 
@@ -214,7 +218,7 @@ def read_raster(source: str | os.PathLike | bytes | BinaryIO) -> np.ndarray:
     """Read an MSK1 raster from a path, a bytes-like object, or a binary
     stream."""
     if isinstance(source, (str, os.PathLike)):
-        return _read_file(Path(source))
+        return _read_file(os.fspath(source))
     if hasattr(source, "read"):
         return decode_raster(source.read())
     return decode_raster(source)
@@ -483,28 +487,28 @@ def save_manifest(manifest: VideoManifest, path: str | Path) -> None:
     Path(path).write_text(canonical_json(manifest_to_dict(manifest)), encoding="utf-8")
 
 
-def load_frame(record: FrameRecord, base_dir: str | Path) -> ConfidenceFrame:
+def load_frame(record: FrameRecord, base_dir: str | os.PathLike) -> ConfidenceFrame:
     """Load one frame's rasters, enforcing the frame invariants:
-    8 organ channels, single carcinomatosis channel, equal dimensions."""
-    base = Path(base_dir)
-    organ = read_raster(base / record.organ_conf)
+    8 organ channels, single carcinomatosis channel, equal dimensions.
+    Paths are joined as plain strings; a base_dir of "." adds no prefix,
+    so they read as pathlib would print them."""
+    base = os.fspath(base_dir)
+    if base == ".":
+        base = ""
+    organ_path = os.path.join(base, record.organ_conf)
+    organ = read_raster(organ_path)
     if organ.dtype != np.float32:
-        raise RasterInvariantError(
-            f"{base / record.organ_conf}: organ raster must hold confidences"
-        )
+        raise RasterInvariantError(f"{organ_path}: organ raster must hold confidences")
     if organ.shape[0] != 8:
         raise ChannelCountMismatchError(
-            f"{base / record.organ_conf}: expected 8 organ channels, got {organ.shape[0]}"
+            f"{organ_path}: expected 8 organ channels, got {organ.shape[0]}"
         )
-    pc = read_raster(base / record.pc_conf)
+    pc_path = os.path.join(base, record.pc_conf)
+    pc = read_raster(pc_path)
     if pc.dtype != np.float32:
-        raise RasterInvariantError(
-            f"{base / record.pc_conf}: carcinomatosis raster must hold confidences"
-        )
+        raise RasterInvariantError(f"{pc_path}: carcinomatosis raster must hold confidences")
     if pc.shape[0] != 1:
-        raise ChannelCountMismatchError(
-            f"{base / record.pc_conf}: expected 1 channel, got {pc.shape[0]}"
-        )
+        raise ChannelCountMismatchError(f"{pc_path}: expected 1 channel, got {pc.shape[0]}")
     shape = organ.shape[1:]
     if pc.shape[1:] != shape:
         raise DimensionMismatchError(
@@ -513,10 +517,11 @@ def load_frame(record: FrameRecord, base_dir: str | Path) -> ConfidenceFrame:
         )
     gt_labels = None
     if record.gt_labels is not None:
-        gt_labels_arr = read_raster(base / record.gt_labels)
+        gt_labels_path = os.path.join(base, record.gt_labels)
+        gt_labels_arr = read_raster(gt_labels_path)
         if gt_labels_arr.dtype != np.uint8 or gt_labels_arr.shape[0] != 1:
             raise RasterInvariantError(
-                f"{base / record.gt_labels}: label raster must be single-channel uint8"
+                f"{gt_labels_path}: label raster must be single-channel uint8"
             )
         if gt_labels_arr.shape[1:] != shape:
             raise DimensionMismatchError(
@@ -526,14 +531,15 @@ def load_frame(record: FrameRecord, base_dir: str | Path) -> ConfidenceFrame:
         gt_labels = gt_labels_arr[0]
     gt_pc = None
     if record.gt_pc is not None:
-        gt_pc_arr = read_raster(base / record.gt_pc)
+        gt_pc_path = os.path.join(base, record.gt_pc)
+        gt_pc_arr = read_raster(gt_pc_path)
         if gt_pc_arr.dtype != np.uint8 or gt_pc_arr.shape[0] != 1:
             raise RasterInvariantError(
-                f"{base / record.gt_pc}: binary raster must be single-channel uint8"
+                f"{gt_pc_path}: binary raster must be single-channel uint8"
             )
         if (gt_pc_arr > 1).any():
             raise LabelOutOfRangeError(
-                f"{base / record.gt_pc}: binary ground truth must hold only 0/1"
+                f"{gt_pc_path}: binary ground truth must hold only 0/1"
             )
         if gt_pc_arr.shape[1:] != shape:
             raise DimensionMismatchError(

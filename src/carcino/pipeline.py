@@ -22,7 +22,7 @@ number of workers and the video-level OR is order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -144,21 +144,44 @@ def threshold_pc_mask(frame: ConfidenceFrame, constants: ScoringConstants) -> np
     return frame.pc_conf >= np.float32(constants.pc_confidence_threshold)
 
 
+def _row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, first column and end column (half-open) of every run of true
+    pixels in a non-empty 2-D bool mask, in row-major order.
+
+    A run starts on a true pixel whose left neighbour in its row is
+    false and ends on one whose right neighbour is. The flat mask is
+    ANDed with its negated neighbours, the pixels at the row edges are
+    put back, and ``np.flatnonzero`` reads the starts and the ends.
+    """
+    width = mask.shape[1]
+    flat = mask.ravel()
+    first = flat.copy()
+    first[1:] &= ~flat[:-1]
+    first[::width] = flat[::width]
+    last = flat.copy()
+    last[:-1] &= ~flat[1:]
+    last[width - 1 :: width] = flat[width - 1 :: width]
+    run_first = np.flatnonzero(first)
+    rows = run_first // width
+    row_base = rows * width
+    return rows, run_first - row_base, np.flatnonzero(last) - row_base + 1
+
+
 def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Nodule]:
     """Partition the true pixels of a binary mask into maximal connected
     components (nodules).
 
     Two-pass labelling on row runs, after Wu, Otoo & Suzuki (2009), with
-    every step an array operation. One ``np.nonzero`` over the
-    column-padded mask yields the runs of all rows at once, in row-major
-    order. A run touches the runs of the row above whose column span
-    overlaps its own widened by one column (8-connectivity) or overlaps
-    it (4-connectivity); because the runs of a row are sorted and
-    disjoint, those runs form one contiguous range, found for every run
-    by two ``np.searchsorted`` calls. The touching pairs are merged by
-    repeated minimum hooking (``np.minimum.at``) and pointer jumping
-    until every pair shares a label, so each run ends up labelled with
-    the lowest run index of its component.
+    every step an array operation. ``_row_runs`` yields the runs of all
+    rows at once, in row-major order. A run touches the runs of the row
+    above whose column span overlaps its own widened by one column
+    (8-connectivity) or overlaps it (4-connectivity); because the runs
+    of a row are sorted and disjoint, those runs form one contiguous
+    range, found for every run by two ``np.searchsorted`` calls. The
+    touching pairs are merged by repeated minimum hooking
+    (``np.minimum.at``) and pointer jumping until every pair shares a
+    label, so each run ends up labelled with the lowest run index of its
+    component.
 
     Components are ordered by their first pixel in row-major order and
     ids are assigned in that order, which is the order of those lowest
@@ -172,15 +195,10 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Nodule
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError("mask must be 2-D")
-    height, width = mask.shape
-
-    # run boundaries: edge columns of the padded rows, start/end alternating
-    padded = np.zeros((height, width + 2), dtype=bool)
-    padded[:, 1:-1] = mask
-    edge_rows, edge_cols = np.nonzero(padded[:, 1:] != padded[:, :-1])
-    rows = edge_rows[0::2]
-    starts = edge_cols[0::2]
-    ends = edge_cols[1::2]  # half-open
+    if not mask.size:
+        return []
+    width = mask.shape[1]
+    rows, starts, ends = _row_runs(mask)
     n_runs = rows.size
     if n_runs == 0:
         return []
@@ -291,17 +309,20 @@ def classify_frame(
     constants: ScoringConstants,
     *,
     organ_masks: np.ndarray | None = None,
+    pc_mask: np.ndarray | None = None,
 ) -> FrameAssessment:
     """Frame-level station classification.
 
     Threshold, extract nodules, assign them to organs; a station is
     positive iff at least one nodule was assigned to one of its organs.
-    organ_masks, when given, must be threshold_organ_masks(frame,
+    organ_masks and pc_mask, when given, must be
+    threshold_organ_masks(frame, constants) and threshold_pc_mask(frame,
     constants); score_frames passes the masks its Dice already used.
     """
     if organ_masks is None:
         organ_masks = threshold_organ_masks(frame, constants)
-    pc_mask = threshold_pc_mask(frame, constants)
+    if pc_mask is None:
+        pc_mask = threshold_pc_mask(frame, constants)
     if pc_mask.shape != organ_masks.shape[1:]:
         raise DimensionMismatchError(
             f"frame {frame.frame_index}: organ planes {organ_masks.shape[1:]} "
@@ -364,7 +385,9 @@ def score_frames(
     the pass needs: those whose relevance score reaches the ROI
     threshold (>= semantics) feed the station chain, and with want_dice
     those carrying a ground-truth raster, unless flagged non-ROI, feed
-    per-label Dice. Loaded frames must share one raster size (no silent
+    per-label Dice. A record that feeds no Dice reaches load with its
+    gt_labels and gt_pc cleared, so its ground-truth rasters are never
+    read. Loaded frames must share one raster size (no silent
     resampling).
 
     Returns the assessment, the Dice lists (want_dice: one list per
@@ -387,6 +410,8 @@ def score_frames(
         need_dice = want_dice and has_gt_raster and record.gt_roi is not False
         if not roi_pass and not need_dice:
             continue
+        if has_gt_raster and not need_dice:
+            record = replace(record, gt_labels=None, gt_pc=None)
         frame = load(record)
         if shape is None:
             shape = (frame.height, frame.width)
@@ -401,11 +426,14 @@ def score_frames(
                 dice_lists[organ.slug].append(
                     metrics.dice(frame.gt_labels == organ + 1, organ_masks[organ])
                 )
+        pc_mask = None
         if need_dice and frame.gt_pc is not None:
             pc_mask = threshold_pc_mask(frame, constants)
             dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pc_mask))
         if roi_pass:
-            assessments.append(classify_frame(frame, constants, organ_masks=organ_masks))
+            assessments.append(
+                classify_frame(frame, constants, organ_masks=organ_masks, pc_mask=pc_mask)
+            )
     if not assessments:
         raise NoAssessableFramesError(
             f"no frame reached the ROI threshold {constants.roi_threshold}"

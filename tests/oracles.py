@@ -10,7 +10,9 @@ replicate, runs the write, load and evaluate path, and assess_frames,
 the former evaluation loop, runs the per-frame chain. The former raster
 decoder and Dice count keep their own header checks and sums; the
 decoder shares only the format constants, the error classes and the
-value check with maskio.
+value check with maskio. The former run extraction and confidence value
+check are the references for the package's edge-based extraction and
+one-pass check.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from carcino.core import OrganClass
 from carcino.errors import (
     BadMagicError,
     CarcinoError,
+    ConfidenceOutOfRangeError,
     DimensionMismatchError,
     MaskFormatError,
     TruncatedPayloadError,
@@ -69,6 +72,16 @@ def bytes_read_raster(path) -> np.ndarray:
     """Reference file reader: the whole file as bytes, then decoded."""
     path = Path(path)
     return bytes_decode_raster(path.read_bytes(), context=str(path))
+
+
+def float_check_confidences(arr: np.ndarray, context: str = "") -> None:
+    """Reference confidence value check, the former float test: min()
+    and max() against [0, 1], then isfinite to pick the message."""
+    where = f" in {context}" if context else ""
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        if not np.isfinite(arr).all():
+            raise ConfidenceOutOfRangeError(f"non-finite confidence value{where}")
+        raise ConfidenceOutOfRangeError(f"confidence value outside [0, 1]{where}")
 
 
 def sum_dice(gt, pred) -> float | None:
@@ -115,6 +128,18 @@ def flood_components(mask, connectivity: int = 8) -> list[frozenset]:
         components.append(frozenset(component))
     components.sort(key=lambda comp: min(comp))
     return components
+
+
+def padded_row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference run extraction, the former padded-diff one: pad every
+    row with a false column on each side, take the columns where the
+    padded row changes value with one 2-D np.nonzero, and read them as
+    alternating starts and half-open ends."""
+    height, width = mask.shape
+    padded = np.zeros((height, width + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    edge_rows, edge_cols = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    return edge_rows[0::2], edge_cols[0::2], edge_cols[1::2]
 
 
 def loop_assign(pixel_arrays, organ_masks, organ_conf) -> list[tuple]:

@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +175,42 @@ def test_score_constants_override_changes_result(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert code == 0
     assert record["fs"] == 0  # 0.97 plateau no longer reaches the threshold
+
+
+def test_ground_truth_rasters_are_read_only_for_dice(tmp_path, capsys):
+    """A missing and a truncated gt_labels raster change nothing for
+    score and evaluate --no-dice, which never open them; evaluate with
+    Dice fails exactly those two videos, with the messages of the read."""
+    index = _mini_cohort(tmp_path)
+    broken = tmp_path / "broken"
+    shutil.copytree(index.parent, broken)
+    videos = load_cohort(broken / "index.json").videos
+    missing = videos[0].manifest_path.parent / "frames" / "f0000.gtlab.msk"
+    truncated = videos[1].manifest_path.parent / "frames" / "f0000.gtlab.msk"
+    missing.unlink()
+    os.truncate(truncated, truncated.stat().st_size - 3)
+
+    def stdout_of(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    for video in videos:
+        intact = index.parent / video.manifest_path.relative_to(broken)
+        assert stdout_of(["score", str(video.manifest_path)]) == stdout_of(["score", str(intact)])
+
+    def report(cohort_index, *flags):
+        out = tmp_path / "report.json"
+        assert main(["evaluate", str(cohort_index), "--independent", *flags,
+                     "--out-json", str(out)]) == 0
+        return out.read_text()
+
+    no_dice = report(broken / "index.json", "--no-dice")
+    assert json.loads(no_dice)["runs"][0]["failed"] == {}
+    assert no_dice == report(index, "--no-dice")
+    assert json.loads(report(broken / "index.json"))["runs"][0]["failed"] == {
+        videos[0].video_id: f"[Errno 2] No such file or directory: '{missing}'",
+        videos[1].video_id: f"payload is 1021 bytes, expected 1024 in {truncated}",
+    }
 
 
 def _frame(size: int, roi_score: float = 1.0) -> dict:

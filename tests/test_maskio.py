@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carcino import maskio
@@ -29,7 +29,7 @@ from carcino.errors import (
 )
 
 from conftest import ground_truth_for, write_video
-from oracles import bytes_decode_raster, bytes_read_raster
+from oracles import bytes_decode_raster, bytes_read_raster, float_check_confidences
 
 
 def _encode(arr: np.ndarray) -> bytes:
@@ -232,6 +232,65 @@ def test_file_reader_matches_bytes_reference(tmp_path_factory, blob):
     want = _outcome(bytes_decode_raster, blob)
     for source in (blob, bytearray(blob), memoryview(blob)):
         _assert_same_outcome(_outcome(maskio.read_raster, source), want)
+
+
+_NEG_ZERO, _ONE, _AFTER_ONE = 0x80000000, 0x3F800000, 0x3F800001  # -0.0, 1.0, nextafter(1, 2)
+_SUBNORMALS = (0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF)
+_INFS = (0x7F800000, 0xFF800000)
+_NANS = (0x7FC00000, 0x7F800001, 0x7FFFFFFF, 0xFFC00000, 0xFF800001, 0xFFFFFFFF)
+_HALF = 0x3F000000
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    bits=st.lists(
+        st.integers(0, 2**32 - 1)
+        | st.integers(0, _ONE)
+        | st.sampled_from((_NEG_ZERO, _ONE, _AFTER_ONE, *_SUBNORMALS, *_INFS, *_NANS)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example(bits=[_NEG_ZERO])
+@example(bits=[_HALF, _NEG_ZERO, _ONE])
+@example(bits=[_ONE])
+@example(bits=[_HALF, _AFTER_ONE])
+@example(bits=list(_SUBNORMALS))
+@example(bits=[_HALF, _SUBNORMALS[1]])
+@example(bits=[_HALF, _SUBNORMALS[2]])
+@example(bits=[_HALF, _INFS[0]])
+@example(bits=[_HALF, _INFS[1]])
+@example(bits=[_HALF, _NANS[0]])
+@example(bits=[_HALF, _NANS[1]])
+@example(bits=[_HALF, _NANS[4]])
+def test_one_pass_value_check_matches_float_test(tmp_path_factory, bits):
+    """Any float32 bit patterns: the one-pass check accepts and rejects
+    what the former min/max float test does, with the same error class
+    and message, from bytes, from a file and on write."""
+    arr = np.array(bits, dtype=np.uint32).view("<f4").reshape(1, 1, len(bits))
+    blob = maskio._HEADER.pack(maskio.MAGIC, len(bits), 1, 1, maskio.DTYPE_CONFIDENCE)
+    blob += arr.tobytes()
+    path = tmp_path_factory.getbasetemp() / "values.msk"
+    path.write_bytes(blob)
+
+    def outcome(check, *args):
+        try:
+            result = check(*args)
+        except ConfidenceOutOfRangeError as exc:
+            return type(exc), str(exc)
+        if isinstance(result, np.ndarray):
+            return result.view(np.uint32).ravel().tolist()
+        return None
+
+    for got, context in (
+        (outcome(maskio.decode_raster, blob, "blob"), "blob"),
+        (outcome(maskio.read_raster, path), str(path)),
+    ):
+        want = outcome(float_check_confidences, arr, context) or bits
+        assert got == want
+    assert outcome(maskio.write_raster, arr, io.BytesIO()) == outcome(
+        float_check_confidences, arr
+    )
 
 
 def test_read_raster_accepts_bytes_like():

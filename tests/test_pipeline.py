@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carcino import maskio, pipeline, synth
+from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
 from carcino.core import Indication, OrganClass, ScoringConstants, Station
 from carcino.errors import (
     CarcinoError,
@@ -15,7 +17,13 @@ from carcino.errors import (
 )
 
 from conftest import blank_organ_conf, make_frame, write_video
-from oracles import assess_frames, flood_components, loop_assign, naive_station_vector
+from oracles import (
+    assess_frames,
+    flood_components,
+    loop_assign,
+    naive_station_vector,
+    padded_row_runs,
+)
 
 CONSTANTS = ScoringConstants()
 
@@ -201,6 +209,43 @@ def test_connected_components_structured_masks_match_flood_fill(make_mask, conne
         assert nodule.pixels.dtype == np.int32 and nodule.pixels.shape == (nodule.size, 2)
         flat = nodule.pixels[:, 0].astype(np.int64) * 64 + nodule.pixels[:, 1]
         assert np.all(np.diff(flat) > 0)
+
+
+@st.composite
+def _run_masks(draw):
+    """Masks from 1x1 to 40x40: random ones and the shapes at the edges
+    of the run extraction (all true, all false, one row, one column,
+    stripes across or along the rows)."""
+    kind = draw(st.sampled_from(["random", "full", "empty", "row", "column", "striped"]))
+    height = 1 if kind == "row" else draw(st.integers(1, 40))
+    width = 1 if kind == "column" else draw(st.integers(1, 40))
+    if kind == "full":
+        return np.ones((height, width), dtype=bool)
+    if kind == "empty":
+        return np.zeros((height, width), dtype=bool)
+    if kind == "striped":
+        period = draw(st.integers(2, 4))
+        rows, cols = np.indices((height, width))
+        return (cols if draw(st.booleans()) else rows) % period == 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((height, width)) < draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_run_masks(), connectivity=st.sampled_from([4, 8]))
+def test_row_runs_match_padded_diff_extraction(mask, connectivity):
+    """The edge-based run extraction yields the former padded-diff runs,
+    so connected_components returns the same nodules: ids, pixel arrays
+    and order."""
+    for got, want in zip(pipeline._row_runs(mask), padded_row_runs(mask)):
+        assert np.array_equal(got, want)
+    nodules = pipeline.connected_components(mask, connectivity=connectivity)
+    with mock.patch.object(pipeline, "_row_runs", padded_row_runs):
+        former = pipeline.connected_components(mask, connectivity=connectivity)
+    assert [n.id for n in nodules] == [n.id for n in former]
+    for nodule, reference in zip(nodules, former):
+        assert nodule.pixels.dtype == reference.pixels.dtype
+        assert np.array_equal(nodule.pixels, reference.pixels)
 
 
 # --- nodule assignment ---------------------------------------------------------
@@ -603,6 +648,29 @@ def test_score_frames_thresholds_organs_once_per_loaded_frame(monkeypatch):
     monkeypatch.setattr(pipeline, "classify_frame", counted("classify", pipeline.classify_frame))
     pipeline.score_frames("v", frames, lambda f: f, CONSTANTS, want_dice=True)
     assert calls == {"threshold": [0, 1, 2], "classify": [0, 2]}
+
+
+def test_score_frames_thresholds_pc_once_per_loaded_frame(small_cohort_index, monkeypatch):
+    """The carcinomatosis mask of a frame's PC Dice is the one its
+    classification uses: one threshold_pc_mask call per loaded frame."""
+    counts = {"loaded": 0, "pc": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(maskio, "load_frame", counted("loaded", maskio.load_frame))
+    monkeypatch.setattr(
+        pipeline, "threshold_pc_mask", counted("pc", pipeline.threshold_pc_mask)
+    )
+    cohort = load_cohort(small_cohort_index)
+    run = EvalRun(label="all", video_ids=tuple(v.video_id for v in cohort.videos))
+    report = evaluate_cohort(cohort, [run], CONSTANTS, jobs=1)
+    assert report["runs"][0]["failed"] == {}
+    assert counts["loaded"] > 0 and counts["pc"] == counts["loaded"]
 
 
 _ROI_SCORES = (0.0, float(np.nextafter(0.5, 0.0)), 0.5, 0.9)  # 0.5 is the threshold
