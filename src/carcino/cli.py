@@ -28,20 +28,23 @@ EXIT_NO_FRAMES = 3
 EXIT_IO = 4
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config", metavar="FILE", help="JSON file overriding scoring constants"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker count (default: CARCINO_JOBS or 1); results do not depend on it",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="json", help="stdout format"
-    )
+_COMMON_FLAGS = {
+    "--config": {"metavar": "FILE", "help": "JSON file overriding scoring constants"},
+    "--seed": {"type": int, "default": None, "help": "seed override"},
+    "--jobs": {
+        "type": int,
+        "default": None,
+        "help": "worker count (default: CARCINO_JOBS or 1); results do not depend on it",
+    },
+    "--format": {"choices": ("json", "text"), "default": "json", "help": "stdout format"},
+}
+
+
+def _add_common_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Give a subcommand the common flags it reads; argparse rejects the
+    others as unknown, so none is accepted and then ignored."""
+    for flag in flags:
+        parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def _resolve_jobs(args: argparse.Namespace) -> int:
@@ -225,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score one video manifest")
     p_score.add_argument("manifest", help="path to the video manifest JSON")
     p_score.add_argument("--out", metavar="FILE", help="write the assessment here")
-    _add_common_flags(p_score)
+    _add_common_flags(p_score, "--config", "--format")
     p_score.set_defaults(func=cmd_score)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a cohort")
@@ -243,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--no-roi", action="store_true", help="skip ROI accuracy")
     p_eval.add_argument("--out-json", metavar="FILE")
     p_eval.add_argument("--out-text", metavar="FILE")
-    _add_common_flags(p_eval)
+    _add_common_flags(p_eval, "--config", "--jobs", "--format")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_split = sub.add_parser("split", help="write a stratified fold assignment")
     p_split.add_argument("index", help="cohort index JSON")
     p_split.add_argument("--k", type=int, required=True, help="fold count")
     p_split.add_argument("--out", metavar="FILE", help="fold file (default: stdout)")
-    _add_common_flags(p_split)
+    _add_common_flags(p_split, "--seed")
     p_split.set_defaults(func=cmd_split)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic cohort or run a sweep")
@@ -267,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicates", type=int, default=1)
     p_sim.add_argument("--out-json", metavar="FILE", help="write the sweep report here")
     p_sim.add_argument("--out-csv", metavar="FILE", help="write a per-replicate CSV table")
-    _add_common_flags(p_sim)
+    _add_common_flags(p_sim, "--config", "--seed", "--jobs", "--format")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("report", help="render a saved report")
     p_rep.add_argument("report", help="report JSON produced by evaluate or simulate")
-    _add_common_flags(p_rep)
+    _add_common_flags(p_rep, "--format")
     p_rep.set_defaults(func=cmd_report)
 
     return parser

@@ -363,7 +363,7 @@ def _assess_video(
             *pipeline.score_frames(
                 video_id,
                 manifest.frames,
-                lambda record: maskio.load_frame(record, manifest.base_dir),
+                maskio.frame_loader(manifest.base_dir),
                 constants,
                 want_dice,
                 want_roi,

@@ -35,7 +35,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -73,6 +73,7 @@ __all__ = [
     "manifest_from_dict",
     "manifest_to_dict",
     "load_frame",
+    "frame_loader",
     "canonical_json",
 ]
 
@@ -189,10 +190,13 @@ def decode_raster(blob: bytes | bytearray | memoryview, context: str = "") -> np
     return arr
 
 
-def _read_file(path: str) -> np.ndarray:
+def _read_file(path: str, into: np.ndarray | None = None) -> np.ndarray:
     """Read an MSK1 file with one copy of its payload: the header is
     checked against the file size before the array is allocated, then
-    the payload is read straight into it."""
+    the payload is read straight into it. When into is a writeable
+    C-contiguous array of the shape and dtype the header declares, the
+    payload goes into it and into is returned; otherwise the array is
+    new."""
     where = f" in {path}"
     with open(path, "rb", buffering=0) as fh:
         st = os.fstat(fh.fileno())
@@ -200,7 +204,17 @@ def _read_file(path: str) -> np.ndarray:
             return decode_raster(fh.readall(), path)
         header = fh.read(HEADER_SIZE)
         code, shape = _check_header(header, st.st_size, where)
-        arr = np.empty(shape, dtype=_NUMPY_DTYPES[code])
+        dtype = _NUMPY_DTYPES[code]
+        if (
+            into is not None
+            and into.shape == shape
+            and into.dtype == dtype
+            and into.flags.c_contiguous
+            and into.flags.writeable
+        ):
+            arr = into
+        else:
+            arr = np.empty(shape, dtype=dtype)
         view = memoryview(arr).cast("B")
         filled = 0
         while filled < view.nbytes:
@@ -487,16 +501,33 @@ def save_manifest(manifest: VideoManifest, path: str | Path) -> None:
     Path(path).write_text(canonical_json(manifest_to_dict(manifest)), encoding="utf-8")
 
 
-def load_frame(record: FrameRecord, base_dir: str | os.PathLike) -> ConfidenceFrame:
+def _as_raster(plane: np.ndarray | None) -> np.ndarray | None:
+    """A frame's (H, W) array as the (1, H, W) raster it was read from."""
+    return None if plane is None else plane[np.newaxis]
+
+
+def load_frame(
+    record: FrameRecord, base_dir: str | os.PathLike, into: ConfidenceFrame | None = None
+) -> ConfidenceFrame:
     """Load one frame's rasters, enforcing the frame invariants:
     8 organ channels, single carcinomatosis channel, equal dimensions.
     Paths are joined as plain strings; a base_dir of "." adds no prefix,
-    so they read as pathlib would print them."""
+    so they read as pathlib would print them.
+
+    Without into, every array of the frame is new. into, a frame that
+    load_frame returned, lends its arrays: a raster whose header declares
+    the shape and dtype of into's array for it is read into that array,
+    so into is overwritten and no longer valid.
+    """
     base = os.fspath(base_dir)
     if base == ".":
         base = ""
+    organ_into = pc_into = gt_labels_into = gt_pc_into = None
+    if into is not None:
+        organ_into, pc_into = into.organ_conf, into.pc_conf[np.newaxis]
+        gt_labels_into, gt_pc_into = _as_raster(into.gt_labels), _as_raster(into.gt_pc)
     organ_path = os.path.join(base, record.organ_conf)
-    organ = read_raster(organ_path)
+    organ = _read_file(organ_path, organ_into)
     if organ.dtype != np.float32:
         raise RasterInvariantError(f"{organ_path}: organ raster must hold confidences")
     if organ.shape[0] != 8:
@@ -504,7 +535,7 @@ def load_frame(record: FrameRecord, base_dir: str | os.PathLike) -> ConfidenceFr
             f"{organ_path}: expected 8 organ channels, got {organ.shape[0]}"
         )
     pc_path = os.path.join(base, record.pc_conf)
-    pc = read_raster(pc_path)
+    pc = _read_file(pc_path, pc_into)
     if pc.dtype != np.float32:
         raise RasterInvariantError(f"{pc_path}: carcinomatosis raster must hold confidences")
     if pc.shape[0] != 1:
@@ -518,7 +549,7 @@ def load_frame(record: FrameRecord, base_dir: str | os.PathLike) -> ConfidenceFr
     gt_labels = None
     if record.gt_labels is not None:
         gt_labels_path = os.path.join(base, record.gt_labels)
-        gt_labels_arr = read_raster(gt_labels_path)
+        gt_labels_arr = _read_file(gt_labels_path, gt_labels_into)
         if gt_labels_arr.dtype != np.uint8 or gt_labels_arr.shape[0] != 1:
             raise RasterInvariantError(
                 f"{gt_labels_path}: label raster must be single-channel uint8"
@@ -532,7 +563,7 @@ def load_frame(record: FrameRecord, base_dir: str | os.PathLike) -> ConfidenceFr
     gt_pc = None
     if record.gt_pc is not None:
         gt_pc_path = os.path.join(base, record.gt_pc)
-        gt_pc_arr = read_raster(gt_pc_path)
+        gt_pc_arr = _read_file(gt_pc_path, gt_pc_into)
         if gt_pc_arr.dtype != np.uint8 or gt_pc_arr.shape[0] != 1:
             raise RasterInvariantError(
                 f"{gt_pc_path}: binary raster must be single-channel uint8"
@@ -557,3 +588,18 @@ def load_frame(record: FrameRecord, base_dir: str | os.PathLike) -> ConfidenceFr
         gt_pc=gt_pc,
         gt_roi=record.gt_roi,
     )
+
+
+def frame_loader(base_dir: str | os.PathLike) -> Callable[[FrameRecord], ConfidenceFrame]:
+    """load_frame over the frames of one video, read from base_dir into
+    one set of arrays: each call passes the frame the previous call
+    returned as into, so a frame is valid only until the next call."""
+    last: ConfidenceFrame | None = None
+
+    def load(record: FrameRecord) -> ConfidenceFrame:
+        nonlocal last
+        # looked up in the module at each call, so a wrapper bound there sees every load
+        last = load_frame(record, base_dir, into=last)
+        return last
+
+    return load

@@ -381,10 +381,11 @@ def score_frames(
 
     records are manifest FrameRecords or ConfidenceFrames; both carry
     frame_index, roi_score, gt_roi, gt_labels and gt_pc. load(record)
-    returns the record's ConfidenceFrame and is called only for frames
-    the pass needs: those whose relevance score reaches the ROI
-    threshold (>= semantics) feed the station chain, and with want_dice
-    those carrying a ground-truth raster, unless flagged non-ROI, feed
+    returns the record's ConfidenceFrame, which need stay valid only
+    until the next load call, and is called only for frames the pass
+    needs: those whose relevance score reaches the ROI threshold (>=
+    semantics) feed the station chain, and with want_dice those
+    carrying a ground-truth raster, unless flagged non-ROI, feed
     per-label Dice. A record that feeds no Dice reaches load with its
     gt_labels and gt_pc cleared, so its ground-truth rasters are never
     read. Loaded frames must share one raster size (no silent
@@ -462,7 +463,7 @@ def score_video(
     video, _, _ = score_frames(
         manifest.video_id,
         manifest.frames,
-        lambda record: maskio.load_frame(record, manifest.base_dir),
+        maskio.frame_loader(manifest.base_dir),
         constants or ScoringConstants(),
     )
     return video

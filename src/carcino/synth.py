@@ -345,18 +345,22 @@ def _confidence_map(
     lo: float,
     jitter: float,
     out: np.ndarray,
+    scratch: np.ndarray,
 ) -> None:
     """Write the confidence plane of mask into the float32 array out: the
     float64 plateau (hi on the mask, lo off it) plus Gaussian noise of
-    std-dev jitter, clipped to [0, 1], then cast."""
-    conf = np.where(mask, hi, lo)
-    if jitter > 0:
-        # the plateau goes into the drawn noise: float addition commutes
-        noise = rng.normal(0.0, jitter, size=mask.shape)
-        noise += conf
-        conf = noise
-    np.clip(conf, 0.0, 1.0, out=conf)
-    out[...] = conf
+    std-dev jitter, clipped to [0, 1], then cast. The noise is drawn
+    into scratch, a float64 array of mask's shape."""
+    if jitter == 0:
+        np.clip(np.where(mask, hi, lo), 0.0, 1.0, out=out)
+        return
+    # rng.normal(0.0, jitter) returns 0.0 + jitter * z; the 0.0 only turns
+    # a -0.0 into +0.0, and adding the positive plateau gives the same sum
+    rng.standard_normal(out=scratch)
+    scratch *= jitter
+    np.add(scratch, hi, out=scratch, where=mask)
+    np.add(scratch, lo, out=scratch, where=~mask)
+    np.clip(scratch, 0.0, 1.0, out=out)
 
 
 def _generate_frame(
@@ -366,12 +370,18 @@ def _generate_frame(
     time_s: float,
     planted_stations: Sequence[bool],
     is_roi: bool,
+    scratch: np.ndarray,
+    organ_conf: np.ndarray,
+    pc_conf: np.ndarray,
 ) -> ConfidenceFrame:
     """Truth and prediction rasters for one frame.
 
     Draw order from the frame generator is fixed: layout, planting,
-    prediction noise. Returns the organ/pc confidence maps and the
-    relevance score with the ground-truth rasters and relevance flag.
+    prediction noise. The noise is drawn plane by plane into scratch, a
+    float64 (H, W) array, and the confidence maps are written into
+    organ_conf, (8, H, W), and pc_conf, (H, W), both float32. Returns
+    those maps and the relevance score with the ground-truth rasters and
+    relevance flag.
     """
     width, height = spec.frame_size
     noise = spec.noise
@@ -410,10 +420,10 @@ def _generate_frame(
         pred_organ_masks = np.stack(
             [_morph(rng, organ_masks[o], noise.boundary_morph) for o in range(8)]
         )
-    organ_conf = np.empty((8, height, width), dtype=np.float32)
+    jitter = noise.confidence_jitter
     for o in range(8):
         _confidence_map(
-            rng, pred_organ_masks[o], HI_ORGAN, LO_ORGAN, noise.confidence_jitter, organ_conf[o]
+            rng, pred_organ_masks[o], HI_ORGAN, LO_ORGAN, jitter, organ_conf[o], scratch
         )
 
     pred_pc = np.zeros((height, width), dtype=bool)
@@ -429,13 +439,12 @@ def _generate_frame(
             center = (int(rng.integers(0, height)), int(rng.integers(0, width)))
             window, disc = _disc(center, radius, height, width)
             pred_pc[window] |= disc
-    pc_conf = np.empty((height, width), dtype=np.float32)
-    _confidence_map(rng, pred_pc, HI_PC, LO_PC, noise.confidence_jitter, pc_conf)
+    _confidence_map(rng, pred_pc, HI_PC, LO_PC, jitter, pc_conf, scratch)
 
     roi_base = ROI_HI if is_roi else ROI_LO
     roi_score = roi_base
-    if noise.confidence_jitter > 0:
-        roi_score = float(np.clip(roi_base + rng.normal(0.0, noise.confidence_jitter), 0.0, 1.0))
+    if jitter > 0:
+        roi_score = float(np.clip(roi_base + rng.normal(0.0, jitter), 0.0, 1.0))
 
     return ConfidenceFrame(
         frame_index=frame_index,
@@ -477,16 +486,32 @@ def _video_frames(
 ) -> Iterator[ConfidenceFrame]:
     """The frames of one video, generated one at a time: the ROI frames,
     one per sampling interval from the start of the ROI segment, then the
-    non-ROI frames after it."""
+    non-ROI frames after it. The confidence maps of every frame are
+    written into one pair of arrays, so a frame is valid only until the
+    next one is drawn."""
     interval = ScoringConstants().frame_sampling_interval
     segment_end = _roi_segment_end(spec)
+    width, height = spec.frame_size
+    scratch = np.empty((height, width))  # the noise of one plane
+    organ_conf = np.empty((8, height, width), dtype=np.float32)
+    pc_conf = np.empty((height, width), dtype=np.float32)
     for frame_index in range(spec.frames_per_video + spec.nonroi_frames_per_video):
         is_roi = frame_index < spec.frames_per_video
         if is_roi:
             time_s = frame_index * interval
         else:
             time_s = segment_end + (frame_index - spec.frames_per_video + 1) * interval
-        yield _generate_frame(spec, video_index, frame_index, float(time_s), stations, is_roi)
+        yield _generate_frame(
+            spec,
+            video_index,
+            frame_index,
+            float(time_s),
+            stations,
+            is_roi,
+            scratch,
+            organ_conf,
+            pc_conf,
+        )
 
 
 def _generate_video(spec: SynthSpec, video_index: int, video_dir: Path) -> None:

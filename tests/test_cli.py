@@ -47,6 +47,33 @@ def _uniform_manifest_cohort(tmp_path, n=101) -> Path:
     return index
 
 
+# --- flags -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["score", "manifest.json"], ["--seed", "7"]),
+        (["score", "manifest.json"], ["--jobs", "2"]),
+        (["evaluate", "index.json", "--independent"], ["--seed", "7"]),
+        (["split", "index.json", "--k", "4"], ["--jobs", "2"]),
+        (["split", "index.json", "--k", "4"], ["--config", "config.json"]),
+        (["split", "index.json", "--k", "4"], ["--format", "text"]),
+        (["report", "report.json"], ["--seed", "7"]),
+        (["report", "report.json"], ["--jobs", "2"]),
+        (["report", "report.json"], ["--config", "config.json"]),
+    ],
+    ids=lambda value: " ".join(value),
+)
+def test_subcommands_reject_common_flags_they_do_not_read(argv, flag, capsys):
+    """A common flag that a subcommand would ignore is an unknown
+    argument there (exit 2), so no call only looks seeded or configured."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 # --- score -------------------------------------------------------------------
 
 

@@ -501,6 +501,53 @@ def test_load_frame_rejects_nonbinary_gt_pc(tmp_path):
         maskio.load_frame(rec, video_dir)
 
 
+def test_frame_loader_reuses_buffers(tmp_path):
+    """Consecutive frames of one size share the loader's arrays; a raster
+    of another size or dtype gets a new array, and load_frame without
+    into never shares."""
+
+    def frame(shape, organ, pc, gt=True):
+        arrays = {"organ_conf": np.full((8, *shape), organ), "pc_conf": np.full(shape, pc)}
+        if gt:
+            arrays["gt_labels"] = np.ones(shape, np.uint8)
+            arrays["gt_pc"] = np.zeros(shape, np.uint8)
+        return arrays
+
+    frames = [
+        frame((4, 4), 0.1, 0.2),
+        frame((4, 4), 0.3, 0.4),
+        frame((5, 5), 0.5, 0.6),
+        frame((5, 5), 0.7, 0.8, gt=False),
+    ]
+    manifest = write_video(tmp_path, "v", frames)
+    records, base = manifest.frames, manifest.base_dir
+    maskio.write_raster(np.zeros((8, 5, 5), np.uint8), base / records[3].organ_conf)
+    names = ("organ_conf", "pc_conf", "gt_labels", "gt_pc")
+
+    load = maskio.frame_loader(base)
+    first = load(records[0])
+    second = load(records[1])
+    for name in names:
+        assert np.shares_memory(getattr(first, name), getattr(second, name))
+    assert (second.organ_conf == np.float32(0.3)).all()
+    assert (second.pc_conf == np.float32(0.4)).all()
+    third = load(records[2])
+    assert third.pc_conf.shape == (5, 5)
+    for name in names:
+        assert not np.shares_memory(getattr(second, name), getattr(third, name))
+    with pytest.raises(RasterInvariantError):
+        load(records[3])  # a uint8 organ raster of the same shape
+    assert (third.organ_conf == np.float32(0.5)).all()
+    again = load(records[2])  # the loader goes on from the last frame it returned
+    for name in names:
+        assert np.shares_memory(getattr(third, name), getattr(again, name))
+
+    fresh = [maskio.load_frame(records[0], base) for _ in range(2)]
+    for name in names:
+        assert not np.shares_memory(getattr(fresh[0], name), getattr(fresh[1], name))
+        assert not np.shares_memory(getattr(fresh[0], name), getattr(again, name))
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),

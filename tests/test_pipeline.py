@@ -1,4 +1,7 @@
+import os
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -746,3 +749,71 @@ def test_score_frames_matches_former_evaluation_loop(frames, want_dice, want_roi
         assert got == (NoAssessableFramesError, want["prediction"]["error"])
     else:
         assert got == want
+
+
+_DAMAGE = (None,) * 6 + ("uint8 organ", "missing gt", "truncated")
+
+
+@st.composite
+def _disk_videos(draw):
+    """Frames for write_video, each with the damage its files take after
+    writing: an organ raster rewritten as uint8, a ground-truth raster
+    deleted, or the carcinomatosis raster cut short. ROI scores sit at
+    and around the threshold, and now and then a frame has another size."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames, damage = [], []
+    for _ in range(n):
+        shape = (4, 5) if draw(st.integers(0, 9)) == 0 else (4, 4)
+        frame = {
+            "organ_conf": rng.choice(_CONF_VALUES, (8, *shape)),
+            "pc_conf": rng.choice(_CONF_VALUES, shape),
+            "roi_score": draw(st.sampled_from(_ROI_SCORES)),
+        }
+        gt_roi = draw(st.sampled_from([None, True, False]))
+        if gt_roi is not None:
+            frame["gt_roi"] = gt_roi
+        if draw(st.booleans()):
+            frame["gt_labels"] = rng.integers(0, 9, shape, dtype=np.uint8)
+        if draw(st.booleans()):
+            frame["gt_pc"] = rng.integers(0, 2, shape, dtype=np.uint8)
+        frames.append(frame)
+        damage.append(draw(st.sampled_from(_DAMAGE)))
+    return frames, damage
+
+
+def _damage(manifest, damage) -> None:
+    base = Path(manifest.base_dir)
+    for record, kind in zip(manifest.frames, damage):
+        if kind == "uint8 organ":
+            shape = maskio.read_raster(base / record.organ_conf).shape
+            maskio.write_raster(np.zeros(shape, np.uint8), base / record.organ_conf)
+        elif kind == "missing gt" and (record.gt_labels or record.gt_pc):
+            os.remove(base / (record.gt_labels or record.gt_pc))
+        elif kind == "truncated":
+            path = base / record.pc_conf
+            os.truncate(path, path.stat().st_size - 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(video=_disk_videos(), want_dice=st.booleans(), want_roi=st.booleans())
+def test_frame_loader_scores_as_fresh_loads(video, want_dice, want_roi):
+    """score_frames over a video read through one frame_loader returns the
+    assessment, Dice lists and ROI counts that a fresh load_frame per
+    record gives, or fails with the same error class and message."""
+    frames, damage = video
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_video(Path(tmp), "v", frames)
+        _damage(manifest, damage)
+
+        def outcome(load):
+            try:
+                assessment, dice, roi = pipeline.score_frames(
+                    "v", manifest.frames, load, CONSTANTS, want_dice, want_roi
+                )
+            except (CarcinoError, OSError) as exc:
+                return type(exc), str(exc)
+            return assessment.to_dict(), dice, roi
+
+        fresh = outcome(lambda record: maskio.load_frame(record, manifest.base_dir))
+        assert outcome(maskio.frame_loader(manifest.base_dir)) == fresh
