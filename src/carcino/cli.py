@@ -11,7 +11,6 @@ Exit codes are stable: 0 success, 2 validation or malformed input,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import cohort as cohort_mod
 from . import maskio, pipeline, synth
-from .core import ScoringConstants
+from .core import ScoringConstants, _read_json
 from .errors import CarcinoError, MaskFormatError, NoAssessableFramesError
 
 EXIT_OK = 0
@@ -97,12 +96,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(args)
     cohort = cohort_mod.load_cohort(args.index)
     if args.independent:
-        runs = cohort_mod.independent_runs(cohort)
-        mode = "independent"
-    else:
-        folds = cohort_mod.load_folds(args.folds)
-        runs = cohort_mod.runs_from_folds(cohort, folds)
-        mode = "cross_validation"
+        runs, mode = cohort_mod.independent_runs(cohort), "independent"
+    else:  # a FoldAssignment: evaluate_cohort makes one run per fold, in cross_validation mode
+        runs, mode = cohort_mod.load_folds(args.folds), None
     report = cohort_mod.evaluate_cohort(
         cohort,
         runs,
@@ -187,14 +183,9 @@ def _reject_constant(name: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        report = json.loads(
-            Path(args.report).read_text(encoding="utf-8"),
-            parse_float=_finite_float,
-            parse_constant=_reject_constant,
-        )
-    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
-        raise CarcinoError(f"{args.report}: invalid JSON ({exc})") from exc
+    report = _read_json(
+        args.report, CarcinoError, parse_float=_finite_float, parse_constant=_reject_constant
+    )
     if not isinstance(report, dict):
         raise CarcinoError(f"{args.report}: expected a JSON object")
     if args.format == "json":

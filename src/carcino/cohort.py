@@ -14,7 +14,6 @@ the whole cohort).
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from .core import (
     STATION_DISPLAY,
     STATION_SLUGS,
     _is_int,
+    _read_json,
 )
 from .errors import (
     CarcinoError,
@@ -52,7 +52,6 @@ __all__ = [
     "CohortVideo",
     "FoldAssignment",
     "EvalRun",
-    "VideoPrediction",
     "load_cohort",
     "save_cohort_index",
     "stratified_kfold",
@@ -86,12 +85,6 @@ class Cohort:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise CarcinoError(f"duplicate video id(s) in cohort: {dupes}")
 
-    def by_id(self, video_id: str) -> CohortVideo:
-        for v in self.videos:
-            if v.video_id == video_id:
-                return v
-        raise KeyError(video_id)
-
 
 def load_cohort(index_path: str | Path) -> Cohort:
     """Load a cohort index and every referenced manifest's ground truth.
@@ -100,17 +93,20 @@ def load_cohort(index_path: str | Path) -> Cohort:
     directory. Ground-truth consistency is validated per manifest.
     """
     index_path = Path(index_path)
-    try:
-        data = json.loads(index_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{index_path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "videos" not in data:
+    data = _read_json(index_path, ManifestError)
+    if not isinstance(data, dict) or not isinstance(data.get("videos"), list):
         raise ManifestError(f"{index_path}: expected an object with a 'videos' list")
     name = data.get("name", index_path.parent.name)
     videos = []
     for i, entry in enumerate(data["videos"]):
-        if not isinstance(entry, dict) or "video_id" not in entry or "manifest" not in entry:
-            raise ManifestError(f"{index_path}: videos[{i}] needs 'video_id' and 'manifest'")
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("video_id"), str)
+            and isinstance(entry.get("manifest"), str)
+        ):
+            raise ManifestError(
+                f"{index_path}: videos[{i}] needs string 'video_id' and 'manifest'"
+            )
         manifest_path = index_path.parent / entry["manifest"]
         manifest = maskio.load_manifest(manifest_path)
         if manifest.video_id != entry["video_id"]:
@@ -216,11 +212,7 @@ def save_folds(folds: FoldAssignment, path: str | Path) -> None:
 
 
 def load_folds(path: str | Path) -> FoldAssignment:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CarcinoError(f"{path}: invalid JSON ({exc})") from exc
-    return FoldAssignment.from_dict(data)
+    return FoldAssignment.from_dict(_read_json(path, CarcinoError))
 
 
 def _mask64(seed: int) -> int:
@@ -237,20 +229,6 @@ class EvalRun:
 
     label: str
     video_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class VideoPrediction:
-    video_id: str
-    stations: tuple[bool, ...] | None
-    fs: int | None
-    its: Indication | None
-    frames_used: int | None = None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 def runs_from_folds(cohort: Cohort, folds: FoldAssignment) -> list[EvalRun]:
@@ -323,28 +301,26 @@ def _spread_worker(cpus: list[int], started) -> None:
 
 
 class _Scored(NamedTuple):
-    """One video's prediction with the frame-level data evaluation reads
-    (Dice lists, ROI counts), as a worker returns it: the per-frame
-    nodules stay behind, so no pixel arrays cross a process pool."""
+    """One graded video: its station vector, score and indication, or the
+    error that failed it, plus the frame-level data evaluation reads
+    (Dice lists, ROI counts). Workers return it: the per-frame nodules
+    stay behind, so no pixel arrays cross a process pool."""
 
-    prediction: VideoPrediction
+    stations: tuple[bool, ...] | None
+    fs: int | None
+    its: Indication | None
+    error: str | None = None
     dice: dict[str, list] | None = None
     roi: ConfusionCounts | None = None
 
 
-def _failed(video_id: str, exc: Exception) -> _Scored:
-    return _Scored(VideoPrediction(video_id, None, None, None, error=str(exc)))
-
-
-def _predicted(
+def _scored(
     video: pipeline.VideoAssessment,
     dice: dict[str, list] | None = None,
     roi: ConfusionCounts | None = None,
 ) -> _Scored:
-    prediction = VideoPrediction(
-        video.video_id, video.station_positive, video.fs, video.its, video.frames_used
-    )
-    return _Scored(prediction, dice, roi)
+    """The graded record of a pipeline.score_frames result."""
+    return _Scored(video.station_positive, video.fs, video.its, None, dice, roi)
 
 
 def _assess_video(
@@ -359,7 +335,7 @@ def _assess_video(
     video cannot sink a run."""
     try:
         manifest = maskio.load_manifest(manifest_path)
-        return _predicted(
+        return _scored(
             *pipeline.score_frames(
                 video_id,
                 manifest.frames,
@@ -371,7 +347,7 @@ def _assess_video(
         )
     except (CarcinoError, OSError) as exc:
         # all-or-nothing per video: a broken raster voids its frame metrics
-        return _failed(video_id, exc)
+        return _Scored(None, None, None, str(exc))
 
 
 def _aggregate_dice(per_video: list[dict[str, list] | None], average: str) -> dict | None:
@@ -426,11 +402,8 @@ def _evaluate_run(
     constants: ScoringConstants,
     dice_average: str,
 ) -> dict:
-    predictions = {vid: scored[vid].prediction for vid in run.video_ids}
-    ok_ids = [vid for vid in run.video_ids if predictions[vid].ok]
-    failed = {
-        vid: predictions[vid].error for vid in run.video_ids if not predictions[vid].ok
-    }
+    ok_ids = [vid for vid in run.video_ids if scored[vid].error is None]
+    failed = {vid: scored[vid].error for vid in run.video_ids if scored[vid].error is not None}
     entry: dict = {
         "label": run.label,
         "n_videos": len(run.video_ids),
@@ -454,7 +427,7 @@ def _evaluate_run(
             entry[key] = None
         return entry
 
-    preds = [predictions[vid].stations for vid in ok_ids]
+    preds = [scored[vid].stations for vid in ok_ids]
     gts = [ground_truth[vid].stations for vid in ok_ids]
     station_counts = metrics.station_confusions(preds, gts)
     stations = {
@@ -467,12 +440,12 @@ def _evaluate_run(
     # the ground-truth score and indication follow the scoring rules in use
     gt_fs = [pipeline.compute_fs(ground_truth[vid].stations, constants) for vid in ok_ids]
     gt_its = [pipeline.compute_its(fs, constants) for fs in gt_fs]
-    pred_fs = [predictions[vid].fs for vid in ok_ids]
+    pred_fs = [scored[vid].fs for vid in ok_ids]
     rmse = metrics.fs_rmse(pred_fs, gt_fs)
     entry["fs_rmse"] = rmse
     entry["fs_rmse_normalized"] = metrics.normalized_rmse(rmse, constants)
 
-    pred_its = [predictions[vid].its for vid in ok_ids]
+    pred_its = [scored[vid].its for vid in ok_ids]
     its_counts = metrics.its_confusions(pred_its, gt_its)
     its_rows = {ind.value: _prf_dict(counts) for ind, counts in its_counts.items()}
     entry["its"] = its_rows
@@ -490,9 +463,9 @@ def _evaluate_run(
 
     entry["videos"] = {
         vid: {
-            "fs": predictions[vid].fs,
-            "its": predictions[vid].its.value,
-            "stations": list(predictions[vid].stations),
+            "fs": scored[vid].fs,
+            "its": scored[vid].its.value,
+            "stations": list(scored[vid].stations),
             "gt_fs": fs,
             "gt_its": its.value,
         }
@@ -563,7 +536,7 @@ def evaluate_cohort(
     runs: FoldAssignment | Sequence[EvalRun],
     constants: ScoringConstants | None = None,
     *,
-    predictor: str | Callable[[CohortVideo], VideoPrediction] = "pipeline",
+    predictor: str = "pipeline",
     jobs: int = 1,
     dice_average: str = "frame",
     compute_dice: bool = True,
@@ -574,9 +547,8 @@ def evaluate_cohort(
 
     runs is either a FoldAssignment (cross-validation: each fold is one
     run's test set) or an explicit run list (e.g. independent_runs).
-    predictor is "pipeline" (score each video from its rasters),
-    "oracle" (feed the ground truth back, for metric plumbing checks),
-    or a callable for custom prediction sources (always sequential).
+    predictor is "pipeline" (score each video from its rasters) or
+    "oracle" (feed the ground truth back, for metric plumbing checks).
     Per-video failures are recorded in the report; a run only fails when
     all of its videos do, and evaluation only fails when every run does.
     Deterministic for fixed inputs regardless of the jobs count.
@@ -584,6 +556,8 @@ def evaluate_cohort(
     constants = constants or ScoringConstants()
     if dice_average not in ("frame", "video"):
         raise CarcinoError(f"dice_average must be 'frame' or 'video', got {dice_average!r}")
+    if predictor not in ("pipeline", "oracle"):
+        raise CarcinoError(f"unknown predictor {predictor!r}")
     if isinstance(runs, FoldAssignment):
         run_list = runs_from_folds(cohort, runs)
         mode = mode or "cross_validation"
@@ -608,19 +582,13 @@ def evaluate_cohort(
     unique_ids = sorted(seen, key=position.__getitem__)
 
     ground_truth = {vid: by_id[vid].ground_truth for vid in unique_ids}
-    scored: dict[str, _Scored] = {}
-    predictor_name: str
-
     if predictor == "oracle":
-        predictor_name = "oracle"
+        scored = {}
         for vid in unique_ids:
             stations = ground_truth[vid].stations
             fs = pipeline.compute_fs(stations, constants)
-            scored[vid] = _Scored(
-                VideoPrediction(vid, stations, fs, pipeline.compute_its(fs, constants))
-            )
-    elif predictor == "pipeline":
-        predictor_name = "pipeline"
+            scored[vid] = _Scored(stations, fs, pipeline.compute_its(fs, constants))
+    else:
         assessed = _pool_map(
             _assess_video,
             jobs,
@@ -631,12 +599,6 @@ def evaluate_cohort(
             unique_ids,
         )
         scored = dict(zip(unique_ids, assessed))
-    elif callable(predictor):
-        predictor_name = getattr(predictor, "__name__", "custom")
-        for vid in unique_ids:
-            scored[vid] = _Scored(predictor(by_id[vid]))
-    else:
-        raise CarcinoError(f"unknown predictor {predictor!r}")
 
     run_entries = [
         _evaluate_run(run, scored, ground_truth, constants, dice_average) for run in run_list
@@ -650,7 +612,7 @@ def evaluate_cohort(
         "cohort": cohort.name,
         "n_videos": len(cohort.videos),
         "mode": mode,
-        "predictor": predictor_name,
+        "predictor": predictor,
         "dice_average": dice_average,
         "constants": constants.to_dict(),
         "runs": run_entries,

@@ -128,6 +128,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_json(
+    path: str | Path, error: type[CarcinoError], where: str | None = None, **loads_kwargs
+):
+    """The JSON value in the UTF-8 file at path, read with json.loads and
+    loads_kwargs. Text that does not decode or parse, nests too deeply, or
+    fails a loads_kwargs hook raises error(f"{where or path}: invalid JSON
+    (...)"); a file that cannot be read raises OSError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), **loads_kwargs)
+    except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
+        raise error(f"{where or path}: invalid JSON ({exc})") from exc
+
+
 def _check_scalar_fields(obj, error: type[CarcinoError]) -> None:
     """Raise ``error`` unless every dataclass field of obj declared ``int``
     holds an int and every field declared ``float`` holds a finite int
@@ -204,10 +217,7 @@ class ScoringConstants:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScoringConstants":
         """Load overrides from a JSON object; absent fields keep defaults."""
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CarcinoError(f"constants file {path}: invalid JSON ({exc})") from exc
+        data = _read_json(path, CarcinoError, f"constants file {path}")
         if not isinstance(data, dict):
             raise CarcinoError(f"constants file {path}: expected a JSON object")
         return cls.from_dict(data)

@@ -39,7 +39,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .core import Indication, STATION_SLUGS
+from .core import Indication, STATION_SLUGS, _read_json
 from .errors import (
     BadMagicError,
     ChannelCountMismatchError,
@@ -489,12 +489,7 @@ def canonical_json(data) -> str:
 
 def load_manifest(path: str | Path) -> VideoManifest:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestSyntaxError(f"{path}: invalid JSON ({exc})") from exc
-    return manifest_from_dict(data, base_dir=path.parent)
+    return manifest_from_dict(_read_json(path, ManifestSyntaxError), base_dir=path.parent)
 
 
 def save_manifest(manifest: VideoManifest, path: str | Path) -> None:

@@ -14,6 +14,7 @@ deviations are population standard deviations, fixed for determinism.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -118,6 +119,14 @@ def precision_recall_f1(
     return precision, recall, f1
 
 
+def _confusion(pairs: Iterable[tuple[bool, bool]]) -> ConfusionCounts:
+    """Confusion counts over (predicted, actual) flag pairs."""
+    n = Counter(pairs)
+    return ConfusionCounts(
+        tp=n[True, True], fp=n[True, False], tn=n[False, False], fn=n[False, True]
+    )
+
+
 def station_confusions(
     predictions: Sequence[Sequence[bool]],
     ground_truth: Sequence[Sequence[bool] | None],
@@ -128,23 +137,15 @@ def station_confusions(
         raise LengthMismatchError(
             f"{len(predictions)} predictions vs {len(ground_truth)} ground truths"
         )
-    counts = [[0, 0, 0, 0] for _ in range(6)]  # tp, fp, tn, fn
     for i, (pred, gt) in enumerate(zip(predictions, ground_truth)):
         if gt is None:
             raise MissingGroundTruthError(f"video index {i} has no ground truth")
         if len(pred) != 6 or len(gt) != 6:
             raise LengthMismatchError("station vectors must have 6 entries")
-        for s in range(6):
-            p, g = bool(pred[s]), bool(gt[s])
-            if p and g:
-                counts[s][0] += 1
-            elif p and not g:
-                counts[s][1] += 1
-            elif not p and not g:
-                counts[s][2] += 1
-            else:
-                counts[s][3] += 1
-    return [ConfusionCounts(tp=c[0], fp=c[1], tn=c[2], fn=c[3]) for c in counts]
+    return [
+        _confusion((bool(pred[s]), bool(gt[s])) for pred, gt in zip(predictions, ground_truth))
+        for s in range(6)
+    ]
 
 
 def fs_rmse(pred_fs: Sequence[float], gt_fs: Sequence[float]) -> float:
@@ -188,20 +189,10 @@ def its_confusions(
     positive (two report rows: score below the cutoff, and at/above)."""
     if len(pred_its) != len(gt_its):
         raise LengthMismatchError(f"{len(pred_its)} predictions vs {len(gt_its)} references")
-    result: dict[Indication, ConfusionCounts] = {}
-    for cls in Indication:
-        tp = fp = tn = fn = 0
-        for p, g in zip(pred_its, gt_its):
-            if p is cls and g is cls:
-                tp += 1
-            elif p is cls:
-                fp += 1
-            elif g is cls:
-                fn += 1
-            else:
-                tn += 1
-        result[cls] = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    return result
+    return {
+        cls: _confusion((p is cls, g is cls) for p, g in zip(pred_its, gt_its))
+        for cls in Indication
+    }
 
 
 def summarize_runs(values: Iterable[float | None]) -> MetricSummary:

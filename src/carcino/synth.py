@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -30,10 +29,9 @@ from .cohort import (
     CohortVideo,
     EvalRun,
     _evaluate_run,
-    _failed,
     _mask64,
     _pool_map,
-    _predicted,
+    _scored,
     _Scored,
     _summary_value,
     evaluate_cohort,  # noqa: F401  unused here; perfbench's tracer self-test probes this binding
@@ -45,6 +43,7 @@ from .core import (
     STATION_SLUGS,
     _check_scalar_fields,
     _is_int,
+    _read_json,
     organs_of,
 )
 from .errors import EmptyCohortError, InvalidSpecError, NoAssessableFramesError
@@ -106,15 +105,6 @@ class NoiseSpec:
             raise InvalidSpecError("false_blob_rate must be >= 0")
         if not 0.0 <= self.miss_rate <= 1.0:
             raise InvalidSpecError("miss_rate must lie in [0, 1]")
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.confidence_jitter == 0
-            and self.boundary_morph == 0
-            and self.false_blob_rate == 0
-            and self.miss_rate == 0
-        )
 
 
 @dataclass(frozen=True)
@@ -190,10 +180,7 @@ class SynthSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "SynthSpec":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"{path}: invalid JSON ({exc})") from exc
+        data = _read_json(path, InvalidSpecError)
         if not isinstance(data, dict):
             raise InvalidSpecError(f"{path}: expected a JSON object")
         try:
@@ -633,9 +620,9 @@ def _sweep_video(task: tuple[SynthSpec, int, ScoringConstants]) -> _Scored:
     video_id = _video_id(video_index)
     frames = _video_frames(spec, video_index, _planted_stations(spec, video_index))
     try:
-        return _predicted(*score_frames(video_id, frames, _checked_frame, constants))
+        return _scored(*score_frames(video_id, frames, _checked_frame, constants))
     except NoAssessableFramesError as exc:
-        return _failed(video_id, exc)
+        return _Scored(None, None, None, str(exc))
 
 
 def _replicate_run(

@@ -443,6 +443,43 @@ def test_score_non_finite_manifest_number_exits_2(tmp_path, capsys, value):
     assert "time_s" in capsys.readouterr().err
 
 
+def _json_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
+    """Each JSON file the CLI reads, with a command line that reads it."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    manifest = load_cohort(index).videos[0].manifest_path
+    folds, config, spec, report = (
+        tmp_path / name for name in ("folds.json", "config.json", "spec.json", "report.json")
+    )
+    assert main(["split", str(index), "--k", "2", "--out", str(folds)]) == 0
+    assert main(["evaluate", str(index), "--independent", "--out-json", str(report)]) == 0
+    config.write_text("{}")
+    spec.write_text(json.dumps({"seed": 1}))
+    return {
+        "manifest": (manifest, ["score", str(manifest)]),
+        "index": (index, ["split", str(index), "--k", "2"]),
+        "folds": (folds, ["evaluate", str(index), "--folds", str(folds)]),
+        "config": (config, ["score", str(manifest), "--config", str(config)]),
+        "spec": (spec, ["simulate", str(spec), "--out", str(tmp_path / "out")]),
+        "report": (report, ["report", str(report)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["manifest", "index", "folds", "config", "spec", "report"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda text: text + b"\xff", lambda text: b"[" * 100_000 + b"]" * 100_000],
+    ids=["non-utf8", "deep"],
+)
+def test_undecodable_or_deeply_nested_json_exits_2(tmp_path, capsys, name, corrupt):
+    """Each used to escape main with UnicodeDecodeError or RecursionError
+    (exit 1), except the report's non-UTF-8 case."""
+    path, argv = _json_inputs(tmp_path)[name]
+    path.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{path}: invalid JSON" in capsys.readouterr().err
+
+
 # --- simulate ----------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import shutil
 import time
 from itertools import repeat
 
@@ -12,7 +13,6 @@ from carcino import maskio
 from carcino.cohort import (
     EvalRun,
     FoldAssignment,
-    VideoPrediction,
     evaluate_cohort,
     independent_runs,
     load_cohort,
@@ -20,9 +20,10 @@ from carcino.cohort import (
     runs_from_folds,
     stratified_kfold,
 )
-from carcino.core import Indication, ScoringConstants
+from carcino.core import ScoringConstants
 from carcino.errors import (
     CarcinoError,
+    ManifestError,
     MissingGroundTruthError,
     TooFewVideosError,
 )
@@ -194,6 +195,25 @@ def test_load_cohort_rejects_id_mismatch(tmp_path, small_cohort_index):
         load_cohort(bad)
 
 
+@pytest.mark.parametrize(
+    "index",
+    [
+        [],
+        {"videos": 5},
+        {"videos": ["v0000"]},
+        {"videos": [{"video_id": "v0000", "manifest": 7}]},
+        {"videos": [{"video_id": 7, "manifest": "v0000.json"}]},
+    ],
+)
+def test_load_cohort_rejects_malformed_index(tmp_path, index):
+    """A non-list 'videos' and non-string entry fields used to escape as
+    TypeError."""
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(index))
+    with pytest.raises(ManifestError, match=str(path)):
+        load_cohort(path)
+
+
 def test_duplicate_video_ids_rejected():
     video = cm.CohortVideo(video_id="dup", manifest_path=None, ground_truth=None)
     with pytest.raises(CarcinoError):
@@ -219,20 +239,14 @@ def test_oracle_self_evaluation_is_perfect(small_cohort_index):
 
 
 def test_all_negative_predictor_recall_zero(small_cohort_index):
+    """Planted confidences stop at 0.97, so a carcinomatosis threshold of
+    1.0 leaves every station negative."""
     cohort = load_cohort(small_cohort_index)
-
-    def all_negative(video):
-        return VideoPrediction(
-            video_id=video.video_id,
-            stations=(False,) * 6,
-            fs=0,
-            its=Indication.SURGERY_INDICATED,
-        )
-
-    report = evaluate_cohort(
-        cohort, independent_runs(cohort), predictor=all_negative
-    )
+    constants = ScoringConstants(pc_confidence_threshold=1.0)
+    report = evaluate_cohort(cohort, independent_runs(cohort), constants)
     run = report["runs"][0]
+    assert run["n_failed"] == 0
+    assert {video["fs"] for video in run["videos"].values()} == {0}
     for slug, row in run["stations"].items():
         if row["tp"] + row["fn"] > 0:
             assert row["recall"] == 0.0
@@ -351,21 +365,27 @@ def test_evaluate_requires_ground_truth(small_cohort_index):
     assert "v00" in str(excinfo.value)
 
 
-def test_failed_videos_are_recorded_not_fatal(small_cohort_index):
-    cohort = load_cohort(small_cohort_index)
-
-    def flaky(video):
-        if video.video_id == cohort.videos[0].video_id:
-            return VideoPrediction(video.video_id, None, None, None, error="boom")
-        gt = video.ground_truth
-        return VideoPrediction(video.video_id, gt.stations, gt.fs, gt.its)
-
-    report = evaluate_cohort(cohort, independent_runs(cohort), predictor=flaky)
+def test_failed_videos_are_recorded_not_fatal(small_cohort_index, tmp_path):
+    root = shutil.copytree(small_cohort_index.parent, tmp_path / "cohort")
+    cohort = load_cohort(root / "index.json")
+    broken = cohort.videos[0]
+    (broken.manifest_path.parent / "frames/f0000.organ.msk").write_bytes(b"MSK1")
+    report = evaluate_cohort(cohort, independent_runs(cohort))
     run = report["runs"][0]
     assert run["n_failed"] == 1
-    assert cohort.videos[0].video_id in run["failed"]
+    assert run["failed"] == {
+        broken.video_id: "file shorter than the 14-byte header in "
+        f"{broken.manifest_path.parent / 'frames/f0000.organ.msk'}"
+    }
+    assert broken.video_id not in run["videos"]
     assert run["fs_rmse"] == 0.0  # failures are excluded, not imputed
     assert report["summary"]["failed_videos_total"] == 1
+
+
+def test_evaluate_rejects_a_callable_predictor(small_cohort_index):
+    cohort = load_cohort(small_cohort_index)
+    with pytest.raises(CarcinoError, match="unknown predictor"):
+        evaluate_cohort(cohort, independent_runs(cohort), predictor=lambda video: None)
 
 
 def test_evaluate_deterministic_across_jobs(small_cohort_index):

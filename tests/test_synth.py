@@ -261,11 +261,6 @@ def test_sweep_integer_noise_parameter():
     assert report["levels"][1]["level"] == 2.0
 
 
-def test_noise_spec_is_zero_flag():
-    assert NoiseSpec().is_zero
-    assert not NoiseSpec(miss_rate=0.1).is_zero
-
-
 def test_sweep_csv_rendering():
     spec = SynthSpec(seed=14, n_videos=2, frame_size=(32, 32), frames_per_video=1)
     report = monte_carlo_sweep(spec, "miss_rate", [0.0, 1.0], 2)
