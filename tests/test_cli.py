@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -726,3 +727,60 @@ def test_report_malformed_file_exits_2(tmp_path, capsys, text, fmt):
     path.write_text(text)
     assert main(["report", str(path), "--format", fmt]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# --- pinned bytes --------------------------------------------------------------
+
+# SHA-256 of the artifacts _pinned_artifacts writes. They pin the run
+# summaries and the renderers of evaluate and the sweep over several runs,
+# several replicates, undefined values and a failed video; a refactor of
+# that code must leave them unchanged.
+PINNED_DIGESTS = {
+    "sweep.json": "1ba1e3d5e4462cf3187bd80cd768c63c72c815740b18c9a04af38bb604ae2d1f",
+    "sweep.csv": "3b9d180755d479c3b4716494b57ffd4a37b6d946b8a4e8a8fc46d3d70605b669",
+    "sweep.txt": "2d90938ac922d567edcc5b26d40c25de9bc6013af5f19da4c1a3a8404fd2519a",
+    "report.json": "14a3fc9f98cbbb151e982775e08c8cffa63076c2e613fffe62dd2321113e17c5",
+    "report.txt": "93facd13e0db2cba0c141e343741c61e5e6740d0d6a34920742c642898314315",
+}
+
+
+def _pinned_artifacts(tmp_path, monkeypatch, capsys) -> dict[str, bytes]:
+    """A 2-level x 3-replicate miss_rate sweep (JSON, CSV, text) and a
+    3-fold evaluation with Dice, ROI, per-video Dice averaging and one
+    video failed by a truncated raster (JSON, text). Paths are relative
+    to tmp_path, so the failure message holds no temporary directory."""
+    monkeypatch.chdir(tmp_path)
+    noise = {"confidence_jitter": 0.2, "boundary_morph": 1, "false_blob_rate": 1.0}
+    spec_path = _sweep_spec(tmp_path, noise=noise)
+    capsys.readouterr()
+    assert main(["simulate", str(spec_path), "--sweep", "miss_rate", "--levels", "0,0.5",
+                 "--replicates", "3", "--out-json", "sweep.json", "--out-csv", "sweep.csv",
+                 "--format", "text"]) == 0
+    Path("sweep.txt").write_text(capsys.readouterr().out, encoding="utf-8")
+
+    synth.generate_cohort(
+        SynthSpec(seed=21, n_videos=6, frame_size=(32, 32), frames_per_video=2,
+                  nonroi_frames_per_video=1,
+                  noise=synth.NoiseSpec(**noise, miss_rate=0.3)),
+        "cohort",
+    )
+    raster = Path("cohort/videos/v0001/frames/f0000.organ.msk")
+    raster.write_bytes(raster.read_bytes()[:-3])
+    assert main(["split", "cohort/index.json", "--k", "3", "--out", "folds.json"]) == 0
+    assert main(["evaluate", "cohort/index.json", "--folds", "folds.json",
+                 "--dice-average", "video", "--out-json", "report.json",
+                 "--out-text", "report.txt"]) == 0
+    return {name: Path(name).read_bytes() for name in PINNED_DIGESTS}
+
+
+def test_report_and_sweep_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    artifacts = _pinned_artifacts(tmp_path, monkeypatch, capsys)
+    report = json.loads(artifacts["report.json"])
+    assert [run["failed"] for run in report["runs"] if run["failed"]] == [
+        {"v0001": "payload is 32765 bytes, expected 32768 in "
+         "cohort/videos/v0001/frames/f0000.organ.msk"}
+    ]
+    assert report["summary"]["dice"] is not None
+    assert report["summary"]["roi_balanced_accuracy"] is not None
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
+    assert digests == PINNED_DIGESTS
