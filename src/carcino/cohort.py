@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 ORGAN_AVG_DICE_KEY = "anatomical_structures_average"
+_PRF = ("precision", "recall", "f1")
 REPORT_SCHEMA = "carcino.report.v1"
 
 
@@ -97,6 +98,8 @@ def load_cohort(index_path: str | Path) -> Cohort:
     if not isinstance(data, dict) or not isinstance(data.get("videos"), list):
         raise ManifestError(f"{index_path}: expected an object with a 'videos' list")
     name = data.get("name", index_path.parent.name)
+    if not isinstance(name, str):
+        raise ManifestError(f"{index_path}: 'name' must be a string, got {name!r}")
     videos = []
     for i, entry in enumerate(data["videos"]):
         if not (
@@ -142,9 +145,6 @@ class FoldAssignment:
     k: int
     seed: int
     assignment: dict[str, int]  # video_id -> fold index in [0, k)
-
-    def fold_ids(self, fold: int) -> list[str]:
-        return sorted(vid for vid, f in self.assignment.items() if f == fold)
 
     def to_dict(self) -> dict:
         return {"k": self.k, "seed": self.seed, "assignment": dict(sorted(self.assignment.items()))}
@@ -240,6 +240,9 @@ def runs_from_folds(cohort: Cohort, folds: FoldAssignment) -> list[EvalRun]:
     unknown = set(folds.assignment) - cohort_ids
     if unknown:
         raise CarcinoError(f"fold assignment names unknown video(s): {sorted(unknown)}")
+    empty = sorted(set(range(folds.k)) - set(folds.assignment.values()))
+    if empty:
+        raise CarcinoError(f"fold assignment leaves fold(s) {empty} of {folds.k} without a video")
     runs = []
     for fold in range(folds.k):
         ids = tuple(
@@ -389,10 +392,7 @@ def _prf_dict(counts: ConfusionCounts) -> dict:
 
 
 def _average_prf(rows: list[dict]) -> dict:
-    return {
-        metric: metrics.macro_average([row[metric] for row in rows])
-        for metric in ("precision", "recall", "f1")
-    }
+    return {metric: metrics.macro_average([row[metric] for row in rows]) for metric in _PRF}
 
 
 def _evaluate_run(
@@ -481,54 +481,48 @@ def _summary_value(values: list[float | None]) -> dict | None:
         return None
 
 
+def _collect(run_entries: list[dict], *path: str) -> list:
+    """The value at the key path in each run entry, or None where the path
+    breaks off (a failed run holds None in place of its metrics)."""
+    values = []
+    for node in run_entries:
+        for key in path:
+            if node is None:
+                break
+            node = node.get(key)
+        values.append(node)
+    return values
+
+
 def _summarize_report(run_entries: list[dict]) -> dict:
     """Mean/std across runs for every metric; failed runs contribute
     undefined values and show up in the excluded counts."""
-
-    def collect(path: Callable[[dict], float | None]) -> dict | None:
-        return _summary_value([path(entry) for entry in run_entries])
-
-    def nested(entry: dict, *keys: str) -> float | None:
-        node = entry
-        for key in keys:
-            if node is None:
-                return None
-            node = node.get(key)
-        return node
-
-    summary: dict = {"n_runs": len(run_entries)}
-    summary["stations"] = {
-        slug: {
-            metric: collect(lambda e, s=slug, m=metric: nested(e, "stations", s, m))
-            for metric in ("precision", "recall", "f1")
-        }
-        for slug in STATION_SLUGS
+    dice = {
+        key: _summary_value(_collect(run_entries, "dice", key))
+        for key in (*ORGAN_SLUGS, ORGAN_AVG_DICE_KEY, PC_DICE_KEY)
     }
-    summary["stations_average"] = {
-        metric: collect(lambda e, m=metric: nested(e, "stations_average", m))
-        for metric in ("precision", "recall", "f1")
+    return {
+        "n_runs": len(run_entries),
+        "stations": {
+            slug: {m: _summary_value(_collect(run_entries, "stations", slug, m)) for m in _PRF}
+            for slug in STATION_SLUGS
+        },
+        "stations_average": {
+            m: _summary_value(_collect(run_entries, "stations_average", m)) for m in _PRF
+        },
+        "its": {
+            ind.value: {
+                m: _summary_value(_collect(run_entries, "its", ind.value, m)) for m in _PRF
+            }
+            for ind in Indication
+        },
+        "its_average": {m: _summary_value(_collect(run_entries, "its_average", m)) for m in _PRF},
+        "fs_rmse": _summary_value(_collect(run_entries, "fs_rmse")),
+        "fs_rmse_normalized": _summary_value(_collect(run_entries, "fs_rmse_normalized")),
+        "dice": None if all(v is None for v in dice.values()) else dice,
+        "roi_balanced_accuracy": _summary_value(_collect(run_entries, "roi_balanced_accuracy")),
+        "failed_videos_total": sum(entry["n_failed"] for entry in run_entries),
     }
-    summary["its"] = {
-        ind.value: {
-            metric: collect(lambda e, i=ind.value, m=metric: nested(e, "its", i, m))
-            for metric in ("precision", "recall", "f1")
-        }
-        for ind in Indication
-    }
-    summary["its_average"] = {
-        metric: collect(lambda e, m=metric: nested(e, "its_average", m))
-        for metric in ("precision", "recall", "f1")
-    }
-    summary["fs_rmse"] = collect(lambda e: e.get("fs_rmse"))
-    summary["fs_rmse_normalized"] = collect(lambda e: e.get("fs_rmse_normalized"))
-    dice_keys = list(ORGAN_SLUGS) + [ORGAN_AVG_DICE_KEY, PC_DICE_KEY]
-    dice_summary = {
-        key: collect(lambda e, k=key: nested(e, "dice", k)) for key in dice_keys
-    }
-    summary["dice"] = None if all(v is None for v in dice_summary.values()) else dice_summary
-    summary["roi_balanced_accuracy"] = collect(lambda e: e.get("roi_balanced_accuracy"))
-    summary["failed_videos_total"] = sum(entry["n_failed"] for entry in run_entries)
-    return summary
 
 
 def evaluate_cohort(
@@ -655,43 +649,20 @@ def render_report_text(report: dict) -> str:
         f"{'AS Involvement':<{name_w}}"
         f"{'Precision':>{col_w}}{'Recall':>{col_w}}{'F1-score':>{col_w}}"
     )
+
+    def prf_row(label: str, row: dict) -> str:
+        return f"{label:<{name_w}}" + "".join(f"{_fmt_pct(row[m]):>{col_w}}" for m in _PRF)
+
     lines.append(header)
     lines.append("-" * len(header))
     for station in Station:
-        row = summary["stations"][station.slug]
-        lines.append(
-            f"{STATION_DISPLAY[station]:<{name_w}}"
-            f"{_fmt_pct(row['precision']):>{col_w}}"
-            f"{_fmt_pct(row['recall']):>{col_w}}"
-            f"{_fmt_pct(row['f1']):>{col_w}}"
-        )
-    avg = summary["stations_average"]
-    lines.append(
-        f"{'AS Involvement Average':<{name_w}}"
-        f"{_fmt_pct(avg['precision']):>{col_w}}"
-        f"{_fmt_pct(avg['recall']):>{col_w}}"
-        f"{_fmt_pct(avg['f1']):>{col_w}}"
-    )
+        lines.append(prf_row(STATION_DISPLAY[station], summary["stations"][station.slug]))
+    lines.append(prf_row("AS Involvement Average", summary["stations_average"]))
     lines.append("-" * len(header))
-    its_display = {
-        Indication.SURGERY_INDICATED.value: f"ItS < {cutoff}",
-        Indication.SURGERY_CONTRAINDICATED.value: f"ItS >= {cutoff}",
-    }
-    for key, label in its_display.items():
-        row = summary["its"][key]
-        lines.append(
-            f"{label:<{name_w}}"
-            f"{_fmt_pct(row['precision']):>{col_w}}"
-            f"{_fmt_pct(row['recall']):>{col_w}}"
-            f"{_fmt_pct(row['f1']):>{col_w}}"
-        )
-    its_avg = summary["its_average"]
-    lines.append(
-        f"{'ItS Average':<{name_w}}"
-        f"{_fmt_pct(its_avg['precision']):>{col_w}}"
-        f"{_fmt_pct(its_avg['recall']):>{col_w}}"
-        f"{_fmt_pct(its_avg['f1']):>{col_w}}"
-    )
+    its = summary["its"]
+    lines.append(prf_row(f"ItS < {cutoff}", its[Indication.SURGERY_INDICATED.value]))
+    lines.append(prf_row(f"ItS >= {cutoff}", its[Indication.SURGERY_CONTRAINDICATED.value]))
+    lines.append(prf_row("ItS Average", summary["its_average"]))
     lines.append("")
     lines.append(f"FS RMSE (points):     {_fmt_points(summary['fs_rmse'])}")
     lines.append(f"FS RMSE (normalized): {_fmt_points(summary['fs_rmse_normalized'])}")

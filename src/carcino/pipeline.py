@@ -75,10 +75,6 @@ class Nodule:
     def size(self) -> int:
         return int(self.pixels.shape[0])
 
-    @property
-    def pixel_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((int(r), int(c)) for r, c in self.pixels)
-
 
 @dataclass(eq=False)
 class FrameAssessment:

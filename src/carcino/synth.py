@@ -28,6 +28,7 @@ from . import maskio
 from .cohort import (
     CohortVideo,
     EvalRun,
+    _collect,
     _evaluate_run,
     _mask64,
     _pool_map,
@@ -625,6 +626,25 @@ def _sweep_video(task: tuple[SynthSpec, int, ScoringConstants]) -> _Scored:
         return _Scored(None, None, None, str(exc))
 
 
+# sweep key -> run-entry path of each metric a sweep level reports; the
+# keys with a path of their own are the CSV columns, in this order
+_SWEEP_METRICS = {
+    "fs_rmse": ("fs_rmse",),
+    "fs_rmse_normalized": ("fs_rmse_normalized",),
+    "station_f1_average": ("stations_average", "f1"),
+    "its_f1_average": ("its_average", "f1"),
+    "stations_f1": {slug: ("stations", slug, "f1") for slug in STATION_SLUGS},
+}
+
+
+def _nested_map(fn, table: dict) -> dict:
+    """table with fn applied to every leaf that is not a dict."""
+    return {
+        key: _nested_map(fn, leaf) if isinstance(leaf, dict) else fn(leaf)
+        for key, leaf in table.items()
+    }
+
+
 def _replicate_run(
     spec: SynthSpec, scored: Sequence[_Scored], constants: ScoringConstants
 ) -> dict:
@@ -693,37 +713,17 @@ def monte_carlo_sweep(
 
     level_entries = []
     for level, level_specs in zip(levels, specs):
-        values: dict[str, list] = {
-            "fs_rmse": [],
-            "fs_rmse_normalized": [],
-            "station_f1_average": [],
-            "its_f1_average": [],
-        }
-        station_values: dict[str, list] = {slug: [] for slug in STATION_SLUGS}
-        for spec in level_specs:
-            run = _replicate_run(
-                spec, [next(assessed) for _ in range(spec.n_videos)], constants
-            )
-            values["fs_rmse"].append(run["fs_rmse"])
-            values["fs_rmse_normalized"].append(run["fs_rmse_normalized"])
-            values["station_f1_average"].append(run["stations_average"]["f1"])
-            values["its_f1_average"].append(run["its_average"]["f1"])
-            for slug in STATION_SLUGS:
-                station_values[slug].append(run["stations"][slug]["f1"])
+        runs = [
+            _replicate_run(spec, [next(assessed) for _ in range(spec.n_videos)], constants)
+            for spec in level_specs
+        ]
+        values = _nested_map(lambda path: _collect(runs, *path), _SWEEP_METRICS)
         level_entries.append(
             {
                 "level": float(level),
                 "replicates": replicates,
-                "values": {**values, "stations_f1": station_values},
-                "summary": {
-                    "fs_rmse": _summary_value(values["fs_rmse"]),
-                    "fs_rmse_normalized": _summary_value(values["fs_rmse_normalized"]),
-                    "station_f1_average": _summary_value(values["station_f1_average"]),
-                    "its_f1_average": _summary_value(values["its_f1_average"]),
-                    "stations_f1": {
-                        slug: _summary_value(station_values[slug]) for slug in STATION_SLUGS
-                    },
-                },
+                "values": values,
+                "summary": _nested_map(_summary_value, values),
             }
         )
     return {
@@ -742,7 +742,7 @@ def render_sweep_csv(report: dict) -> str:
     undefined values become empty cells. Suitable for plotting."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    columns = ["fs_rmse", "fs_rmse_normalized", "station_f1_average", "its_f1_average"]
+    columns = [key for key, path in _SWEEP_METRICS.items() if isinstance(path, tuple)]
     writer.writerow(["param", "level", "replicate", *columns])
     for entry in report["levels"]:
         values = entry["values"]

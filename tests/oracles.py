@@ -12,7 +12,8 @@ decoder and Dice count keep their own header checks and sums; the
 decoder shares only the format constants, the error classes and the
 value check with maskio. The former run extraction and confidence value
 check are the references for the package's edge-based extraction and
-one-pass check.
+one-pass check. pixel_set and fold_ids are plain views of package
+objects that only the tests take.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from carcino import maskio, metrics, pipeline
-from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
+from carcino.cohort import EvalRun, FoldAssignment, evaluate_cohort, load_cohort
 from carcino.core import OrganClass
 from carcino.errors import (
     BadMagicError,
@@ -35,6 +36,16 @@ from carcino.errors import (
     UnknownDtypeError,
 )
 from carcino.synth import generate_cohort
+
+
+def pixel_set(nodule: pipeline.Nodule) -> frozenset[tuple[int, int]]:
+    """The (row, col) pixels of a nodule as a set."""
+    return frozenset((int(r), int(c)) for r, c in nodule.pixels)
+
+
+def fold_ids(folds: FoldAssignment, fold: int) -> list[str]:
+    """The sorted ids of the videos that folds puts in fold."""
+    return sorted(vid for vid, f in folds.assignment.items() if f == fold)
 
 
 def bytes_decode_raster(blob: bytes, context: str = "") -> np.ndarray:

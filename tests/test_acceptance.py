@@ -29,7 +29,7 @@ from carcino.metrics import (
 from carcino.synth import NoiseSpec, SynthSpec
 
 from conftest import ground_truth_for, make_frame
-from oracles import flood_components
+from oracles import flood_components, pixel_set
 
 CONSTANTS = ScoringConstants()
 
@@ -70,7 +70,7 @@ def test_connected_components_oracle_equivalence():
         mask = rng.random((height, width)) < float(rng.random())
         for connectivity in (4, 8):
             got = [
-                n.pixel_set
+                pixel_set(n)
                 for n in pipeline.connected_components(mask, connectivity=connectivity)
             ]
             assert got == flood_components(mask, connectivity=connectivity)
@@ -142,8 +142,8 @@ def test_nodule_partition_on_zero_noise_cohort(acceptance_cohort_index):
             mask = pipeline.threshold_pc_mask(frame, CONSTANTS)
             union = set()
             for nodule in assessment.nodules:
-                assert not (union & nodule.pixel_set)
-                union |= nodule.pixel_set
+                assert not (union & pixel_set(nodule))
+                union |= pixel_set(nodule)
             expected = {(int(r), int(c)) for r, c in zip(*np.nonzero(mask))}
             assert union == expected
             frames_checked += 1

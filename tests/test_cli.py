@@ -412,6 +412,37 @@ def test_evaluate_malformed_fold_file_exits_2(tmp_path, capsys, folds):
     assert "fold file" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_fold_without_videos(tmp_path, capsys):
+    """Folds 2-4 of this file used to be evaluated as empty runs that
+    printed "FAILED (all videos failed)" while evaluate exited 0."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    folds_path = tmp_path / "folds.json"
+    folds_path.write_text(
+        json.dumps({"k": 5, "seed": 0, "assignment": {"v0000": 0, "v0001": 1}})
+    )
+    assert main(["evaluate", str(index), "--folds", str(folds_path), "--format", "text"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: fold assignment leaves fold(s) [2, 3, 4] of 5 without a video\n"
+    )
+
+
+def test_evaluate_rejects_a_non_string_cohort_name(tmp_path, capsys):
+    """The name {"a": [1]} used to be copied into both reports; a missing
+    name still falls back to the name of the index's directory."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    data = json.loads(index.read_text())
+    for name in ({"a": [1]}, 7, None):
+        index.write_text(json.dumps({**data, "name": name}))
+        assert main(["evaluate", str(index), "--independent", "--format", "text"]) == 2
+        assert "'name' must be a string" in capsys.readouterr().err
+    del data["name"]
+    index.write_text(json.dumps(data))
+    assert main(["evaluate", str(index), "--independent", "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("Cohort evaluation: cohort (2 videos")
+
+
 @pytest.mark.parametrize(
     "config",
     [

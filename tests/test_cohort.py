@@ -28,6 +28,7 @@ from carcino.errors import (
     TooFewVideosError,
 )
 from conftest import ground_truth_for
+from oracles import fold_ids
 
 
 def _cohort_with_fs(fs_values, name="toy"):
@@ -63,7 +64,7 @@ def _fold_fs_means(cohort, folds):
 def test_snake_deal_balances_paired_scores():
     cohort = _cohort_with_fs([0, 0, 4, 4, 8, 8, 12, 12])
     folds = stratified_kfold(cohort, k=4, seed=1)
-    sizes = [len(folds.fold_ids(f)) for f in range(4)]
+    sizes = [len(fold_ids(folds, f)) for f in range(4)]
     assert sizes == [2, 2, 2, 2]
     assert _fold_fs_means(cohort, folds) == [6.0, 6.0, 6.0, 6.0]
 
@@ -100,7 +101,7 @@ def test_fold_partition_is_exact():
         folds = stratified_kfold(cohort, k=k, seed=trial)
         assert set(folds.assignment) == {v.video_id for v in cohort.videos}
         assert set(folds.assignment.values()) == set(range(k))
-        sizes = [len(folds.fold_ids(f)) for f in range(k)]
+        sizes = [len(fold_ids(folds, f)) for f in range(k)]
         assert max(sizes) - min(sizes) <= 1
 
 
@@ -171,7 +172,7 @@ def test_kfold_seed_changes_assignment_within_ties_only():
     a = stratified_kfold(cohort, k=3, seed=1)
     b = stratified_kfold(cohort, k=3, seed=2)
     for folds in (a, b):
-        sizes = [len(folds.fold_ids(f)) for f in range(3)]
+        sizes = [len(fold_ids(folds, f)) for f in range(3)]
         assert sizes == [4, 4, 4]
 
 

@@ -26,6 +26,7 @@ from oracles import (
     loop_assign,
     naive_station_vector,
     padded_row_runs,
+    pixel_set,
 )
 
 CONSTANTS = ScoringConstants()
@@ -104,7 +105,7 @@ def test_connected_components_empty_and_singleton():
     mask[1, 1] = True
     nodules = pipeline.connected_components(mask)
     assert len(nodules) == 1
-    assert nodules[0].pixel_set == {(1, 1)}
+    assert pixel_set(nodules[0]) == {(1, 1)}
     assert nodules[0].id == 0
 
 
@@ -127,8 +128,8 @@ def test_connected_components_ordering_and_partition():
     union = set()
     total = 0
     for n in nodules:
-        assert not (union & n.pixel_set)
-        union |= n.pixel_set
+        assert not (union & pixel_set(n))
+        union |= pixel_set(n)
         total += n.size
     assert union == {(r, c) for r, c in zip(*np.nonzero(mask))}
     assert total == int(mask.sum())
@@ -147,7 +148,7 @@ def test_connected_components_match_flood_fill(height, width, density, connectiv
     mask = rng.random((height, width)) < density
     nodules = pipeline.connected_components(mask, connectivity=connectivity)
     expected = flood_components(mask, connectivity=connectivity)
-    assert [n.pixel_set for n in nodules] == expected
+    assert [pixel_set(n) for n in nodules] == expected
 
 
 def test_connected_components_pixels_are_row_major_sorted():
@@ -207,7 +208,7 @@ def test_connected_components_structured_masks_match_flood_fill(make_mask, conne
     longest merges for the label propagation."""
     mask = make_mask(64)
     nodules = pipeline.connected_components(mask, connectivity=connectivity)
-    assert [n.pixel_set for n in nodules] == flood_components(mask, connectivity=connectivity)
+    assert [pixel_set(n) for n in nodules] == flood_components(mask, connectivity=connectivity)
     for nodule in nodules:
         assert nodule.pixels.dtype == np.int32 and nodule.pixels.shape == (nodule.size, 2)
         flat = nodule.pixels[:, 0].astype(np.int64) * 64 + nodule.pixels[:, 1]
@@ -436,8 +437,8 @@ def test_classify_frame_partition_invariant():
         mask = pipeline.threshold_pc_mask(frame, CONSTANTS)
         union = set()
         for nodule in assessment.nodules:
-            assert not (union & nodule.pixel_set)
-            union |= nodule.pixel_set
+            assert not (union & pixel_set(nodule))
+            union |= pixel_set(nodule)
         assert union == {(r, c) for r, c in zip(*np.nonzero(mask))}
 
 

@@ -15,7 +15,7 @@ from carcino.core import Indication, ScoringConstants
 from carcino.errors import EmptyCohortError, InvalidSpecError
 from carcino.synth import NoiseSpec, SynthSpec, generate_cohort, monte_carlo_sweep, oracle_fs
 
-from oracles import disk_sweep_run, shift_dilate, shift_erode
+from oracles import disk_sweep_run, pixel_set, shift_dilate, shift_erode
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -177,7 +177,7 @@ def test_planted_nodules_lie_inside_their_organ(small_cohort_index):
             organ_pixels = frame.gt_labels > 0
             assert not (frame.gt_pc.astype(bool) & ~organ_pixels).any()
             for nodule in pipeline.connected_components(frame.gt_pc.astype(bool)):
-                labels = {int(frame.gt_labels[r, c]) for r, c in nodule.pixel_set}
+                labels = {int(frame.gt_labels[r, c]) for r, c in pixel_set(nodule)}
                 assert len(labels) == 1 and labels != {0}
 
 
