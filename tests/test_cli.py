@@ -762,10 +762,10 @@ def test_report_malformed_file_exits_2(tmp_path, capsys, text, fmt):
 
 # --- pinned bytes --------------------------------------------------------------
 
-# SHA-256 of the artifacts _pinned_artifacts writes. They pin the run
-# summaries and the renderers of evaluate and the sweep over several runs,
-# several replicates, undefined values and a failed video; a refactor of
-# that code must leave them unchanged.
+# SHA-256 of the files test_report_and_sweep_bytes_are_pinned writes. They
+# pin the run summaries and the renderers of evaluate and the sweep over
+# several runs, several replicates, undefined values and a failed video; a
+# refactor of that code must leave them unchanged.
 PINNED_DIGESTS = {
     "sweep.json": "1ba1e3d5e4462cf3187bd80cd768c63c72c815740b18c9a04af38bb604ae2d1f",
     "sweep.csv": "3b9d180755d479c3b4716494b57ffd4a37b6d946b8a4e8a8fc46d3d70605b669",
@@ -775,7 +775,7 @@ PINNED_DIGESTS = {
 }
 
 
-def _pinned_artifacts(tmp_path, monkeypatch, capsys) -> dict[str, bytes]:
+def test_report_and_sweep_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     """A 2-level x 3-replicate miss_rate sweep (JSON, CSV, text) and a
     3-fold evaluation with Dice, ROI, per-video Dice averaging and one
     video failed by a truncated raster (JSON, text). Paths are relative
@@ -801,11 +801,7 @@ def _pinned_artifacts(tmp_path, monkeypatch, capsys) -> dict[str, bytes]:
     assert main(["evaluate", "cohort/index.json", "--folds", "folds.json",
                  "--dice-average", "video", "--out-json", "report.json",
                  "--out-text", "report.txt"]) == 0
-    return {name: Path(name).read_bytes() for name in PINNED_DIGESTS}
-
-
-def test_report_and_sweep_bytes_are_pinned(tmp_path, monkeypatch, capsys):
-    artifacts = _pinned_artifacts(tmp_path, monkeypatch, capsys)
+    artifacts = {name: Path(name).read_bytes() for name in PINNED_DIGESTS}
     report = json.loads(artifacts["report.json"])
     assert [run["failed"] for run in report["runs"] if run["failed"]] == [
         {"v0001": "payload is 32765 bytes, expected 32768 in "
