@@ -93,6 +93,22 @@ PINNED_TREES = [
         ),
         "a91a08f224d8175a7060810977928d532333c08ca835e17185e55ab1b0d76466",
     ),
+    (
+        # jitter-free, as the dense-96 benchmark: no Gaussian planes are drawn,
+        # so nodule sites and discs set the bytes. Rectangles and ellipses both
+        # take nodules, and the false blobs clip at all four frame edges.
+        SynthSpec(
+            seed=29,
+            n_videos=3,
+            frame_size=(50, 41),
+            frames_per_video=3,
+            nonroi_frames_per_video=1,
+            station_prevalence=(0.8,) * 6,
+            nodules_per_positive_station=(3, 6),
+            noise=NoiseSpec(false_blob_rate=12.0),
+        ),
+        "ee15c6bf9e13821150fccbc5d56b5bc5bac55edbe969135b6dccbf20c63ecc37",
+    ),
 ]
 
 
