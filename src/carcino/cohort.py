@@ -97,7 +97,10 @@ def load_cohort(index_path: str | Path) -> Cohort:
     data = _read_json(index_path, ManifestError)
     if not isinstance(data, dict) or not isinstance(data.get("videos"), list):
         raise ManifestError(f"{index_path}: expected an object with a 'videos' list")
-    name = data.get("name", index_path.parent.name)
+    # an unnamed cohort takes the name of the index's directory; the path is
+    # made absolute and normalised first, so that a bare "index.json" or a
+    # "../index.json" names a directory, not "" or ".."
+    name = data.get("name", Path(os.path.abspath(index_path)).parent.name)
     if not isinstance(name, str):
         raise ManifestError(f"{index_path}: 'name' must be a string, got {name!r}")
     videos = []

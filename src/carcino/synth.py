@@ -18,9 +18,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -238,83 +239,110 @@ def _organ_cell(organ: int, width: int, height: int) -> tuple[int, int, int, int
     return row * cell_h, (row + 1) * cell_h, col * cell_w, (col + 1) * cell_w
 
 
-def _organ_layout(rng: np.random.Generator, width: int, height: int) -> np.ndarray:
-    """True masks for all 8 organs, (8, H, W) bool, pairwise disjoint.
+class _OrganShape(NamedTuple):
+    """One organ drawn as one shape in a frame of a given size: its inset
+    cell (r0, r1, c0, c1), the organ's mask on that cell, and where a
+    nodule may be centred in it, as a disc radius and flat frame indices
+    in row-major order (int32: a frame holds fewer than 2**31 pixels).
+    The arrays are read-only, since every frame of that size shares them."""
 
-    Each organ fills one grid cell (inset by one pixel) with either a
-    rectangle or an inscribed ellipse; the ninth cell stays background.
+    bounds: tuple[int, int, int, int]
+    cell: np.ndarray
+    radius: int
+    candidates: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _organ_shape(organ: int, ellipse: bool, width: int, height: int) -> _OrganShape:
+    """The organ fills its grid cell, inset by one pixel, with a
+    rectangle or an inscribed ellipse.
+
+    A disc of radius 2, 1 or 0 fits wherever the mask eroded by radius+1
+    is still true (the +1 keeps one clear pixel to the boundary); the
+    largest radius that fits somewhere wins, and the last resort is a
+    radius-0 disc on any organ pixel. The inset keeps the frame false
+    all round the cell, so eroding the cell gives the same pixels as
+    eroding the whole frame.
     """
+    r0, r1, c0, c1 = _organ_cell(organ, width, height)
+    r0, r1, c0, c1 = r0 + 1, r1 - 1, c0 + 1, c1 - 1
+    if ellipse:
+        # a pixel inside the ellipse has |row - cy| <= ry, which holds
+        # for rows r0..r1-1 only (likewise for the columns), so the
+        # formula is evaluated on the inset cell
+        cy, cx = (r0 + r1 - 1) / 2.0, (c0 + c1 - 1) / 2.0
+        ry, rx = max((r1 - r0) / 2.0, 0.5), max((c1 - c0) / 2.0, 0.5)
+        rows = np.arange(r0, r1)[:, None]
+        cols = np.arange(c0, c1)[None, :]
+        cell = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+    else:
+        cell = np.ones((r1 - r0, c1 - c0), dtype=bool)
+    eroded = [cell]
+    for _ in range(3):
+        eroded.append(binary_erode(eroded[-1], 1))
+    for radius, mask in ((2, eroded[3]), (1, eroded[2]), (0, eroded[1]), (0, cell)):
+        rr, cc = np.nonzero(mask)
+        if rr.size:  # always true for the cell, which holds an organ pixel
+            break
+    candidates = ((rr + r0) * width + (cc + c0)).astype(np.int32)
+    cell.flags.writeable = False
+    candidates.flags.writeable = False
+    return _OrganShape((r0, r1, c0, c1), cell, radius, candidates)
+
+
+def _organ_layout(
+    rng: np.random.Generator, width: int, height: int
+) -> tuple[np.ndarray, np.ndarray, list[_OrganShape]]:
+    """True masks for all 8 organs, (8, H, W) bool, pairwise disjoint;
+    the ground-truth label raster, (H, W) uint8 with organ code + 1 on
+    each organ; and each organ's shape. Each organ draws its shape with
+    one rng.integers(0, 2); the ninth cell stays background."""
     masks = np.zeros((8, height, width), dtype=bool)
+    labels = np.zeros((height, width), dtype=np.uint8)
+    shapes = []
     for organ in range(8):
-        r0, r1, c0, c1 = _organ_cell(organ, width, height)
-        r0, r1, c0, c1 = r0 + 1, r1 - 1, c0 + 1, c1 - 1
-        use_ellipse = bool(rng.integers(0, 2))
-        if use_ellipse:
-            # a pixel inside the ellipse has |row - cy| <= ry, which holds
-            # for rows r0..r1-1 only (likewise for the columns), so the
-            # formula is evaluated on the inset cell
-            cy, cx = (r0 + r1 - 1) / 2.0, (c0 + c1 - 1) / 2.0
-            ry, rx = max((r1 - r0) / 2.0, 0.5), max((c1 - c0) / 2.0, 0.5)
-            rows = np.arange(r0, r1)[:, None]
-            cols = np.arange(c0, c1)[None, :]
-            masks[organ, r0:r1, c0:c1] = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
-        else:
-            masks[organ, r0:r1, c0:c1] = True
-    return masks
+        shape = _organ_shape(organ, bool(rng.integers(0, 2)), width, height)
+        r0, r1, c0, c1 = shape.bounds
+        masks[organ, r0:r1, c0:c1] = shape.cell
+        labels[r0:r1, c0:c1][shape.cell] = organ + 1
+        shapes.append(shape)
+    return masks, labels, shapes
 
 
 Window = tuple[slice, slice]
+
+
+@lru_cache(maxsize=8)
+def _stencil(radius: int) -> np.ndarray:
+    """The pixels within radius of the centre of a (2r+1, 2r+1) square,
+    read-only."""
+    offsets = np.arange(-radius, radius + 1)
+    stencil = offsets[:, None] ** 2 + offsets[None, :] ** 2 <= radius * radius
+    stencil.flags.writeable = False
+    return stencil
 
 
 def _disc(
     center: tuple[int, int], radius: int, height: int, width: int
 ) -> tuple[Window, np.ndarray]:
     """The pixels within radius of center (which lies in the frame): the
-    disc's bounding window, clipped to the frame, and its mask there."""
+    disc's bounding window, clipped to the frame, and its mask there, a
+    read-only view of the radius's stencil."""
     row, col = center
     r0, r1 = max(row - radius, 0), min(row + radius + 1, height)
     c0, c1 = max(col - radius, 0), min(col + radius + 1, width)
-    rows = np.arange(r0, r1)[:, None]
-    cols = np.arange(c0, c1)[None, :]
-    return (slice(r0, r1), slice(c0, c1)), (rows - row) ** 2 + (cols - col) ** 2 <= radius * radius
-
-
-def _nodule_site(organ_mask: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """Where a nodule may be centred in this organ, as (radius, flat
-    frame indices), or None if the organ has no pixel. A disc of radius
-    2, 1 or 0 fits wherever the mask eroded by radius+1 is still true
-    (the +1 keeps one clear pixel to the boundary); the largest radius
-    that fits somewhere wins, and the last resort is a radius-0 disc on
-    any organ pixel.
-
-    The erosions run on the mask's bounding box: the mask is false all
-    round it, so they give the same pixels as on the whole frame.
-    """
-    width = organ_mask.shape[1]
-    rows = np.flatnonzero(organ_mask.any(axis=1))
-    cols = np.flatnonzero(organ_mask.any(axis=0))
-    if not rows.size:
-        return None
-    r0, c0 = rows[0], cols[0]
-    box = organ_mask[r0 : rows[-1] + 1, c0 : cols[-1] + 1]
-    eroded = [box]
-    for _ in range(3):
-        eroded.append(binary_erode(eroded[-1], 1))
-    for radius, mask in ((2, eroded[3]), (1, eroded[2]), (0, eroded[1]), (0, box)):
-        rr, cc = np.nonzero(mask)  # row-major, like np.flatnonzero on the frame
-        if rr.size:  # always true for the box, which holds an organ pixel
-            break
-    return radius, (rr + r0) * width + (cc + c0)
+    top, left = row - radius, col - radius
+    disc = _stencil(radius)[r0 - top : r1 - top, c0 - left : c1 - left]
+    return (slice(r0, r1), slice(c0, c1)), disc
 
 
 def _plant_nodule(
-    rng: np.random.Generator, site: tuple[int, np.ndarray], height: int, width: int
+    rng: np.random.Generator, shape: _OrganShape, height: int, width: int
 ) -> tuple[Window, np.ndarray]:
     """A small disc strictly inside an organ, as _disc returns it,
-    centred on a random candidate of the organ's _nodule_site."""
-    radius, candidates = site
-    position = int(candidates[rng.integers(0, candidates.size)])
-    return _disc((position // width, position % width), radius, height, width)
+    centred on a random candidate of the organ's shape."""
+    position = int(shape.candidates[rng.integers(0, shape.candidates.size)])
+    return _disc((position // width, position % width), shape.radius, height, width)
 
 
 def _morph(rng: np.random.Generator, mask: np.ndarray, max_amount: int) -> np.ndarray:
@@ -375,13 +403,9 @@ def _generate_frame(
     noise = spec.noise
     rng = _rng(spec.seed, 2, video_index, frame_index)
 
-    organ_masks = _organ_layout(rng, width, height)
-    gt_labels = np.zeros((height, width), dtype=np.uint8)
-    for organ in range(8):
-        gt_labels[organ_masks[organ]] = organ + 1
+    organ_masks, gt_labels, shapes = _organ_layout(rng, width, height)
 
     planted: list[tuple[Window, np.ndarray]] = []  # nodule discs, as _disc returns them
-    sites: dict[int, tuple | None] = {}  # organ code -> its _nodule_site, made on first use
     gt_pc = np.zeros((height, width), dtype=bool)
     if is_roi:
         for station, involved in zip(Station, planted_stations):
@@ -392,11 +416,7 @@ def _generate_frame(
             organs = organs_of(station)
             for _ in range(count):
                 organ = organs[int(rng.integers(0, len(organs)))]
-                if organ not in sites:
-                    sites[organ] = _nodule_site(organ_masks[organ])
-                if sites[organ] is None:
-                    continue
-                window, disc = _plant_nodule(rng, sites[organ], height, width)
+                window, disc = _plant_nodule(rng, shapes[organ], height, width)
                 if (disc & ~organ_masks[organ][window]).any():
                     raise AssertionError("planted nodule escaped its organ mask")
                 planted.append((window, disc))

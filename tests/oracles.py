@@ -12,7 +12,9 @@ decoder and Dice count keep their own header checks and sums; the
 decoder shares only the format constants, the error classes and the
 value check with maskio. The former run extraction and confidence value
 check are the references for the package's edge-based extraction and
-one-pass check. pixel_set and fold_ids are plain views of package
+one-pass check, and the former per-frame organ layout, nodule site and
+disc formulas are the references for synth's cached shapes and disc
+stencils. pixel_set and fold_ids are plain views of package
 objects that only the tests take.
 """
 
@@ -217,6 +219,56 @@ def shift_erode(mask: np.ndarray, amount: int) -> np.ndarray:
                     shrunk &= _shift(result, dr, dc)
         result = shrunk
     return result
+
+
+def organ_layout(rng, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference organ layout, the former per-frame one: (8, H, W) bool
+    organ masks, each organ a rectangle or an inscribed ellipse on its
+    3x3 grid cell inset by one pixel, chosen by one rng.integers(0, 2)
+    per organ, and the (H, W) uint8 label raster with organ code + 1."""
+    masks = np.zeros((8, height, width), dtype=bool)
+    cell_w, cell_h = width // 3, height // 3
+    for organ in range(8):
+        col, row = organ % 3, organ // 3
+        r0, r1 = row * cell_h + 1, (row + 1) * cell_h - 1
+        c0, c1 = col * cell_w + 1, (col + 1) * cell_w - 1
+        if rng.integers(0, 2):
+            cy, cx = (r0 + r1 - 1) / 2.0, (c0 + c1 - 1) / 2.0
+            ry, rx = max((r1 - r0) / 2.0, 0.5), max((c1 - c0) / 2.0, 0.5)
+            rows = np.arange(r0, r1)[:, None]
+            cols = np.arange(c0, c1)[None, :]
+            masks[organ, r0:r1, c0:c1] = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+        else:
+            masks[organ, r0:r1, c0:c1] = True
+    labels = np.zeros((height, width), dtype=np.uint8)
+    for organ in range(8):
+        labels[masks[organ]] = organ + 1
+    return masks, labels
+
+
+def nodule_site(organ_mask: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """Reference nodule site, the rule the generator applied to every
+    frame, here on the whole frame: the largest disc radius in 2, 1, 0
+    for which the mask eroded by radius+1 keeps a pixel, and those pixels
+    as flat frame indices; a radius-0 disc on any organ pixel as the last
+    resort, None without one."""
+    if not organ_mask.any():
+        return None
+    for radius, amount in ((2, 3), (1, 2), (0, 1), (0, 0)):
+        candidates = np.flatnonzero(shift_erode(organ_mask, amount))
+        if candidates.size:
+            return radius, candidates
+
+
+def grid_disc(center: tuple[int, int], radius: int, height: int, width: int):
+    """Reference disc, the former one built from index grids: its bounding
+    window clipped to the frame, and the pixels within radius there."""
+    row, col = center
+    r0, r1 = max(row - radius, 0), min(row + radius + 1, height)
+    c0, c1 = max(col - radius, 0), min(col + radius + 1, width)
+    rows = np.arange(r0, r1)[:, None]
+    cols = np.arange(c0, c1)[None, :]
+    return (slice(r0, r1), slice(c0, c1)), (rows - row) ** 2 + (cols - col) ** 2 <= radius * radius
 
 
 def naive_station_vector(frame, constants) -> tuple[bool, ...]:

@@ -443,6 +443,24 @@ def test_evaluate_rejects_a_non_string_cohort_name(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("Cohort evaluation: cohort (2 videos")
 
 
+@pytest.mark.parametrize("where, index_arg", [(".", "noname.json"), ("videos", "../noname.json")])
+def test_unnamed_cohort_from_a_relative_index_path_takes_its_directory_name(
+    tmp_path, capsys, monkeypatch, where, index_arg
+):
+    """A bare index file name used to give the cohort the name "" and a
+    "../" path the name "..": the fallback reads the directory the index
+    lies in."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    data = json.loads(index.read_text())
+    del data["name"]
+    (index.parent / "noname.json").write_text(json.dumps(data))
+    monkeypatch.chdir(index.parent / where)
+    assert main(["evaluate", index_arg, "--independent", "--out-json", "report.json"]) == 0
+    assert json.loads(Path("report.json").read_text())["cohort"] == "cohort"
+    assert main(["evaluate", index_arg, "--independent", "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("Cohort evaluation: cohort (2 videos")
+
+
 @pytest.mark.parametrize(
     "config",
     [

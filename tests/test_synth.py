@@ -15,7 +15,15 @@ from carcino.core import Indication, ScoringConstants
 from carcino.errors import EmptyCohortError, InvalidSpecError
 from carcino.synth import NoiseSpec, SynthSpec, generate_cohort, monte_carlo_sweep, oracle_fs
 
-from oracles import disk_sweep_run, pixel_set, shift_dilate, shift_erode
+from oracles import (
+    disk_sweep_run,
+    grid_disc,
+    nodule_site,
+    organ_layout,
+    pixel_set,
+    shift_dilate,
+    shift_erode,
+)
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -436,3 +444,54 @@ def test_ellipse_lies_inside_its_inset_cell(width, height):
         full = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
         full[r0:r1, c0:c1] = False
         assert not full.any()
+
+
+class _ShapeDraws:
+    """Stands in for the frame generator of an organ layout: each
+    integers(0, 2) call returns the next of the given shape flags."""
+
+    def __init__(self, flags):
+        self.left = list(flags)
+
+    def integers(self, low, high):
+        assert (low, high) == (0, 2)
+        return self.left.pop(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(16, 80),
+    height=st.integers(16, 80),
+    flags=st.lists(st.integers(0, 1), min_size=8, max_size=8),
+)
+@example(width=16, height=16, flags=[0, 1] * 4)
+@example(width=80, height=17, flags=[1, 0] * 4)
+def test_cached_shapes_and_discs_match_per_frame_formulas(width, height, flags):
+    """The cached organ shapes, nodule sites and disc stencils give what
+    the per-frame formulas gave, with one shape draw per organ, and no
+    caller can write to what the caches share."""
+    draws, oracle_draws = _ShapeDraws(flags), _ShapeDraws(flags)
+    masks, labels, shapes = synth._organ_layout(draws, width, height)
+    oracle_masks, oracle_labels = organ_layout(oracle_draws, width, height)
+    assert draws.left == oracle_draws.left == []
+    assert np.array_equal(masks, oracle_masks)
+    assert np.array_equal(labels, oracle_labels)
+    for organ, shape in enumerate(shapes):
+        radius, candidates = nodule_site(oracle_masks[organ])
+        assert shape.radius == radius
+        assert shape.candidates.dtype == np.int32
+        assert np.array_equal(shape.candidates, candidates)
+        for cached in (shape.cell, shape.candidates):
+            with pytest.raises(ValueError):
+                cached[0] = 0
+    for radius in (0, 1, 2, 3):
+        with pytest.raises(ValueError):
+            synth._stencil(radius)[0, 0] = True
+        for row in (0, 1, height // 2, height - 2, height - 1):
+            for col in (0, 1, width // 2, width - 2, width - 1):
+                window, disc = synth._disc((row, col), radius, height, width)
+                oracle_window, oracle_disc = grid_disc((row, col), radius, height, width)
+                assert window == oracle_window
+                assert np.array_equal(disc, oracle_disc)
+                with pytest.raises(ValueError):
+                    disc[...] = True
