@@ -242,9 +242,10 @@ def _organ_cell(organ: int, width: int, height: int) -> tuple[int, int, int, int
 class _OrganShape(NamedTuple):
     """One organ drawn as one shape in a frame of a given size: its inset
     cell (r0, r1, c0, c1), the organ's mask on that cell, and where a
-    nodule may be centred in it, as a disc radius and flat frame indices
-    in row-major order (int32: a frame holds fewer than 2**31 pixels).
-    The arrays are read-only, since every frame of that size shares them."""
+    nodule may be centred in it, as a disc radius and int32 flat frame
+    indices in row-major order (a frame of 2**31 pixels would need 64 GiB
+    for its organ planes alone). The arrays are read-only, since every
+    frame of that size shares them."""
 
     bounds: tuple[int, int, int, int]
     cell: np.ndarray
@@ -260,9 +261,9 @@ def _organ_shape(organ: int, ellipse: bool, width: int, height: int) -> _OrganSh
     A disc of radius 2, 1 or 0 fits wherever the mask eroded by radius+1
     is still true (the +1 keeps one clear pixel to the boundary); the
     largest radius that fits somewhere wins, and the last resort is a
-    radius-0 disc on any organ pixel. The inset keeps the frame false
-    all round the cell, so eroding the cell gives the same pixels as
-    eroding the whole frame.
+    radius-0 disc on any organ pixel. The organ has no pixel outside its
+    cell, and binary_erode counts pixels beyond the array as false, so
+    eroding the cell gives the same pixels as eroding the whole frame.
     """
     r0, r1, c0, c1 = _organ_cell(organ, width, height)
     r0, r1, c0, c1 = r0 + 1, r1 - 1, c0 + 1, c1 - 1

@@ -252,12 +252,11 @@ def nodule_site(organ_mask: np.ndarray) -> tuple[int, np.ndarray] | None:
     for which the mask eroded by radius+1 keeps a pixel, and those pixels
     as flat frame indices; a radius-0 disc on any organ pixel as the last
     resort, None without one."""
-    if not organ_mask.any():
-        return None
     for radius, amount in ((2, 3), (1, 2), (0, 1), (0, 0)):
         candidates = np.flatnonzero(shift_erode(organ_mask, amount))
         if candidates.size:
             return radius, candidates
+    return None
 
 
 def grid_disc(center: tuple[int, int], radius: int, height: int, width: int):

@@ -104,7 +104,8 @@ PINNED_TREES = [
     (
         # jitter-free, as the dense-96 benchmark: no Gaussian planes are drawn,
         # so nodule sites and discs set the bytes. Rectangles and ellipses both
-        # take nodules, and the false blobs clip at all four frame edges.
+        # take nodules, and the false blobs clip at all four frame edges. Its
+        # digest predates the caching of organ shapes and disc stencils.
         SynthSpec(
             seed=29,
             n_videos=3,
