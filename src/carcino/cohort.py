@@ -243,16 +243,19 @@ def runs_from_folds(cohort: Cohort, folds: FoldAssignment) -> list[EvalRun]:
     unknown = set(folds.assignment) - cohort_ids
     if unknown:
         raise CarcinoError(f"fold assignment names unknown video(s): {sorted(unknown)}")
-    empty = sorted(set(range(folds.k)) - set(folds.assignment.values()))
-    if empty:
-        raise CarcinoError(f"fold assignment leaves fold(s) {empty} of {folds.k} without a video")
-    runs = []
-    for fold in range(folds.k):
-        ids = tuple(
-            v.video_id for v in cohort.videos if folds.assignment[v.video_id] == fold
+    used = {f for f in folds.assignment.values() if 0 <= f < folds.k}
+    if len(used) < folds.k:  # k may be huge: list the first few empty folds only
+        empty = [f for f in range(min(folds.k, len(used) + 5)) if f not in used][:5]
+        more = folds.k - len(used) - len(empty)
+        raise CarcinoError(
+            f"fold assignment leaves fold(s) {empty}{f' and {more} more' if more else ''} "
+            f"of {folds.k} without a video"
         )
-        runs.append(EvalRun(label=f"fold{fold}", video_ids=ids))
-    return runs
+    fold_of = folds.assignment
+    return [
+        EvalRun(f"fold{f}", tuple(v.video_id for v in cohort.videos if fold_of[v.video_id] == f))
+        for f in range(folds.k)
+    ]
 
 
 def independent_runs(cohort: Cohort) -> list[EvalRun]:

@@ -1,12 +1,12 @@
 """Video scoring pipeline.
 
 The chain per video: keep frames the relevance (ROI) score accepts,
-threshold the organ and carcinomatosis confidence maps, split the
-carcinomatosis mask into nodules by connected components, assign every
-nodule to the organ it overlaps most, mark the organ's station positive
-when at least one nodule sits on it, OR the station vectors over all
-frames, and convert the positive-station count into the total score and
-the surgery indication.
+threshold the carcinomatosis confidence map, split it into nodules by
+connected components, assign every nodule to the organ it overlaps most
+(organ confidences are thresholded at nodule pixels; only organ Dice
+needs full organ masks), mark the organ's station positive when a nodule
+sits on it, OR the station vectors over all frames, and convert the
+positive-station count into the total score and the surgery indication.
 
 score_frames runs that chain once per video for every caller: score_video
 over a manifest, cohort evaluation over a manifest with frame-level Dice
@@ -125,14 +125,22 @@ class VideoAssessment:
         }
 
 
+def _check_organ_channels(organ_conf: np.ndarray, where: str) -> None:
+    if organ_conf.ndim != 3 or organ_conf.shape[0] != 8:
+        raise ChannelCountMismatchError(
+            f"{where}expected 8 organ channels, got shape {organ_conf.shape}"
+        )
+
+
+def _organ_hits(organ_conf: np.ndarray, constants: ScoringConstants) -> np.ndarray:
+    """The organ-threshold rule, for a whole frame or gathered pixels."""
+    return organ_conf >= np.float32(constants.organ_confidence_threshold)
+
+
 def threshold_organ_masks(frame: ConfidenceFrame, constants: ScoringConstants) -> np.ndarray:
     """Binary organ masks, one plane per organ channel: (8, H, W) bool."""
-    if frame.organ_conf.ndim != 3 or frame.organ_conf.shape[0] != 8:
-        raise ChannelCountMismatchError(
-            f"frame {frame.frame_index}: expected 8 organ channels, "
-            f"got shape {frame.organ_conf.shape}"
-        )
-    return frame.organ_conf >= np.float32(constants.organ_confidence_threshold)
+    _check_organ_channels(frame.organ_conf, f"frame {frame.frame_index}: ")
+    return _organ_hits(frame.organ_conf, constants)
 
 
 def threshold_pc_mask(frame: ConfidenceFrame, constants: ScoringConstants) -> np.ndarray:
@@ -244,35 +252,31 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Nodule
 
 def assign_nodules(
     nodules: list[Nodule],
-    organ_masks: np.ndarray,
     organ_conf: np.ndarray,
+    constants: ScoringConstants,
 ) -> list[Nodule]:
-    """Assign each nodule to an organ by overlap with the organ masks.
+    """Assign each nodule to an organ by overlap with the organs of the
+    (8, H, W) confidences, thresholded as threshold_organ_masks does.
 
     Winner selection, in order: greatest pixel overlap; then greatest
     summed confidence of the organ over its overlapping pixels; then
     lowest organ code. Nodules overlapping no organ stay unassigned and
     contribute to no station.
 
-    All nodules of a frame are scored at once: the organ masks and
-    confidences are gathered at the nodule pixels only, then one
+    All nodules of a frame are scored at once: the organ confidences
+    are gathered and thresholded at the nodule pixels only, then one
     ``np.bincount`` over ``8 * nodule + organ`` gives the overlap counts
     and a second one, weighted by the confidences, gives their float64
     sums. The winner is picked with array operations under the rules
     above. The sums add in pixel order, and the order cannot decide a
     tie: float32 confidences in [2**e, 1] sum exactly in float64 over
     fewer than 2**(30 + e) pixels, e.g. any frame under 2**23 pixels
-    whose masks were thresholded at 1/128 or more.
+    thresholded at 1/128 or more.
     """
-    if organ_masks.shape != organ_conf.shape:
-        raise DimensionMismatchError(
-            f"organ masks {organ_masks.shape} vs confidences {organ_conf.shape}"
-        )
-    if organ_masks.ndim != 3 or organ_masks.shape[0] != 8:
-        raise ChannelCountMismatchError(f"expected 8 organ planes, got {organ_masks.shape}")
+    _check_organ_channels(organ_conf, "")
     if not nodules:
         return nodules
-    height, width = organ_masks.shape[1:]
+    height, width = organ_conf.shape[1:]
     sizes = np.array([n.size for n in nodules])
     px = np.concatenate([n.pixels for n in nodules])
     outside = (px[:, 0] < 0) | (px[:, 0] >= height) | (px[:, 1] < 0) | (px[:, 1] >= width)
@@ -282,12 +286,11 @@ def assign_nodules(
             f"nodule {nodules[first].id} has pixels outside the {height}x{width} frame"
         )
     n = len(nodules)
-    flat = px[:, 0].astype(np.int64) * width + px[:, 1]
-    organ, pixel = np.nonzero(organ_masks.reshape(8, -1)[:, flat])
+    conf = organ_conf.reshape(8, -1)[:, px[:, 0].astype(np.int64) * width + px[:, 1]]
+    organ, pixel = np.nonzero(_organ_hits(conf, constants))
     key = np.repeat(np.arange(n) * 8, sizes)[pixel] + organ
     counts = np.bincount(key, minlength=8 * n).reshape(n, 8)
-    weights = organ_conf.reshape(8, -1)[organ, flat[pixel]]
-    conf_sums = np.bincount(key, weights=weights, minlength=8 * n).reshape(n, 8)
+    conf_sums = np.bincount(key, weights=conf[organ, pixel], minlength=8 * n).reshape(n, 8)
 
     most = counts.max(axis=1)
     top = counts == most[:, None]
@@ -304,38 +307,35 @@ def classify_frame(
     frame: ConfidenceFrame,
     constants: ScoringConstants,
     *,
-    organ_masks: np.ndarray | None = None,
     pc_mask: np.ndarray | None = None,
 ) -> FrameAssessment:
     """Frame-level station classification.
 
-    Threshold, extract nodules, assign them to organs; a station is
-    positive iff at least one nodule was assigned to one of its organs.
-    organ_masks and pc_mask, when given, must be
-    threshold_organ_masks(frame, constants) and threshold_pc_mask(frame,
-    constants); score_frames passes the masks its Dice already used.
+    Threshold the carcinomatosis plane, extract nodules, assign them to
+    organs (assign_nodules, which thresholds the organ planes at the
+    nodule pixels only); a station is positive iff at least one nodule
+    was assigned to one of its organs. pc_mask, when given, must be
+    threshold_pc_mask(frame, constants); score_frames passes the mask
+    its Dice already used.
     """
-    if organ_masks is None:
-        organ_masks = threshold_organ_masks(frame, constants)
+    organ_conf = frame.organ_conf
+    _check_organ_channels(organ_conf, f"frame {frame.frame_index}: ")
     if pc_mask is None:
         pc_mask = threshold_pc_mask(frame, constants)
-    if pc_mask.shape != organ_masks.shape[1:]:
+    if pc_mask.shape != organ_conf.shape[1:]:
         raise DimensionMismatchError(
-            f"frame {frame.frame_index}: organ planes {organ_masks.shape[1:]} "
+            f"frame {frame.frame_index}: organ planes {organ_conf.shape[1:]} "
             f"vs carcinomatosis plane {pc_mask.shape}"
         )
     nodules = connected_components(pc_mask, connectivity=8)
     if constants.min_nodule_pixels > 1:
         nodules = [n for n in nodules if n.size >= constants.min_nodule_pixels]
-    assign_nodules(nodules, organ_masks, frame.organ_conf)
-    stations = [False] * 6
-    for nodule in nodules:
-        if nodule.assigned_organ is not None:
-            stations[station_of(nodule.assigned_organ)] = True
+    assign_nodules(nodules, organ_conf, constants)
+    hit = {station_of(n.assigned_organ) for n in nodules if n.assigned_organ is not None}
     return FrameAssessment(
         frame_index=frame.frame_index,
         time_s=frame.time_s,
-        station_positive=tuple(stations),
+        station_positive=tuple(s in hit for s in Station),
         nodules=nodules,
     )
 
@@ -345,11 +345,7 @@ def aggregate_video(frame_assessments: list[FrameAssessment]) -> tuple[bool, ...
     ever positive in any assessed frame."""
     if not frame_assessments:
         raise NoAssessableFramesError("no frames to aggregate")
-    stations = [False] * 6
-    for fa in frame_assessments:
-        for s, flag in enumerate(fa.station_positive):
-            stations[s] = stations[s] or flag
-    return tuple(stations)
+    return tuple(map(any, zip(*(fa.station_positive for fa in frame_assessments))))
 
 
 def compute_fs(station_positive: tuple[bool, ...], constants: ScoringConstants) -> int:
@@ -410,27 +406,22 @@ def score_frames(
         if has_gt_raster and not need_dice:
             record = replace(record, gt_labels=None, gt_pc=None)
         frame = load(record)
-        if shape is None:
-            shape = (frame.height, frame.width)
-        elif (frame.height, frame.width) != shape:
+        shape = shape or (frame.height, frame.width)
+        if (frame.height, frame.width) != shape:
             raise DimensionMismatchError(
                 f"frame {record.frame_index}: raster size "
                 f"{(frame.height, frame.width)} differs from {shape}"
             )
-        organ_masks = threshold_organ_masks(frame, constants)
+        _check_organ_channels(frame.organ_conf, f"frame {frame.frame_index}: ")
         if need_dice and frame.gt_labels is not None:
-            for organ in OrganClass:
-                dice_lists[organ.slug].append(
-                    metrics.dice(frame.gt_labels == organ + 1, organ_masks[organ])
-                )
+            for organ, mask in zip(OrganClass, threshold_organ_masks(frame, constants)):
+                dice_lists[organ.slug].append(metrics.dice(frame.gt_labels == organ + 1, mask))
         pc_mask = None
         if need_dice and frame.gt_pc is not None:
             pc_mask = threshold_pc_mask(frame, constants)
             dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pc_mask))
         if roi_pass:
-            assessments.append(
-                classify_frame(frame, constants, organ_masks=organ_masks, pc_mask=pc_mask)
-            )
+            assessments.append(classify_frame(frame, constants, pc_mask=pc_mask))
     if not assessments:
         raise NoAssessableFramesError(
             f"no frame reached the ROI threshold {constants.roi_threshold}"

@@ -87,7 +87,7 @@ class NoiseSpec:
         or erosion applied to each predicted mask; a SynthSpec bounds it
         by its larger frame side.
     false_blob_rate: expected number of spurious carcinomatosis blobs
-        per frame (Poisson).
+        per frame (Poisson); a SynthSpec bounds it by its frame area.
     miss_rate: probability that a planted nodule is suppressed in a
         given frame.
     """
@@ -151,11 +151,15 @@ class SynthSpec:
             raise InvalidSpecError("nodules_per_positive_station must satisfy 1 <= lo <= hi")
         if self.nonroi_frames_per_video < 0:
             raise InvalidSpecError("nonroi_frames_per_video must be >= 0")
-        if self.noise.boundary_morph > max(width, height):
-            raise InvalidSpecError(
-                f"boundary_morph must be at most the frame size {max(width, height)}, "
-                f"got {self.noise.boundary_morph}"
-            )
+        for name, value, what, bound in (
+            ("boundary_morph", self.noise.boundary_morph, "size", max(width, height)),
+            ("false_blob_rate", self.noise.false_blob_rate, "area", width * height),
+            ("nodules_per_positive_station", hi, "area", width * height),
+        ):
+            if value > bound:
+                raise InvalidSpecError(
+                    f"{name} must be at most the frame {what} {bound}, got {value}"
+                )
 
     def to_dict(self) -> dict:
         data = asdict(self)

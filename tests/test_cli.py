@@ -662,6 +662,15 @@ def test_simulate_sweep_boundary_morph_beyond_frame_exits_2(tmp_path, capsys):
     assert "boundary_morph must be at most the frame size" in capsys.readouterr().err
 
 
+def test_simulate_sweep_false_blob_rate_beyond_frame_area_exits_2(tmp_path, capsys):
+    """A level of 1e300 used to reach rng.poisson and crash there with
+    ValueError."""
+    spec_path = _sweep_spec(tmp_path)
+    code = main(["simulate", str(spec_path), "--sweep", "false_blob_rate", "--levels", "0,1e300"])
+    assert code == 2
+    assert "false_blob_rate must be at most the frame area" in capsys.readouterr().err
+
+
 def test_simulate_sweep_with_no_scorable_video_exits_2(tmp_path, capsys):
     """No zero-jitter frame reaches an ROI threshold of 1.0 (ROI frames
     score 0.95), so every video of the replicate fails."""
@@ -708,6 +717,7 @@ def test_simulate_invalid_spec_exits_2(tmp_path, capsys):
         {"seed": 1, "noise": {"false_blob_rate": float("inf")}},
         {"seed": 1, "noise": {"boundary_morph": 1.5}},
         {"seed": 1, "noise": {"boundary_morph": 10**20}},
+        {"seed": 1, "noise": {"false_blob_rate": 1e300}},
     ],
 )
 def test_simulate_malformed_spec_field_exits_2_before_writing(tmp_path, capsys, spec):

@@ -255,10 +255,8 @@ def test_row_runs_match_padded_diff_extraction(mask, connectivity):
 # --- nodule assignment ---------------------------------------------------------
 
 
-def _masks_and_conf(shape=(5, 5)):
-    masks = np.zeros((8, *shape), dtype=bool)
-    conf = np.zeros((8, *shape), dtype=np.float32)
-    return masks, conf
+def _conf(shape=(5, 5)):
+    return np.zeros((8, *shape), dtype=np.float32)
 
 
 def _nodule(pixels):
@@ -266,91 +264,111 @@ def _nodule(pixels):
 
 
 def test_assign_greatest_overlap_wins():
-    masks, conf = _masks_and_conf()
+    conf = _conf()
     # liver covers 3 nodule pixels, diaphragm 1
     for r, c in [(0, 0), (0, 1), (0, 2)]:
-        masks[OrganClass.LIVER, r, c] = True
         conf[OrganClass.LIVER, r, c] = 0.75
-    masks[OrganClass.DIAPHRAGM, 0, 3] = True
     conf[OrganClass.DIAPHRAGM, 0, 3] = 0.99
     nodule = _nodule([(0, 0), (0, 1), (0, 2), (0, 3)])
-    pipeline.assign_nodules([nodule], masks, conf)
+    pipeline.assign_nodules([nodule], conf, CONSTANTS)
     assert nodule.assigned_organ is OrganClass.LIVER
     assert list(nodule.overlap_counts) == [1, 3, 0, 0, 0, 0, 0, 0]
 
 
 def test_assign_no_overlap_stays_unassigned():
-    masks, conf = _masks_and_conf()
+    conf = _conf()
+    conf[OrganClass.LIVER, 2, 2] = 0.69  # below the 0.70 threshold
     nodule = _nodule([(2, 2)])
-    pipeline.assign_nodules([nodule], masks, conf)
+    pipeline.assign_nodules([nodule], conf, CONSTANTS)
     assert nodule.assigned_organ is None
     assert nodule.overlap_counts.sum() == 0
 
 
 def test_assign_tie_broken_by_summed_confidence():
-    masks, conf = _masks_and_conf()
+    conf = _conf()
     pixels = [(1, 1), (1, 2)]
     for r, c in pixels:
-        masks[OrganClass.STOMACH, r, c] = True
         conf[OrganClass.STOMACH, r, c] = 0.80  # sums to 1.60
-        masks[OrganClass.BOWEL, r, c] = True
         conf[OrganClass.BOWEL, r, c] = 0.95  # sums to 1.90
     nodule = _nodule(pixels)
-    pipeline.assign_nodules([nodule], masks, conf)
+    pipeline.assign_nodules([nodule], conf, CONSTANTS)
     assert nodule.assigned_organ is OrganClass.BOWEL
 
 
 def test_assign_full_tie_broken_by_lowest_code():
-    masks, conf = _masks_and_conf()
+    conf = _conf()
     for r, c in [(1, 1), (1, 2)]:
         for organ in (OrganClass.SPLEEN, OrganClass.GREATER_OMENTUM):
-            masks[organ, r, c] = True
             conf[organ, r, c] = 0.9
     nodule = _nodule([(1, 1), (1, 2)])
-    pipeline.assign_nodules([nodule], masks, conf)
+    pipeline.assign_nodules([nodule], conf, CONSTANTS)
     assert nodule.assigned_organ is OrganClass.SPLEEN
 
 
-def test_assign_dimension_mismatch():
-    masks, conf = _masks_and_conf((4, 4))
-    with pytest.raises(DimensionMismatchError):
-        pipeline.assign_nodules([], masks, conf[:, :3, :3])
+def test_assign_checks_the_channel_count_without_nodules():
+    """The channel count is checked before the early return for a frame
+    without nodules, as it was when full organ masks were thresholded
+    first."""
+    for bad in (np.zeros((7, 4, 4), np.float32), np.zeros((4, 4), np.float32)):
+        with pytest.raises(ChannelCountMismatchError):
+            pipeline.assign_nodules([], bad, CONSTANTS)
+    assert pipeline.assign_nodules([], _conf((4, 4)), CONSTANTS) == []
 
 
 def test_assign_rejects_pixels_outside_frame():
-    masks, conf = _masks_and_conf((4, 4))
+    conf = _conf((4, 4))
     inside = _nodule([(0, 0)])
     for bad in ([(4, 0)], [(0, 4)], [(-1, 0)]):
         nodule = pipeline.Nodule(id=7, pixels=np.array(bad, dtype=np.int32))
         with pytest.raises(DimensionMismatchError, match="nodule 7"):
-            pipeline.assign_nodules([inside, nodule], masks, conf)
+            pipeline.assign_nodules([inside, nodule], conf, CONSTANTS)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     height=st.integers(1, 12),
     width=st.integers(1, 12),
     seed=st.integers(0, 2**31 - 1),
+    threshold=st.sampled_from([0.7, 0.5, 0.3, 0.9, 1 / 64, 1.0]),
     twins=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
     same_conf=st.booleans(),
 )
-def test_assign_matches_loop_reference_with_forced_ties(height, width, seed, twins, same_conf):
-    """Copying one organ plane onto another forces equal overlap counts
-    for every nodule; copying its confidences too forces equal sums, so
-    the lowest code must win. Confidences are multiples of 1/64, whose
-    float64 sums are exact in any order, so the vectorised sums and the
-    reference's must agree bit for bit."""
+def test_assign_matches_loop_reference_with_forced_ties(
+    height, width, seed, threshold, twins, same_conf
+):
+    """assign_nodules thresholds the organ confidences at the nodule
+    pixels; the reference takes the full (8, H, W) masks. Confidences
+    are drawn from the float32 threshold, its two float32 neighbours,
+    0, 1 and multiples of 1/64. Copying one organ's passing pattern onto
+    another forces equal overlap counts for every nodule, with other
+    passing values; copying its confidences too forces equal sums, so
+    the lowest code must win. Every value that passes lies in [1/64, 2),
+    so the float64 sums are exact in any order and the vectorised sums
+    and the reference's agree bit for bit."""
     rng = np.random.default_rng(seed)
-    pc = rng.random((height, width)) < 0.5
-    masks = rng.random((8, height, width)) < 0.4
-    conf = (rng.integers(0, 65, (8, height, width)) / 64).astype(np.float32)
+    thr = np.float32(threshold)
+    grid = np.arange(65, dtype=np.float32) / 64
+    edge = np.array(
+        [np.nextafter(thr, np.float32(0)), thr, np.nextafter(thr, np.float32(2)), 0, 1],
+        dtype=np.float32,
+    )
+    values = np.concatenate([grid, edge, edge, edge])
+    below, above = values[values < thr], values[values >= thr]
+    conf = rng.choice(values, (8, height, width))
     for src, dst in twins:
-        masks[dst] = masks[src]
         if same_conf:
             conf[dst] = conf[src]
+        else:
+            conf[dst] = np.where(
+                conf[src] >= thr,
+                rng.choice(above, (height, width)),
+                rng.choice(below, (height, width)),
+            )
+    pc = rng.random((height, width)) < 0.5
     nodules = pipeline.connected_components(pc)
-    expected = loop_assign([n.pixels for n in nodules], masks, conf)
-    pipeline.assign_nodules(nodules, masks, conf)
+    expected = loop_assign([n.pixels for n in nodules], conf >= thr, conf)
+    constants = ScoringConstants(organ_confidence_threshold=threshold)
+    pipeline.assign_nodules(nodules, conf, constants)
     for nodule, (counts, best) in zip(nodules, expected):
         assert nodule.overlap_counts.dtype == np.int64
         assert list(nodule.overlap_counts) == list(counts)
@@ -629,8 +647,9 @@ def test_score_frames_loads_only_frames_it_needs():
 
 
 def test_score_frames_thresholds_organs_once_per_loaded_frame(monkeypatch):
-    """Dice and classification share one set of organ masks per frame;
-    classify_frame still runs once per ROI frame."""
+    """Full organ masks are built once per frame that feeds organ Dice
+    and for no other frame; classify_frame decides organs at the nodule
+    pixels and still runs once per ROI frame."""
     gt = {"gt_labels": np.zeros((2, 2), np.uint8), "gt_pc": np.zeros((2, 2), np.uint8)}
     frames = [
         make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), 0.9, 0, gt_roi=True, **gt),
@@ -651,7 +670,23 @@ def test_score_frames_thresholds_organs_once_per_loaded_frame(monkeypatch):
     )
     monkeypatch.setattr(pipeline, "classify_frame", counted("classify", pipeline.classify_frame))
     pipeline.score_frames("v", frames, lambda f: f, CONSTANTS, want_dice=True)
-    assert calls == {"threshold": [0, 1, 2], "classify": [0, 2]}
+    assert calls == {"threshold": [0, 1], "classify": [0, 2]}
+
+
+def test_a_frame_without_eight_organ_planes_fails_on_every_path():
+    """A ROI frame without nodules, a non-ROI frame that feeds only the
+    carcinomatosis Dice and a direct classify_frame call each raise
+    ChannelCountMismatchError, though none of them thresholds full organ
+    masks any more."""
+    seven, pc = np.zeros((7, 2, 2), np.float32), np.zeros((2, 2))
+    roi_frame = make_frame(seven, pc, 0.9, 0)
+    dice_frame = make_frame(seven, pc, 0.1, 1, gt_roi=True, gt_pc=np.zeros((2, 2), np.uint8))
+    for frame, want_dice in ((roi_frame, False), (dice_frame, True)):
+        with pytest.raises(ChannelCountMismatchError):
+            pipeline.score_frames("v", [frame], lambda f: f, CONSTANTS, want_dice)
+    for organ_conf in (seven, np.zeros((2, 2), np.float32)):
+        with pytest.raises(ChannelCountMismatchError):
+            pipeline.classify_frame(make_frame(organ_conf, pc), CONSTANTS)
 
 
 def test_score_frames_thresholds_pc_once_per_loaded_frame(small_cohort_index, monkeypatch):

@@ -49,6 +49,21 @@ def test_spec_validation():
         SynthSpec(seed=1, noise=NoiseSpec(miss_rate=1.5))
 
 
+def test_spec_bounds_counts_by_the_frame_area():
+    """A false_blob_rate of 1e300 used to die in rng.poisson and a
+    nodule count of 2**63 - 1 to loop without end; both are now bounded
+    by width * height when the spec is built."""
+    area = 16 * 20
+    SynthSpec(seed=1, frame_size=(16, 20), nodules_per_positive_station=(1, area))
+    SynthSpec(seed=1, frame_size=(16, 20), noise=NoiseSpec(false_blob_rate=float(area)))
+    for hi in (area + 1, 2**63 - 1):
+        with pytest.raises(InvalidSpecError, match="frame area 320"):
+            SynthSpec(seed=1, frame_size=(16, 20), nodules_per_positive_station=(1, hi))
+    for rate in (area + 0.5, 1e300):
+        with pytest.raises(InvalidSpecError, match="false_blob_rate must be at most"):
+            SynthSpec(seed=1, frame_size=(16, 20), noise=NoiseSpec(false_blob_rate=rate))
+
+
 def test_spec_dict_roundtrip(tmp_path):
     spec = SynthSpec(seed=5, n_videos=3, noise=NoiseSpec(miss_rate=0.25))
     again = SynthSpec.from_dict(spec.to_dict())
