@@ -113,14 +113,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out_json:
         Path(args.out_json).write_text(maskio.canonical_json(report), encoding="utf-8")
     if args.out_text:
-        Path(args.out_text).write_text(
-            cohort_mod.render_report_text(report), encoding="utf-8"
-        )
-    if not args.out_json and not args.out_text:
-        if args.format == "text":
-            sys.stdout.write(cohort_mod.render_report_text(report))
-        else:
-            sys.stdout.write(maskio.canonical_json(report))
+        Path(args.out_text).write_text(cohort_mod.render_report_text(report), encoding="utf-8")
+    if args.format == "text":
+        sys.stdout.write(cohort_mod.render_report_text(report))
+    elif not args.out_json and not args.out_text:
+        sys.stdout.write(maskio.canonical_json(report))
     return EXIT_OK
 
 

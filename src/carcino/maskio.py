@@ -80,13 +80,19 @@ __all__ = [
 MAGIC = b"MSK1"
 DTYPE_LABEL = 0
 DTYPE_CONFIDENCE = 1
-MAX_LABEL = 8
+_ORGAN_PLANES = 8
+MAX_LABEL = _ORGAN_PLANES  # labels are organ code + 1
 
 _HEADER = struct.Struct("<4sIIBB")
 HEADER_SIZE = _HEADER.size  # 14 bytes
 
 _NUMPY_DTYPES = {DTYPE_LABEL: np.dtype("u1"), DTYPE_CONFIDENCE: np.dtype("<f4")}
 _ONE_BITS = 0x3F800000  # the float32 1.0 as an unsigned integer
+_STREAM_CHUNK = 1 << 16  # bytes per read from a stream of unknown length
+_FRAME_RASTERS = (  # field, dtype code, channels; a one-channel field is an (H, W) plane
+    ("organ_conf", DTYPE_CONFIDENCE, _ORGAN_PLANES), ("pc_conf", DTYPE_CONFIDENCE, 1),
+    ("gt_labels", DTYPE_LABEL, 1), ("gt_pc", DTYPE_LABEL, 1),
+)
 
 
 def _dtype_code_of(arr: np.ndarray) -> int:
@@ -151,16 +157,16 @@ def write_raster(arr: np.ndarray, dest: str | Path | BinaryIO) -> int:
 
 
 def _check_header(
-    header: bytes | memoryview, size: int, where: str
+    header: bytes | memoryview, size: int | None, where: str
 ) -> tuple[int, tuple[int, int, int]]:
     """Validate an MSK1 header against the size of the whole file.
 
-    header holds at least the file's first HEADER_SIZE bytes when the
-    file has that many; size is the file's length in bytes. Returns the
-    dtype code and (channels, height, width). Every check on the
-    header lives here, so bytes and files fail with the same messages.
+    header holds the file's first HEADER_SIZE bytes, or all it has; size
+    is the file's length in bytes, or None for a stream, whose reader
+    checks the payload length. Returns the dtype code and (channels,
+    height, width). Every header check lives here, for the same messages.
     """
-    if size < HEADER_SIZE:
+    if len(header) < HEADER_SIZE:
         raise TruncatedPayloadError(f"file shorter than the {HEADER_SIZE}-byte header{where}")
     magic, width, height, channels, code = _HEADER.unpack_from(header)
     if magic != MAGIC:
@@ -169,12 +175,13 @@ def _check_header(
         raise UnknownDtypeError(f"unknown dtype code {code}{where}")
     if width < 1 or height < 1 or channels < 1:
         raise MaskFormatError(f"zero-sized raster dimension{where}")
-    expected = width * height * channels * _NUMPY_DTYPES[code].itemsize
-    payload = size - HEADER_SIZE
-    if payload < expected:
-        raise TruncatedPayloadError(f"payload is {payload} bytes, expected {expected}{where}")
-    if payload > expected:
-        raise MaskFormatError(f"{payload - expected} trailing bytes after payload{where}")
+    if size is not None:
+        expected = width * height * channels * _NUMPY_DTYPES[code].itemsize
+        payload = size - HEADER_SIZE
+        if payload < expected:
+            raise TruncatedPayloadError(f"payload is {payload} bytes, expected {expected}{where}")
+        if payload > expected:
+            raise MaskFormatError(f"{payload - expected} trailing bytes after payload{where}")
     return code, (channels, height, width)
 
 
@@ -201,7 +208,7 @@ def _read_file(path: str, into: np.ndarray | None = None) -> np.ndarray:
     with open(path, "rb", buffering=0) as fh:
         st = os.fstat(fh.fileno())
         if not stat.S_ISREG(st.st_mode):  # a pipe or device has no size to check
-            return decode_raster(fh.readall(), path)
+            return _read_stream(fh, path)
         header = fh.read(HEADER_SIZE)
         code, shape = _check_header(header, st.st_size, where)
         dtype = _NUMPY_DTYPES[code]
@@ -228,13 +235,33 @@ def _read_file(path: str, into: np.ndarray | None = None) -> np.ndarray:
     return arr
 
 
+def _read_stream(stream: BinaryIO, context: str = "") -> np.ndarray:
+    """Decode an MSK1 raster from a stream of unknown length: the header,
+    then at most one byte past the payload it declares, in chunks, so
+    memory follows the bytes that arrive, not the header's claim."""
+    where = f" in {context}" if context else ""
+    blob = bytearray()
+
+    def fill(end: int) -> None:  # read on to end bytes, or to the end of the stream
+        while len(blob) < end and (chunk := stream.read(min(end - len(blob), _STREAM_CHUNK))):
+            blob.extend(chunk)
+
+    fill(HEADER_SIZE)
+    code, shape = _check_header(blob, None, where)
+    end = HEADER_SIZE + math.prod(shape) * _NUMPY_DTYPES[code].itemsize
+    fill(end + 1)
+    if len(blob) > end:
+        raise MaskFormatError(f"trailing bytes after payload{where}")
+    return decode_raster(blob, context)
+
+
 def read_raster(source: str | os.PathLike | bytes | BinaryIO) -> np.ndarray:
     """Read an MSK1 raster from a path, a bytes-like object, or a binary
     stream."""
     if isinstance(source, (str, os.PathLike)):
         return _read_file(os.fspath(source))
     if hasattr(source, "read"):
-        return decode_raster(source.read())
+        return _read_stream(source)
     return decode_raster(source)
 
 
@@ -248,6 +275,10 @@ class ConfidenceFrame:
 
     Ground-truth rasters ride along when available (label map with organ
     code + 1, binary carcinomatosis mask, frame relevance flag).
+
+    Built, a frame checks its planes' shapes and dtypes, not their values
+    (the raster readers check those): (8, H, W) organ planes, (H, W) other
+    planes, float32 confidences and uint8 ground truth.
     """
 
     frame_index: int
@@ -258,6 +289,26 @@ class ConfidenceFrame:
     gt_labels: np.ndarray | None = None  # (H, W) uint8, 0 = background
     gt_pc: np.ndarray | None = None  # (H, W) uint8, values {0, 1}
     gt_roi: bool | None = None
+
+    def __post_init__(self) -> None:
+        for name, code, channels in _FRAME_RASTERS:
+            plane = getattr(self, name)
+            if plane is None and name.startswith("gt_"):
+                continue  # ground truth is optional
+            if not isinstance(plane, np.ndarray) or plane.dtype != _NUMPY_DTYPES[code]:
+                got = getattr(plane, "dtype", type(plane).__name__)
+                raise RasterInvariantError(
+                    f"frame {self.frame_index}: {name} is {got}, not {_NUMPY_DTYPES[code]}"
+                )
+            if channels > 1 and (plane.ndim != 3 or plane.shape[0] != channels):
+                raise ChannelCountMismatchError(
+                    f"frame {self.frame_index}: {name} is {plane.shape}, not ({channels}, H, W)"
+                )
+            if channels == 1 and plane.shape != self.organ_conf.shape[1:]:
+                raise DimensionMismatchError(
+                    f"frame {self.frame_index}: {name} is {plane.shape}, "
+                    f"the organ planes are {self.organ_conf.shape[1:]}"
+                )
 
     @property
     def height(self) -> int:
@@ -496,16 +547,24 @@ def save_manifest(manifest: VideoManifest, path: str | Path) -> None:
     Path(path).write_text(canonical_json(manifest_to_dict(manifest)), encoding="utf-8")
 
 
-def _as_raster(plane: np.ndarray | None) -> np.ndarray | None:
-    """A frame's (H, W) array as the (1, H, W) raster it was read from."""
-    return None if plane is None else plane[np.newaxis]
+def _read_frame_raster(path: str, lent: np.ndarray | None, code: int, channels: int) -> np.ndarray:
+    """The raster at path as a frame field of that dtype code and channel
+    count holds it, checked for both; lent, that field of an earlier
+    frame, is passed on to _read_file as into."""
+    single = channels == 1
+    raster = _read_file(path, lent[np.newaxis] if single and lent is not None else lent)
+    if raster.dtype != _NUMPY_DTYPES[code]:
+        raise RasterInvariantError(f"{path}: raster is {raster.dtype}, not {_NUMPY_DTYPES[code]}")
+    if raster.shape[0] != channels:
+        raise ChannelCountMismatchError(f"{path}: {raster.shape[0]} channels, not {channels}")
+    return raster[0] if single else raster
 
 
 def load_frame(
     record: FrameRecord, base_dir: str | os.PathLike, into: ConfidenceFrame | None = None
 ) -> ConfidenceFrame:
-    """Load one frame's rasters, enforcing the frame invariants:
-    8 organ channels, single carcinomatosis channel, equal dimensions.
+    """Load one frame's rasters, each with its field's dtype and channel
+    count, gt_pc with 0/1 values only; the frame checks their sizes.
     Paths are joined as plain strings; a base_dir of "." adds no prefix,
     so they read as pathlib would print them.
 
@@ -517,71 +576,22 @@ def load_frame(
     base = os.fspath(base_dir)
     if base == ".":
         base = ""
-    organ_into = pc_into = gt_labels_into = gt_pc_into = None
-    if into is not None:
-        organ_into, pc_into = into.organ_conf, into.pc_conf[np.newaxis]
-        gt_labels_into, gt_pc_into = _as_raster(into.gt_labels), _as_raster(into.gt_pc)
-    organ_path = os.path.join(base, record.organ_conf)
-    organ = _read_file(organ_path, organ_into)
-    if organ.dtype != np.float32:
-        raise RasterInvariantError(f"{organ_path}: organ raster must hold confidences")
-    if organ.shape[0] != 8:
-        raise ChannelCountMismatchError(
-            f"{organ_path}: expected 8 organ channels, got {organ.shape[0]}"
+    fields = {}
+    for name, code, channels in _FRAME_RASTERS:
+        rel = getattr(record, name)
+        if rel is not None:
+            lent = None if into is None else getattr(into, name)
+            fields[name] = _read_frame_raster(os.path.join(base, rel), lent, code, channels)
+    if "gt_pc" in fields and (fields["gt_pc"] > 1).any():
+        raise LabelOutOfRangeError(
+            f"{os.path.join(base, record.gt_pc)}: binary ground truth must hold only 0/1"
         )
-    pc_path = os.path.join(base, record.pc_conf)
-    pc = _read_file(pc_path, pc_into)
-    if pc.dtype != np.float32:
-        raise RasterInvariantError(f"{pc_path}: carcinomatosis raster must hold confidences")
-    if pc.shape[0] != 1:
-        raise ChannelCountMismatchError(f"{pc_path}: expected 1 channel, got {pc.shape[0]}")
-    shape = organ.shape[1:]
-    if pc.shape[1:] != shape:
-        raise DimensionMismatchError(
-            f"frame {record.frame_index}: organ raster is {shape}, "
-            f"carcinomatosis raster is {pc.shape[1:]}"
-        )
-    gt_labels = None
-    if record.gt_labels is not None:
-        gt_labels_path = os.path.join(base, record.gt_labels)
-        gt_labels_arr = _read_file(gt_labels_path, gt_labels_into)
-        if gt_labels_arr.dtype != np.uint8 or gt_labels_arr.shape[0] != 1:
-            raise RasterInvariantError(
-                f"{gt_labels_path}: label raster must be single-channel uint8"
-            )
-        if gt_labels_arr.shape[1:] != shape:
-            raise DimensionMismatchError(
-                f"frame {record.frame_index}: label raster is {gt_labels_arr.shape[1:]}, "
-                f"expected {shape}"
-            )
-        gt_labels = gt_labels_arr[0]
-    gt_pc = None
-    if record.gt_pc is not None:
-        gt_pc_path = os.path.join(base, record.gt_pc)
-        gt_pc_arr = _read_file(gt_pc_path, gt_pc_into)
-        if gt_pc_arr.dtype != np.uint8 or gt_pc_arr.shape[0] != 1:
-            raise RasterInvariantError(
-                f"{gt_pc_path}: binary raster must be single-channel uint8"
-            )
-        if (gt_pc_arr > 1).any():
-            raise LabelOutOfRangeError(
-                f"{gt_pc_path}: binary ground truth must hold only 0/1"
-            )
-        if gt_pc_arr.shape[1:] != shape:
-            raise DimensionMismatchError(
-                f"frame {record.frame_index}: binary raster is {gt_pc_arr.shape[1:]}, "
-                f"expected {shape}"
-            )
-        gt_pc = gt_pc_arr[0]
     return ConfidenceFrame(
         frame_index=record.frame_index,
         time_s=record.time_s,
-        organ_conf=organ,
-        pc_conf=pc[0],
         roi_score=record.roi_score,
-        gt_labels=gt_labels,
-        gt_pc=gt_pc,
         gt_roi=record.gt_roi,
+        **fields,
     )
 
 

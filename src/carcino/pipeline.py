@@ -125,13 +125,6 @@ class VideoAssessment:
         }
 
 
-def _check_organ_channels(organ_conf: np.ndarray, where: str) -> None:
-    if organ_conf.ndim != 3 or organ_conf.shape[0] != 8:
-        raise ChannelCountMismatchError(
-            f"{where}expected 8 organ channels, got shape {organ_conf.shape}"
-        )
-
-
 def _organ_hits(organ_conf: np.ndarray, constants: ScoringConstants) -> np.ndarray:
     """The organ-threshold rule, for a whole frame or gathered pixels."""
     return organ_conf >= np.float32(constants.organ_confidence_threshold)
@@ -139,7 +132,6 @@ def _organ_hits(organ_conf: np.ndarray, constants: ScoringConstants) -> np.ndarr
 
 def threshold_organ_masks(frame: ConfidenceFrame, constants: ScoringConstants) -> np.ndarray:
     """Binary organ masks, one plane per organ channel: (8, H, W) bool."""
-    _check_organ_channels(frame.organ_conf, f"frame {frame.frame_index}: ")
     return _organ_hits(frame.organ_conf, constants)
 
 
@@ -273,7 +265,8 @@ def assign_nodules(
     fewer than 2**(30 + e) pixels, e.g. any frame under 2**23 pixels
     thresholded at 1/128 or more.
     """
-    _check_organ_channels(organ_conf, "")
+    if organ_conf.ndim != 3 or organ_conf.shape[0] != 8:
+        raise ChannelCountMismatchError(f"expected 8 organ channels, got shape {organ_conf.shape}")
     if not nodules:
         return nodules
     height, width = organ_conf.shape[1:]
@@ -316,21 +309,19 @@ def classify_frame(
     nodule pixels only); a station is positive iff at least one nodule
     was assigned to one of its organs. pc_mask, when given, must be
     threshold_pc_mask(frame, constants); score_frames passes the mask
-    its Dice already used.
+    its Dice already used. The frame checked its planes when it was
+    built; only pc_mask, which comes from the caller, is checked here.
     """
-    organ_conf = frame.organ_conf
-    _check_organ_channels(organ_conf, f"frame {frame.frame_index}: ")
     if pc_mask is None:
         pc_mask = threshold_pc_mask(frame, constants)
-    if pc_mask.shape != organ_conf.shape[1:]:
+    elif pc_mask.shape != frame.pc_conf.shape:
         raise DimensionMismatchError(
-            f"frame {frame.frame_index}: organ planes {organ_conf.shape[1:]} "
-            f"vs carcinomatosis plane {pc_mask.shape}"
+            f"frame {frame.frame_index}: pc_mask {pc_mask.shape} vs planes {frame.pc_conf.shape}"
         )
     nodules = connected_components(pc_mask, connectivity=8)
     if constants.min_nodule_pixels > 1:
         nodules = [n for n in nodules if n.size >= constants.min_nodule_pixels]
-    assign_nodules(nodules, organ_conf, constants)
+    assign_nodules(nodules, frame.organ_conf, constants)
     hit = {station_of(n.assigned_organ) for n in nodules if n.assigned_organ is not None}
     return FrameAssessment(
         frame_index=frame.frame_index,
@@ -380,8 +371,10 @@ def score_frames(
     carrying a ground-truth raster, unless flagged non-ROI, feed
     per-label Dice. A record that feeds no Dice reaches load with its
     gt_labels and gt_pc cleared, so its ground-truth rasters are never
-    read. Loaded frames must share one raster size (no silent
-    resampling).
+    read. Each ConfidenceFrame checked its own planes when it was
+    built, so a malformed frame fails in load (or where the caller
+    built it); the frames of one video must also share one raster size
+    (no silent resampling).
 
     Returns the assessment, the Dice lists (want_dice: one list per
     organ slug and PC_DICE_KEY, in record order) and the ROI confusion
@@ -412,7 +405,6 @@ def score_frames(
                 f"frame {record.frame_index}: raster size "
                 f"{(frame.height, frame.width)} differs from {shape}"
             )
-        _check_organ_channels(frame.organ_conf, f"frame {frame.frame_index}: ")
         if need_dice and frame.gt_labels is not None:
             for organ, mask in zip(OrganClass, threshold_organ_masks(frame, constants)):
                 dice_lists[organ.slug].append(metrics.dice(frame.gt_labels == organ + 1, mask))

@@ -631,10 +631,10 @@ def _noise_level(param: str, level: float) -> int | float:
 
 
 def _checked_frame(frame: ConfidenceFrame) -> ConfidenceFrame:
-    """A generated frame after the checks write_raster applies to its
-    confidence rasters."""
-    maskio._validate_array(frame.organ_conf)
-    maskio._validate_array(frame.pc_conf[np.newaxis])
+    """A generated frame after the value checks a reader applies to its
+    confidence rasters; the frame checked their shapes and dtypes."""
+    for conf in (frame.organ_conf, frame.pc_conf):
+        maskio._validate_values(conf, maskio.DTYPE_CONFIDENCE)
     return frame
 
 

@@ -254,8 +254,13 @@ def _frame(size: int, roi_score: float = 1.0) -> dict:
     [
         ([_frame(16, roi_score=0.0)] * 2, 3, "no frame reached the ROI threshold 0.5"),
         ([_frame(16), _frame(17)], 2, "frame 1: raster size (17, 17) differs from (16, 16)"),
+        (
+            [{**_frame(16), "pc_conf": np.zeros((8, 8), dtype=np.float32)}],
+            2,
+            "frame 0: pc_conf is (8, 8), the organ planes are (16, 16)",
+        ),
     ],
-    ids=["no-roi-frame", "mixed-sizes"],
+    ids=["no-roi-frame", "mixed-sizes", "pc-of-another-size"],
 )
 def test_score_and_evaluate_fail_a_video_alike(tmp_path, capsys, frames, score_exit, message):
     """score and evaluate run one chain: the video score rejects is the
@@ -340,6 +345,19 @@ def test_evaluate_cross_validation_with_folds(tmp_path, capsys):
     assert len(report["runs"]) == 2
     assert report["summary"]["fs_rmse"]["mean"] == 0.0
     assert "AS Involvement Average" in out_text.read_text()
+
+
+def test_evaluate_text_format_prints_the_table_whatever_files_are_written(tmp_path, capsys):
+    """--format text prints the text table to stdout also when report
+    files are written; the default format prints nothing then."""
+    index = _mini_cohort(tmp_path, n_videos=4)
+    out_json, out_text = tmp_path / "report.json", tmp_path / "report.txt"
+    base = ["evaluate", str(index), "--independent"]
+    assert main([*base, "--out-text", str(out_text)]) == 0
+    assert capsys.readouterr().out == ""
+    for files in (["--out-json", str(out_json)], ["--out-text", str(out_text)]):
+        assert main([*base, *files, "--format", "text"]) == 0
+        assert capsys.readouterr().out == out_text.read_text()
 
 
 def test_evaluate_jobs_do_not_change_bytes(tmp_path):

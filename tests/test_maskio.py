@@ -334,6 +334,77 @@ def test_read_raster_from_a_pipe(tmp_path):
     assert np.array_equal(back, arr)
 
 
+class _EndlessStream(io.RawIOBase):
+    """A stream that serves blob and then zeros, and raises once it has
+    served a MiB: a reader that reads to its end never returns."""
+
+    def __init__(self, blob: bytes, endless: bool = True):
+        self.data = io.BytesIO(blob)
+        self.endless = endless
+        self.served = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        if self.served >= 1 << 20:
+            raise AssertionError("read past a MiB")
+        n = self.data.readinto(buf)
+        if not n and self.endless:
+            n = len(buf)
+            buf[:n] = bytes(n)
+        self.served += n
+        return n
+
+
+def test_read_raster_reads_a_stream_no_further_than_its_header_needs():
+    """A raster followed by bytes without end fails on the byte after its
+    payload, without reading on; a header that claims about 4.4 TB over
+    10 bytes fails as truncated and allocates little."""
+    blob = _encode(np.zeros((1, 4, 4), np.float32))
+    assert len(blob) == 78
+    back = maskio.read_raster(_EndlessStream(blob, endless=False))
+    assert np.array_equal(back, np.zeros((1, 4, 4)))
+    with pytest.raises(MaskFormatError, match="^trailing bytes after payload$"):
+        maskio.read_raster(_EndlessStream(blob))
+
+    huge = maskio._HEADER.pack(maskio.MAGIC, 65535, 65535, 255, maskio.DTYPE_CONFIDENCE)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError) as excinfo:
+            maskio.read_raster(_EndlessStream(huge + bytes(10), endless=False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == f"payload is 10 bytes, expected {255 * 65535 * 65535 * 4}"
+    assert peak < 1 << 20
+
+
+def test_read_raster_from_a_pipe_held_open_after_extra_bytes(tmp_path):
+    """A FIFO whose writer sends a raster and more bytes, then keeps the
+    pipe open, fails on the extra bytes while the writer still holds it."""
+    path = tmp_path / "pipe.msk"
+    os.mkfifo(path)
+    release = threading.Event()
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(_encode(np.zeros((1, 4, 4), np.float32)) + bytes(100))
+            fh.flush()
+            release.wait(timeout=10)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(MaskFormatError, match="trailing bytes after payload in "):
+            maskio.read_raster(path)
+        assert not release.is_set() and writer.is_alive()
+    finally:
+        release.set()
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 # --- manifests -------------------------------------------------------------
 
 
@@ -471,23 +542,76 @@ def test_manifest_save_load_roundtrip(tmp_path):
     assert maskio.manifest_to_dict(again) == maskio.manifest_to_dict(manifest)
 
 
+def _planes() -> dict:
+    """The planes of a valid 4x4 frame: 8 organ planes, one
+    carcinomatosis plane and both ground-truth planes."""
+    return {
+        "organ_conf": np.zeros((8, 4, 4), np.float32),
+        "pc_conf": np.zeros((4, 4), np.float32),
+        "gt_labels": np.zeros((4, 4), np.uint8),
+        "gt_pc": np.zeros((4, 4), np.uint8),
+    }
+
+
+@pytest.mark.parametrize(
+    "field, plane, error",
+    [
+        ("organ_conf", np.zeros((7, 4, 4), np.float32), ChannelCountMismatchError),
+        ("organ_conf", np.zeros((4, 4), np.float32), ChannelCountMismatchError),
+        ("pc_conf", np.zeros((5, 5), np.float32), DimensionMismatchError),
+        ("pc_conf", np.zeros((4, 4), np.float64), RasterInvariantError),
+        ("gt_labels", np.zeros((4, 4), np.int64), RasterInvariantError),
+        ("gt_pc", np.zeros((5, 5), np.uint8), DimensionMismatchError),
+    ],
+    ids=["7-organ-planes", "2d-organ-plane", "pc-5x5", "float64-pc", "int64-labels", "gt-pc-5x5"],
+)
+def test_confidence_frame_checks_its_planes(field, plane, error):
+    """A frame built in memory is held to the rule a frame read from disk
+    is: each defect fails when the frame is built, naming its index."""
+    maskio.ConfidenceFrame(frame_index=3, time_s=0.0, roi_score=1.0, **_planes())
+    with pytest.raises(error, match=f"frame 3: {field}"):
+        maskio.ConfidenceFrame(
+            frame_index=3, time_s=0.0, roi_score=1.0, **{**_planes(), field: plane}
+        )
+
+
 def test_load_frame_checks_dimensions_and_channels(tmp_path):
-    video_dir = tmp_path / "v"
-    video_dir.mkdir()
-    maskio.write_raster(np.zeros((8, 4, 4), dtype=np.float32), video_dir / "organ.msk")
-    maskio.write_raster(np.zeros((1, 5, 5), dtype=np.float32), video_dir / "pc_bad.msk")
-    maskio.write_raster(np.zeros((1, 4, 4), dtype=np.float32), video_dir / "pc.msk")
-    maskio.write_raster(np.zeros((7, 4, 4), dtype=np.float32), video_dir / "organ7.msk")
-    rec = maskio.FrameRecord(0, 0.0, "organ.msk", "pc_bad.msk", 1.0)
-    with pytest.raises(DimensionMismatchError):
-        maskio.load_frame(rec, video_dir)
-    rec = maskio.FrameRecord(0, 0.0, "organ7.msk", "pc.msk", 1.0)
-    with pytest.raises(ChannelCountMismatchError):
-        maskio.load_frame(rec, video_dir)
-    rec = maskio.FrameRecord(0, 0.0, "organ.msk", "pc.msk", 1.0)
-    frame = maskio.load_frame(rec, video_dir)
+    """One row per raster and defect: a raster of the other dtype, of one
+    channel more or less than its field holds, or of another size. A
+    multi-channel ground-truth raster raised RasterInvariantError before
+    frames checked their own planes; every other row keeps its class."""
+    rasters = {
+        name: plane if name == "organ_conf" else plane[np.newaxis]
+        for name, plane in _planes().items()
+    }
+    for name, raster in rasters.items():
+        maskio.write_raster(raster, tmp_path / f"{name}.msk")
+    want = {}
+    for name, raster in rasters.items():
+        other = np.float32 if raster.dtype == np.uint8 else np.uint8
+        channels = 7 if name == "organ_conf" else 2
+        defects = {
+            "dtype": (raster.astype(other), RasterInvariantError),
+            "channels": (np.zeros((channels, 4, 4), raster.dtype), ChannelCountMismatchError),
+            "size": (np.zeros((raster.shape[0], 5, 5), raster.dtype), DimensionMismatchError),
+        }
+        for defect, (bad, error) in defects.items():
+            maskio.write_raster(bad, tmp_path / f"{name}-{defect}.msk")
+            want[name, defect] = error
+    paths = {name: f"{name}.msk" for name in rasters}
+    frame = maskio.load_frame(maskio.FrameRecord(0, 0.0, roi_score=1.0, **paths), tmp_path)
     assert frame.organ_conf.shape == (8, 4, 4)
-    assert frame.pc_conf.shape == (4, 4)
+    assert frame.pc_conf.shape == frame.gt_labels.shape == frame.gt_pc.shape == (4, 4)
+    got = {}
+    for name, defect in want:
+        record = maskio.FrameRecord(
+            0, 0.0, roi_score=1.0, **{**paths, name: f"{name}-{defect}.msk"}
+        )
+        try:
+            maskio.load_frame(record, tmp_path)
+        except CarcinoError as exc:
+            got[name, defect] = type(exc)
+    assert got == want
 
 
 def test_load_frame_rejects_nonbinary_gt_pc(tmp_path):

@@ -54,16 +54,18 @@ def test_threshold_organ_masks_boundaries():
 
 
 def test_threshold_organ_masks_channel_count():
+    """A frame of 7 organ planes fails when it is built, so no threshold
+    ever sees one."""
     frame = make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)))
-    bad = maskio.ConfidenceFrame(
-        frame_index=0,
-        time_s=0.0,
-        organ_conf=np.zeros((7, 2, 2), dtype=np.float32),
-        pc_conf=frame.pc_conf,
-        roi_score=1.0,
-    )
+    assert pipeline.threshold_organ_masks(frame, CONSTANTS).shape == (8, 2, 2)
     with pytest.raises(ChannelCountMismatchError):
-        pipeline.threshold_organ_masks(bad, CONSTANTS)
+        maskio.ConfidenceFrame(
+            frame_index=0,
+            time_s=0.0,
+            organ_conf=np.zeros((7, 2, 2), dtype=np.float32),
+            pc_conf=frame.pc_conf,
+            roi_score=1.0,
+        )
 
 
 def test_threshold_pc_mask_boundaries():
@@ -673,20 +675,30 @@ def test_score_frames_thresholds_organs_once_per_loaded_frame(monkeypatch):
     assert calls == {"threshold": [0, 1], "classify": [0, 2]}
 
 
-def test_a_frame_without_eight_organ_planes_fails_on_every_path():
-    """A ROI frame without nodules, a non-ROI frame that feeds only the
-    carcinomatosis Dice and a direct classify_frame call each raise
-    ChannelCountMismatchError, though none of them thresholds full organ
-    masks any more."""
+def test_a_frame_without_eight_organ_planes_fails_on_every_path(tmp_path):
+    """A frame of 7 organ planes, or of one 2-D organ plane, cannot be
+    built in memory; read from disk, a ROI frame without nodules and a
+    non-ROI frame that feeds only the carcinomatosis Dice each raise
+    ChannelCountMismatchError, though neither thresholds full organ
+    masks."""
     seven, pc = np.zeros((7, 2, 2), np.float32), np.zeros((2, 2))
-    roi_frame = make_frame(seven, pc, 0.9, 0)
-    dice_frame = make_frame(seven, pc, 0.1, 1, gt_roi=True, gt_pc=np.zeros((2, 2), np.uint8))
-    for frame, want_dice in ((roi_frame, False), (dice_frame, True)):
-        with pytest.raises(ChannelCountMismatchError):
-            pipeline.score_frames("v", [frame], lambda f: f, CONSTANTS, want_dice)
     for organ_conf in (seven, np.zeros((2, 2), np.float32)):
         with pytest.raises(ChannelCountMismatchError):
-            pipeline.classify_frame(make_frame(organ_conf, pc), CONSTANTS)
+            make_frame(organ_conf, pc)
+    roi_frame = {"organ_conf": seven, "pc_conf": pc, "roi_score": 0.9}
+    dice_frame = {**roi_frame, "roi_score": 0.1, "gt_roi": True, "gt_pc": np.zeros((2, 2))}
+    manifest = write_video(tmp_path, "v", [roi_frame, dice_frame])
+    for record, want_dice in zip(manifest.frames, (False, True)):
+        load = maskio.frame_loader(manifest.base_dir)
+        with pytest.raises(ChannelCountMismatchError):
+            pipeline.score_frames("v", [record], load, CONSTANTS, want_dice)
+
+
+def test_classify_frame_checks_the_size_of_a_given_pc_mask():
+    """The frame checked its own planes; pc_mask comes from the caller."""
+    frame = make_frame(blank_organ_conf((4, 4)), np.zeros((4, 4)))
+    with pytest.raises(DimensionMismatchError, match="frame 0: pc_mask"):
+        pipeline.classify_frame(frame, CONSTANTS, pc_mask=np.zeros((4, 5), bool))
 
 
 def test_score_frames_thresholds_pc_once_per_loaded_frame(small_cohort_index, monkeypatch):
