@@ -278,7 +278,8 @@ class ConfidenceFrame:
 
     Built, a frame checks its planes' shapes and dtypes, not their values
     (the raster readers check those): (8, H, W) organ planes, (H, W) other
-    planes, float32 confidences and uint8 ground truth.
+    planes, float32 confidences and uint8 ground truth. It checks its
+    index, time and relevance score by the rules of a manifest entry.
     """
 
     frame_index: int
@@ -291,6 +292,9 @@ class ConfidenceFrame:
     gt_roi: bool | None = None
 
     def __post_init__(self) -> None:
+        _check_frame_scalars(
+            self.frame_index, self.time_s, self.roi_score, f"frame {self.frame_index!r}"
+        )
         for name, code, channels in _FRAME_RASTERS:
             plane = getattr(self, name)
             if plane is None and name.startswith("gt_"):
@@ -389,6 +393,19 @@ def _as_number(value, field: str, context: str) -> float:
     return number
 
 
+def _check_frame_scalars(frame_index, time_s, roi_score, context: str) -> tuple[int, float, float]:
+    """A frame's index (an integer), time (a finite number) and relevance
+    score (a number in [0, 1]), with the numbers as floats; ManifestError
+    for any other value."""
+    if isinstance(frame_index, bool) or not isinstance(frame_index, int):
+        raise ManifestError(f"{context}: 'frame_index' must be an integer")
+    time_s = _as_number(time_s, "time_s", context)
+    roi_score = _as_number(roi_score, "roi_score", context)
+    if not 0.0 <= roi_score <= 1.0:
+        raise ManifestError(f"{context}: roi_score {roi_score} outside [0, 1]")
+    return frame_index, time_s, roi_score
+
+
 def _parse_ground_truth(data: dict, context: str) -> VideoGroundTruth:
     stations_map = _require(data, "stations", context)
     if not isinstance(stations_map, dict):
@@ -414,18 +431,15 @@ def _parse_ground_truth(data: dict, context: str) -> VideoGroundTruth:
 
 
 def _parse_frame(data: dict, context: str) -> FrameRecord:
-    frame_index = _require(data, "frame_index", context)
-    if isinstance(frame_index, bool) or not isinstance(frame_index, int):
-        raise ManifestError(f"{context}: 'frame_index' must be an integer")
-    time_s = _as_number(_require(data, "time_s", context), "time_s", context)
+    frame_index, time_s, roi_score = _check_frame_scalars(
+        *(_require(data, name, context) for name in ("frame_index", "time_s", "roi_score")),
+        context,
+    )
     organ_conf = _require(data, "organ_conf", context)
     pc_conf = _require(data, "pc_conf", context)
     for name, value in (("organ_conf", organ_conf), ("pc_conf", pc_conf)):
         if not isinstance(value, str):
             raise ManifestError(f"{context}: {name!r} must be a path string")
-    roi_score = _as_number(_require(data, "roi_score", context), "roi_score", context)
-    if not 0.0 <= roi_score <= 1.0:
-        raise ManifestError(f"{context}: roi_score {roi_score} outside [0, 1]")
     gt_labels = data.get("gt_labels")
     gt_pc = data.get("gt_pc")
     for name, value in (("gt_labels", gt_labels), ("gt_pc", gt_pc)):

@@ -314,40 +314,34 @@ def _organ_layout(
     return masks, labels, shapes
 
 
-Window = tuple[slice, slice]
+def _disc_offset_table() -> np.ndarray:
+    """(3, 13, 2) row and column offsets of the pixels within radius 0, 1
+    and 2 of a disc's centre, read-only. A radius-2 disc has 13 pixels;
+    a smaller disc fills its other slots with its centre, (0, 0)."""
+    span = np.arange(-2, 3)
+    squared = span[:, None] ** 2 + span[None, :] ** 2
+    table = np.zeros((3, 13, 2), dtype=np.intp)
+    for radius in range(3):
+        offsets = np.argwhere(squared <= radius * radius) - 2
+        table[radius, : len(offsets)] = offsets
+    table.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=8)
-def _stencil(radius: int) -> np.ndarray:
-    """The pixels within radius of the centre of a (2r+1, 2r+1) square,
-    read-only."""
-    offsets = np.arange(-radius, radius + 1)
-    stencil = offsets[:, None] ** 2 + offsets[None, :] ** 2 <= radius * radius
-    stencil.flags.writeable = False
-    return stencil
+_DISC_OFFSETS = _disc_offset_table()
 
 
-def _disc(
-    center: tuple[int, int], radius: int, height: int, width: int
-) -> tuple[Window, np.ndarray]:
-    """The pixels within radius of center (which lies in the frame): the
-    disc's bounding window, clipped to the frame, and its mask there, a
-    read-only view of the radius's stencil."""
-    row, col = center
-    r0, r1 = max(row - radius, 0), min(row + radius + 1, height)
-    c0, c1 = max(col - radius, 0), min(col + radius + 1, width)
-    top, left = row - radius, col - radius
-    disc = _stencil(radius)[r0 - top : r1 - top, c0 - left : c1 - left]
-    return (slice(r0, r1), slice(c0, c1)), disc
-
-
-def _plant_nodule(
-    rng: np.random.Generator, shape: _OrganShape, height: int, width: int
-) -> tuple[Window, np.ndarray]:
-    """A small disc strictly inside an organ, as _disc returns it,
-    centred on a random candidate of the organ's shape."""
-    position = int(shape.candidates[rng.integers(0, shape.candidates.size)])
-    return _disc((position // width, position % width), shape.radius, height, width)
+def _disc_pixels(discs: np.ndarray, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, each (n, 13), of the pixels of n discs,
+    given as integer array rows that start (radius, row, col), with radius
+    0-2 and the centre in the frame; indexing a frame with them sets the
+    discs' pixels, some more than once. A pixel beyond the frame edge is
+    clipped onto it, which lands on a pixel of the same disc, as clipping
+    only brings it nearer the centre."""
+    offsets = _DISC_OFFSETS[discs[:, 0]]
+    rows = np.minimum(np.maximum(discs[:, 1:2] + offsets[..., 0], 0), height - 1)
+    cols = np.minimum(np.maximum(discs[:, 2:3] + offsets[..., 1], 0), width - 1)
+    return rows, cols
 
 
 def _morph(rng: np.random.Generator, mask: np.ndarray, max_amount: int) -> np.ndarray:
@@ -368,20 +362,24 @@ def _confidence_map(
     out: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
-    """Write the confidence plane of mask into the float32 array out: the
-    float64 plateau (hi on the mask, lo off it) plus Gaussian noise of
-    std-dev jitter, clipped to [0, 1], then cast. The noise is drawn
-    into scratch, a float64 array of mask's shape."""
+    """Write the confidence planes of mask, (H, W) or (8, H, W), into the
+    float32 array out of its shape: the float64 plateau (hi on the mask,
+    lo off it) plus Gaussian noise of std-dev jitter, clipped to [0, 1],
+    then cast. The noise is drawn plane by plane into scratch, a float64
+    (H, W) array. Without noise a plane is its plateau, which lies in
+    [0, 1], cast."""
     if jitter == 0:
-        np.clip(np.where(mask, hi, lo), 0.0, 1.0, out=out)
+        out[...] = lo
+        np.copyto(out, hi, where=mask)
         return
-    # rng.normal(0.0, jitter) returns 0.0 + jitter * z; the 0.0 only turns
-    # a -0.0 into +0.0, and adding the positive plateau gives the same sum
-    rng.standard_normal(out=scratch)
-    scratch *= jitter
-    np.add(scratch, hi, out=scratch, where=mask)
-    np.add(scratch, lo, out=scratch, where=~mask)
-    np.clip(scratch, 0.0, 1.0, out=out)
+    for plane in np.ndindex(mask.shape[:-2]):
+        # rng.normal(0.0, jitter) returns 0.0 + jitter * z; the 0.0 only turns
+        # a -0.0 into +0.0, and adding the positive plateau gives the same sum
+        rng.standard_normal(out=scratch)
+        scratch *= jitter
+        np.add(scratch, hi, out=scratch, where=mask[plane])
+        np.add(scratch, lo, out=scratch, where=~mask[plane])
+        np.clip(scratch, 0.0, 1.0, out=out[plane])
 
 
 def _generate_frame(
@@ -410,48 +408,49 @@ def _generate_frame(
 
     organ_masks, gt_labels, shapes = _organ_layout(rng, width, height)
 
-    planted: list[tuple[Window, np.ndarray]] = []  # nodule discs, as _disc returns them
-    gt_pc = np.zeros((height, width), dtype=bool)
+    planted = []  # (radius, row, col, organ) of each nodule
     if is_roi:
+        lo_n, hi_n = spec.nodules_per_positive_station
         for station, involved in zip(Station, planted_stations):
             if not involved:
                 continue
-            lo_n, hi_n = spec.nodules_per_positive_station
             count = int(rng.integers(lo_n, hi_n + 1))
             organs = organs_of(station)
             for _ in range(count):
+                # the candidate's range depends on the organ just drawn
                 organ = organs[int(rng.integers(0, len(organs)))]
-                window, disc = _plant_nodule(rng, shapes[organ], height, width)
-                if (disc & ~organ_masks[organ][window]).any():
-                    raise AssertionError("planted nodule escaped its organ mask")
-                planted.append((window, disc))
-                gt_pc[window] |= disc
+                shape = shapes[organ]
+                position = int(shape.candidates[rng.integers(0, shape.candidates.size)])
+                planted.append((shape.radius, *divmod(position, width), organ))
+    nodules = np.array(planted, dtype=np.intp).reshape(-1, 4)
+    rows, cols = _disc_pixels(nodules, height, width)
+    if (gt_labels[rows, cols] != nodules[:, 3:] + 1).any():
+        raise AssertionError("planted nodule escaped its organ mask")
+    gt_pc = np.zeros((height, width), dtype=np.uint8)
+    gt_pc[rows, cols] = 1
 
-    # prediction rasters, derived from truth through the noise model
+    # prediction rasters, derived from truth through the noise model; a
+    # batched draw takes the values and leaves the generator in the state
+    # of the scalar draws it replaces, as every range is fixed beforehand
     pred_organ_masks = organ_masks
     if noise.boundary_morph > 0:
         pred_organ_masks = np.stack(
             [_morph(rng, organ_masks[o], noise.boundary_morph) for o in range(8)]
         )
     jitter = noise.confidence_jitter
-    for o in range(8):
-        _confidence_map(
-            rng, pred_organ_masks[o], HI_ORGAN, LO_ORGAN, jitter, organ_conf[o], scratch
-        )
+    _confidence_map(rng, pred_organ_masks, HI_ORGAN, LO_ORGAN, jitter, organ_conf, scratch)
 
     pred_pc = np.zeros((height, width), dtype=bool)
-    for window, disc in planted:
-        if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
-            continue
-        pred_pc[window] |= disc
+    if noise.miss_rate > 0:
+        kept = rng.random(len(nodules)) >= noise.miss_rate
+        rows, cols = rows[kept], cols[kept]
+    pred_pc[rows, cols] = True
     if noise.boundary_morph > 0 and pred_pc.any():
         pred_pc = _morph(rng, pred_pc, noise.boundary_morph)
     if noise.false_blob_rate > 0:
-        for _ in range(int(rng.poisson(noise.false_blob_rate))):
-            radius = int(rng.integers(1, 3))
-            center = (int(rng.integers(0, height)), int(rng.integers(0, width)))
-            window, disc = _disc(center, radius, height, width)
-            pred_pc[window] |= disc
+        count = int(rng.poisson(noise.false_blob_rate))
+        blobs = rng.integers((1, 0, 0), (3, height, width), size=(count, 3))
+        pred_pc[_disc_pixels(blobs, height, width)] = True
     _confidence_map(rng, pred_pc, HI_PC, LO_PC, jitter, pc_conf, scratch)
 
     roi_base = ROI_HI if is_roi else ROI_LO
@@ -466,7 +465,7 @@ def _generate_frame(
         pc_conf=pc_conf,
         roi_score=roi_score,
         gt_labels=gt_labels,
-        gt_pc=gt_pc.astype(np.uint8),
+        gt_pc=gt_pc,
         gt_roi=is_roi,
     )
 

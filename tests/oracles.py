@@ -14,8 +14,11 @@ value check with maskio. The former run extraction and confidence value
 check are the references for the package's edge-based extraction and
 one-pass check, and the former per-frame organ layout, nodule site and
 disc formulas are the references for synth's cached shapes and disc
-stencils. pixel_set and fold_ids are plain views of package
-objects that only the tests take.
+offsets. reference_frame, the former per-disc frame generator, builds
+on those three and the shift-loop morphology; it takes the frame
+generator, the confidence plateaus and the organs of a station from the
+package. pixel_set and fold_ids are plain views of package objects
+that only the tests take.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from carcino import maskio, metrics, pipeline
+from carcino import maskio, metrics, pipeline, synth
 from carcino.cohort import EvalRun, FoldAssignment, evaluate_cohort, load_cohort
-from carcino.core import OrganClass
+from carcino.core import OrganClass, Station, organs_of
 from carcino.errors import (
     BadMagicError,
     CarcinoError,
@@ -268,6 +271,90 @@ def grid_disc(center: tuple[int, int], radius: int, height: int, width: int):
     rows = np.arange(r0, r1)[:, None]
     cols = np.arange(c0, c1)[None, :]
     return (slice(r0, r1), slice(c0, c1)), (rows - row) ** 2 + (cols - col) ** 2 <= radius * radius
+
+
+def reference_frame(
+    spec, video_index: int, frame_index: int, time_s: float, planted_stations, is_roi: bool
+) -> maskio.ConfidenceFrame:
+    """Reference frame generator, the former per-disc one: the frame that
+    synth._generate_frame draws from the same generator, with one scalar
+    draw per nodule site, missed nodule and false blob, each disc cut
+    from its grid_disc window, and the whole frame's organ layout, nodule
+    sites and morphology taken from the references above."""
+    width, height = spec.frame_size
+    noise = spec.noise
+    rng = synth._rng(spec.seed, 2, video_index, frame_index)
+
+    organ_masks, gt_labels = organ_layout(rng, width, height)
+    sites = [nodule_site(organ_masks[organ]) for organ in range(8)]
+    planted = []
+    gt_pc = np.zeros((height, width), dtype=bool)
+    if is_roi:
+        for station, involved in zip(Station, planted_stations):
+            if not involved:
+                continue
+            lo_n, hi_n = spec.nodules_per_positive_station
+            count = int(rng.integers(lo_n, hi_n + 1))
+            organs = organs_of(station)
+            for _ in range(count):
+                organ = organs[int(rng.integers(0, len(organs)))]
+                radius, candidates = sites[organ]
+                position = int(candidates[rng.integers(0, candidates.size)])
+                window, disc = grid_disc(divmod(position, width), radius, height, width)
+                if (disc & ~organ_masks[organ][window]).any():
+                    raise AssertionError("planted nodule escaped its organ mask")
+                planted.append((window, disc))
+                gt_pc[window] |= disc
+
+    def morph(mask):
+        amount = int(rng.integers(0, noise.boundary_morph + 1))
+        if amount == 0:
+            return mask
+        if rng.integers(0, 2):
+            return shift_dilate(mask, amount)
+        return shift_erode(mask, amount)
+
+    def confidence(mask, hi, lo):
+        plateau = np.where(mask, hi, lo)
+        if noise.confidence_jitter > 0:
+            plateau = plateau + rng.normal(0.0, noise.confidence_jitter, size=mask.shape)
+        return np.clip(plateau, 0.0, 1.0).astype(np.float32)
+
+    pred_organ_masks = organ_masks
+    if noise.boundary_morph > 0:
+        pred_organ_masks = np.stack([morph(organ_masks[o]) for o in range(8)])
+    organ_conf = np.stack(
+        [confidence(pred_organ_masks[o], synth.HI_ORGAN, synth.LO_ORGAN) for o in range(8)]
+    )
+
+    pred_pc = np.zeros((height, width), dtype=bool)
+    for window, disc in planted:
+        if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
+            continue
+        pred_pc[window] |= disc
+    if noise.boundary_morph > 0 and pred_pc.any():
+        pred_pc = morph(pred_pc)
+    if noise.false_blob_rate > 0:
+        for _ in range(int(rng.poisson(noise.false_blob_rate))):
+            radius = int(rng.integers(1, 3))
+            center = (int(rng.integers(0, height)), int(rng.integers(0, width)))
+            window, disc = grid_disc(center, radius, height, width)
+            pred_pc[window] |= disc
+    pc_conf = confidence(pred_pc, synth.HI_PC, synth.LO_PC)
+
+    roi_score = synth.ROI_HI if is_roi else synth.ROI_LO
+    if noise.confidence_jitter > 0:
+        roi_score = float(np.clip(roi_score + rng.normal(0.0, noise.confidence_jitter), 0.0, 1.0))
+    return maskio.ConfidenceFrame(
+        frame_index=frame_index,
+        time_s=time_s,
+        organ_conf=organ_conf,
+        pc_conf=pc_conf,
+        roi_score=roi_score,
+        gt_labels=gt_labels,
+        gt_pc=gt_pc.astype(np.uint8),
+        gt_roi=is_roi,
+    )
 
 
 def naive_station_vector(frame, constants) -> tuple[bool, ...]:

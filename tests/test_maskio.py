@@ -575,6 +575,33 @@ def test_confidence_frame_checks_its_planes(field, plane, error):
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("roi_score", float("nan")),
+        ("roi_score", -3.0),
+        ("roi_score", 7.0),
+        ("frame_index", True),
+        ("time_s", float("inf")),
+    ],
+    ids=["nan-roi-score", "negative-roi-score", "roi-score-7", "bool-frame-index", "inf-time"],
+)
+def test_confidence_frame_checks_its_scalars_as_a_manifest_does(field, value):
+    """A frame built in memory with a value a manifest entry may not hold
+    fails as the manifest does, with the same error and message, instead
+    of being scored (roi_score NaN or -3.0 read as non-ROI, 7.0 as ROI)."""
+    scalars = {"frame_index": 3, "time_s": 0.0, "roi_score": 1.0, field: value}
+    with pytest.raises(ManifestError) as in_memory:
+        maskio.ConfidenceFrame(**scalars, **_planes())
+    data = _minimal_manifest()
+    data["frames"][0][field] = value
+    with pytest.raises(ManifestError) as from_manifest:
+        maskio.manifest_from_dict(data)
+    context, message = str(in_memory.value).split(": ", 1)
+    assert context == f"frame {scalars['frame_index']!r}"
+    assert str(from_manifest.value).endswith(f": {message}")
+
+
 def test_load_frame_checks_dimensions_and_channels(tmp_path):
     """One row per raster and defect: a raster of the other dtype, of one
     channel more or less than its field holds, or of another size. A

@@ -21,6 +21,7 @@ from oracles import (
     nodule_site,
     organ_layout,
     pixel_set,
+    reference_frame,
     shift_dilate,
     shift_erode,
 )
@@ -434,17 +435,34 @@ def test_morphology_matches_shift_loop_reference(mask, amount):
     assert np.array_equal(mask, before)
 
 
-@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def _painted_discs(discs, height, width) -> list[np.ndarray]:
+    """Each disc of discs painted alone by _disc_pixels into a frame."""
+    rows, cols = synth._disc_pixels(np.asarray(discs, dtype=np.intp), height, width)
+    assert rows.shape == cols.shape == (len(discs), 13)
+    painted = []
+    for disc_rows, disc_cols in zip(rows, cols):
+        frame = np.zeros((height, width), dtype=bool)
+        frame[disc_rows, disc_cols] = True
+        painted.append(frame)
+    return painted
+
+
+def _grid_disc_frame(center, radius, height, width) -> np.ndarray:
+    window, disc = grid_disc(center, radius, height, width)
+    frame = np.zeros((height, width), dtype=bool)
+    frame[window] = disc
+    return frame
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
 def test_disc_window_matches_full_frame_formula(radius):
+    """_disc_pixels paints the reference disc at every centre of a small
+    frame, so also wherever the frame edges clip it."""
     height, width = 9, 7
-    rows, cols = np.arange(height)[:, None], np.arange(width)[None, :]
-    for row in (0, 1, height // 2, height - 2, height - 1):
-        for col in (0, 1, width // 2, width - 2, width - 1):
-            full = (rows - row) ** 2 + (cols - col) ** 2 <= radius * radius
-            window, disc = synth._disc((row, col), radius, height, width)
-            drawn = np.zeros((height, width), dtype=bool)
-            drawn[window] = disc
-            assert np.array_equal(drawn, full)
+    centers = [(row, col) for row in range(height) for col in range(width)]
+    painted = _painted_discs([(radius, *center) for center in centers], height, width)
+    for center, frame in zip(centers, painted):
+        assert np.array_equal(frame, _grid_disc_frame(center, radius, height, width))
 
 
 @pytest.mark.parametrize("width, height", [(16, 16), (16, 17), (17, 23), (48, 40), (97, 256)])
@@ -483,9 +501,9 @@ class _ShapeDraws:
 @example(width=16, height=16, flags=[0, 1] * 4)
 @example(width=80, height=17, flags=[1, 0] * 4)
 def test_cached_shapes_and_discs_match_per_frame_formulas(width, height, flags):
-    """The cached organ shapes, nodule sites and disc stencils give what
-    the per-frame formulas gave, with one shape draw per organ, and no
-    caller can write to what the caches share."""
+    """The cached organ shapes and nodule sites, and the disc offset
+    table, give what the per-frame formulas gave, with one shape draw per
+    organ, and no caller can write to what the caches share."""
     draws, oracle_draws = _ShapeDraws(flags), _ShapeDraws(flags)
     masks, labels, shapes = synth._organ_layout(draws, width, height)
     oracle_masks, oracle_labels = organ_layout(oracle_draws, width, height)
@@ -500,14 +518,98 @@ def test_cached_shapes_and_discs_match_per_frame_formulas(width, height, flags):
         for cached in (shape.cell, shape.candidates):
             with pytest.raises(ValueError):
                 cached[0] = 0
-    for radius in (0, 1, 2, 3):
-        with pytest.raises(ValueError):
-            synth._stencil(radius)[0, 0] = True
-        for row in (0, 1, height // 2, height - 2, height - 1):
-            for col in (0, 1, width // 2, width - 2, width - 1):
-                window, disc = synth._disc((row, col), radius, height, width)
-                oracle_window, oracle_disc = grid_disc((row, col), radius, height, width)
-                assert window == oracle_window
-                assert np.array_equal(disc, oracle_disc)
-                with pytest.raises(ValueError):
-                    disc[...] = True
+    with pytest.raises(ValueError):
+        synth._DISC_OFFSETS[0, 0, 0] = 1
+    centers = [
+        (row, col)
+        for row in (0, 1, height // 2, height - 2, height - 1)
+        for col in (0, 1, width // 2, width - 2, width - 1)
+    ]
+    for radius in (0, 1, 2):
+        painted = _painted_discs([(radius, *center) for center in centers], height, width)
+        for center, frame in zip(centers, painted):
+            assert np.array_equal(frame, _grid_disc_frame(center, radius, height, width))
+
+
+def _state(rng: np.random.Generator) -> str:
+    return repr(rng.bit_generator.state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    lead=st.integers(0, 3),
+    count=st.integers(0, 60),
+    height=st.integers(16, 512),
+    width=st.integers(16, 512),
+)
+def test_batched_draws_equal_scalar_draws(seed, lead, count, height, width):
+    """The contract the frame generator's batched draws rest on: with
+    ranges fixed beforehand, integers(lo, hi, size=(k, 3)) gives the 3k
+    scalar draws row by row, and random(k) the k scalar draws, each
+    leaving the bit generator in the state the scalar draws leave. The
+    lead draws leave half of a 64-bit word buffered, or not."""
+    batched, scalar = synth._rng(seed, 2, 0, 0), synth._rng(seed, 2, 0, 0)
+    for rng in (batched, scalar):
+        rng.integers(0, 2, size=lead)
+    blobs = batched.integers((1, 0, 0), (3, height, width), size=(count, 3))
+    expected = [
+        [int(scalar.integers(1, 3)), int(scalar.integers(0, height)), int(scalar.integers(0, width))]
+        for _ in range(count)
+    ]
+    assert blobs.tolist() == expected
+    assert _state(batched) == _state(scalar)
+    assert batched.random(count).tolist() == [scalar.random() for _ in range(count)]
+    assert _state(batched) == _state(scalar)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    video_index=st.integers(0, 99),
+    frame_index=st.integers(0, 99),
+    width=st.integers(16, 64),
+    height=st.integers(16, 64),
+    stations=st.tuples(*[st.booleans()] * 6),
+    nodules=st.sampled_from([(1, 3), (2, 6)]),
+    is_roi=st.booleans(),
+    jitter=st.sampled_from([0.0, 0.08]),
+    boundary_morph=st.integers(0, 2),
+    false_blob_rate=st.sampled_from([0.0, 1e-3, 1.0, 60.0]),
+    miss_rate=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@example(
+    seed=0, video_index=0, frame_index=0, width=16, height=17, stations=(True,) * 6,
+    nodules=(2, 6), is_roi=True, jitter=0.0, boundary_morph=0, false_blob_rate=60.0,
+    miss_rate=0.5,
+)
+@example(
+    seed=1, video_index=2, frame_index=3, width=64, height=16, stations=(True,) * 6,
+    nodules=(1, 3), is_roi=True, jitter=0.08, boundary_morph=2, false_blob_rate=1.0,
+    miss_rate=1.0,
+)
+def test_generate_frame_matches_reference_generator(
+    seed, video_index, frame_index, width, height, stations, nodules, is_roi,
+    jitter, boundary_morph, false_blob_rate, miss_rate,
+):
+    """_generate_frame paints the frame of the former per-disc generator,
+    bit for bit. With jitter, the relevance score is the frame's last
+    draw, so its equality also pins the generator's position."""
+    spec = SynthSpec(
+        seed=seed,
+        frame_size=(width, height),
+        nodules_per_positive_station=nodules,
+        noise=NoiseSpec(jitter, boundary_morph, false_blob_rate, miss_rate),
+    )
+    frame = synth._generate_frame(
+        spec, video_index, frame_index, 1.5, stations, is_roi,
+        np.empty((height, width)),
+        np.empty((8, height, width), dtype=np.float32),
+        np.empty((height, width), dtype=np.float32),
+    )
+    expected = reference_frame(spec, video_index, frame_index, 1.5, stations, is_roi)
+    for name in ("organ_conf", "pc_conf", "gt_labels", "gt_pc"):
+        got, want = getattr(frame, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert frame.roi_score == expected.roi_score
+    assert frame.gt_roi is expected.gt_roi is is_roi
