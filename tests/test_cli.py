@@ -857,3 +857,69 @@ def test_report_and_sweep_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert report["summary"]["roi_balanced_accuracy"] is not None
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
     assert digests == PINNED_DIGESTS
+
+
+# SHA-256 of the JSON and the text that score writes for the video of
+# _pinned_score_video, at default constants and at {"min_nodule_pixels": 3}.
+# They pin the per-nodule id, size and organ of every frame, which neither
+# the evaluate report nor the benchmark's score check carries.
+PINNED_SCORE_DIGESTS = {
+    None: {
+        "json": "5efb95b1542eec727a68790060b282887a114fd99e8f1f2b77012529d17248b5",
+        "text": "478ee55ca076a9e11abf0a16d18f3e76cc03f153e1b8a05800667d2241e53bcc",
+    },
+    3: {
+        "json": "fb8831597e7efde1bf49eb392d25cf7a17f3780bdb157e34eaa0e7b7695e2793",
+        "text": "478ee55ca076a9e11abf0a16d18f3e76cc03f153e1b8a05800667d2241e53bcc",
+    },
+}
+
+
+def _pinned_score_video(tmp_path) -> Path:
+    """A 40x36 video of 40 nodules over 5 ROI frames, some of them on no
+    organ, one ROI frame whose carcinomatosis raster was zeroed (no
+    nodule) and one non-ROI frame; returns its manifest path."""
+    spec = SynthSpec(
+        seed=2,
+        n_videos=1,
+        frame_size=(40, 36),
+        frames_per_video=5,
+        nonroi_frames_per_video=1,
+        station_prevalence=(0.8,) * 6,
+        nodules_per_positive_station=(3, 6),
+        noise=synth.NoiseSpec(
+            confidence_jitter=0.1, boundary_morph=1, false_blob_rate=6.0, miss_rate=0.2
+        ),
+    )
+    synth.generate_cohort(spec, tmp_path / "cohort")
+    manifest = tmp_path / "cohort" / "videos" / "v0000" / "manifest.json"
+    pc = manifest.parent / maskio.load_manifest(manifest).frames[2].pc_conf
+    maskio.write_raster(np.zeros_like(maskio.read_raster(pc)), pc)
+    return manifest
+
+
+@pytest.mark.parametrize("min_pixels", [None, 3])
+def test_score_bytes_are_pinned(tmp_path, capsys, min_pixels):
+    manifest = _pinned_score_video(tmp_path)
+    config = []
+    if min_pixels is not None:
+        (tmp_path / "config.json").write_text(json.dumps({"min_nodule_pixels": min_pixels}))
+        config = ["--config", str(tmp_path / "config.json")]
+    assert main(["score", str(manifest), "--out", str(tmp_path / "score.json"), *config]) == 0
+    data = json.loads((tmp_path / "score.json").read_text(encoding="utf-8"))
+    frames = data["frames"]
+    assert len(frames) == 5 and data["frames_used"] == 5  # the non-ROI frame is left out
+    assert frames[2]["nodules"] == []
+    assert any(n["organ"] is None for f in frames for n in f["nodules"])
+    ids = [[n["id"] for n in f["nodules"]] for f in frames]
+    assert sum(map(len, ids)) == (30 if min_pixels else 40)
+    gaps = [frame_ids != list(range(len(frame_ids))) for frame_ids in ids]
+    assert any(gaps) == (min_pixels is not None)  # ids are numbered before the filter
+    capsys.readouterr()
+    assert main(["score", str(manifest), "--format", "text", *config]) == 0
+    outputs = {
+        "json": (tmp_path / "score.json").read_bytes(),
+        "text": capsys.readouterr().out.encode(),
+    }
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == PINNED_SCORE_DIGESTS[min_pixels]
