@@ -31,10 +31,8 @@ from .maskio import (
     write_raster,
 )
 from .pipeline import (
-    FrameAssessment,
-    Nodule,
+    NoduleTable,
     VideoAssessment,
-    aggregate_video,
     assign_nodules,
     classify_frame,
     compute_fs,
@@ -74,8 +72,6 @@ from .synth import (
     SynthSpec,
     generate_cohort,
     monte_carlo_sweep,
-    oracle_fs,
-    oracle_stations,
     render_sweep_csv,
     render_sweep_text,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import cohort as cohort_mod
 from . import maskio, pipeline, synth
-from .core import ScoringConstants, _read_json
+from .core import STATION_SLUGS, ScoringConstants, _read_json
 from .errors import CarcinoError, MaskFormatError, NoAssessableFramesError
 
 EXIT_OK = 0
@@ -76,14 +76,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     manifest = maskio.load_manifest(args.manifest)
     assessment = pipeline.score_video(manifest, constants)
     if args.format == "text":
-        data = assessment.to_dict()
-        positives = [s for s, flag in data["station_positive"].items() if flag]
+        positives = [s for s, flag in zip(STATION_SLUGS, assessment.station_positive) if flag]
         lines = [
-            f"video:        {data['video_id']}",
-            f"frames used:  {data['frames_used']}",
+            f"video:        {assessment.video_id}",
+            f"frames used:  {assessment.frames_used}",
             f"stations:     {', '.join(positives) if positives else '(none)'}",
-            f"FS:           {data['fs']}",
-            f"indication:   {data['its']}",
+            f"FS:           {assessment.fs}",
+            f"indication:   {assessment.its.value}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:

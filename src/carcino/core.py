@@ -73,16 +73,17 @@ class Indication(Enum):
     SURGERY_CONTRAINDICATED = "SurgeryContraindicated"
 
 
-_ORGAN_TO_STATION = {
-    OrganClass.DIAPHRAGM: Station.DIAPHRAGM,
-    OrganClass.LIVER: Station.LIVER,
-    OrganClass.STOMACH: Station.STOMACH_SPLEEN_LESSER_OMENTUM,
-    OrganClass.SPLEEN: Station.STOMACH_SPLEEN_LESSER_OMENTUM,
-    OrganClass.LESSER_OMENTUM: Station.STOMACH_SPLEEN_LESSER_OMENTUM,
-    OrganClass.GREATER_OMENTUM: Station.GREATER_OMENTUM,
-    OrganClass.PARIETAL_PERITONEUM: Station.PARIETAL_PERITONEUM,
-    OrganClass.BOWEL: Station.BOWEL,
-}
+_STATION_OF = (  # by organ code; _ORGANS_OF below, by station code, is its preimage
+    Station.DIAPHRAGM,  # diaphragm
+    Station.LIVER,  # liver
+    Station.STOMACH_SPLEEN_LESSER_OMENTUM,  # stomach
+    Station.STOMACH_SPLEEN_LESSER_OMENTUM,  # spleen
+    Station.STOMACH_SPLEEN_LESSER_OMENTUM,  # lesser omentum
+    Station.GREATER_OMENTUM,  # greater omentum
+    Station.PARIETAL_PERITONEUM,  # parietal peritoneum
+    Station.BOWEL,  # bowel
+)
+_ORGANS_OF = tuple(tuple(o for o in OrganClass if _STATION_OF[o] is s) for s in Station)
 
 ORGAN_SLUGS = tuple(o.slug for o in OrganClass)
 STATION_SLUGS = tuple(s.slug for s in Station)
@@ -114,13 +115,12 @@ def station_of(organ: OrganClass | int) -> Station:
     Total over all eight organs: stomach, spleen and lesser omentum share
     one station, every other organ is a station of its own.
     """
-    return _ORGAN_TO_STATION[OrganClass(organ)]
+    return _STATION_OF[OrganClass(organ)]
 
 
 def organs_of(station: Station | int) -> tuple[OrganClass, ...]:
     """Preimage of ``station_of``: the organs grouped under a station."""
-    station = Station(station)
-    return tuple(o for o in OrganClass if _ORGAN_TO_STATION[o] is station)
+    return _ORGANS_OF[Station(station)]
 
 
 def _is_int(value) -> bool:

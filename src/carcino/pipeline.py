@@ -10,117 +10,123 @@ positive-station count into the total score and the surgery indication.
 
 score_frames runs that chain once per video for every caller: score_video
 over a manifest, cohort evaluation over a manifest with frame-level Dice
-and ROI counts, and the Monte Carlo sweep over generated frames.
+and ROI counts, and the Monte Carlo sweep over generated frames. The
+video's ROI masks are stacked with a blank row after each, so one
+classify_frame call scores every nodule of the video, in one NoduleTable.
 
 All thresholds use >= semantics. Thresholds are compared at float32
 precision, matching the raster payload, so a pixel stored as the
-nearest float32 to the threshold value is included.
-
-Everything here is pure per frame; frames may be processed on any
-number of workers and the video-level OR is order-independent.
+nearest float32 to the threshold value is included. Everything here is
+pure per video; videos may be processed on any number of workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import maskio, metrics
-from .core import ORGAN_SLUGS, Indication, OrganClass, ScoringConstants, Station, station_of
-from .errors import (
-    ChannelCountMismatchError,
-    DimensionMismatchError,
-    NoAssessableFramesError,
+from .core import (
+    _STATION_OF, ORGAN_SLUGS, STATION_SLUGS, Indication, OrganClass, ScoringConstants, Station
 )
+from .errors import ChannelCountMismatchError, DimensionMismatchError, NoAssessableFramesError
 from .maskio import ConfidenceFrame, VideoManifest
 from .metrics import ConfusionCounts
 
 __all__ = [
-    "Nodule",
-    "FrameAssessment",
+    "NoduleTable",
+    "RowRuns",
     "VideoAssessment",
     "threshold_organ_masks",
     "threshold_pc_mask",
     "connected_components",
     "assign_nodules",
     "classify_frame",
-    "aggregate_video",
     "compute_fs",
     "compute_its",
     "score_frames",
     "score_video",
 ]
 
-_ORGANS = tuple(OrganClass)
 PC_DICE_KEY = "peritoneal_carcinomatosis"  # Dice list of the carcinomatosis mask
+_ORGAN_STATION = np.array(_STATION_OF)  # station code of each organ code
+_RUN_BLOCK_PIXELS = 1 << 16  # row runs are read in row blocks of at most this many pixels
 
 
 @dataclass(eq=False)
-class Nodule:
-    """One connected component of the thresholded carcinomatosis mask.
-
-    pixels is an (n, 2) int32 array of (row, col) coordinates in
-    row-major order; the nodules of one frame may share one underlying
-    buffer. Assignment fields are filled by assign_nodules.
+class NoduleTable:
+    """The nodules of one mask, one row per nodule, in row-major order of
+    their first pixels (for a stacked video, frame order). Every column
+    is an int64 array: frame (n,), the nodule's block of a stacked mask,
+    0 for one frame; id (n,), its number within its frame, given before
+    min_nodule_pixels drops any, so a filtered table's ids have gaps;
+    size (n,); organ (n,), the organ code assign_nodules gave it, -1 for
+    none and before assignment; counts (n, 8), its pixel overlap per
+    organ; pixel_rank (size.sum(),), the rank of each of its pixels
+    among the mask's true pixels in row-major order, nodule by nodule
+    and within a nodule in row-major order.
     """
 
-    id: int
-    pixels: np.ndarray
-    assigned_organ: OrganClass | None = None
-    overlap_counts: np.ndarray | None = None  # (8,) pixel overlap per organ
+    frame: np.ndarray
+    id: np.ndarray
+    size: np.ndarray
+    organ: np.ndarray
+    counts: np.ndarray
+    pixel_rank: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return int(self.pixels.shape[0])
+    def __len__(self) -> int:
+        return self.size.size
 
-
-@dataclass(eq=False)
-class FrameAssessment:
-    frame_index: int
-    time_s: float
-    station_positive: tuple[bool, ...]
-    nodules: list[Nodule] = field(default_factory=list)
+    def take(self, keep: np.ndarray) -> "NoduleTable":
+        """The nodules where the bool array keep is true, in table order."""
+        columns = (self.frame, self.id, self.size, self.organ, self.counts)
+        pixel_rank = self.pixel_rank[np.repeat(keep, self.size)]
+        return NoduleTable(*(column[keep] for column in columns), pixel_rank)
 
 
 @dataclass(eq=False)
 class VideoAssessment:
-    """Video-level result: station vector, total score, indication."""
+    """Video-level result: station vector, total score, indication, and
+    per assessed (ROI) frame, in order, its index, time and station
+    flags, with the nodules of all those frames in one table."""
 
     video_id: str
     station_positive: tuple[bool, ...]
     fs: int
     its: Indication
-    frames_used: int
-    frames: list[FrameAssessment] = field(default_factory=list)
+    frame_index: tuple[int, ...]
+    time_s: tuple[float, ...]
+    frame_stations: np.ndarray  # (frames_used, 6) bool
+    nodules: NoduleTable
+
+    @property
+    def frames_used(self) -> int:
+        return len(self.frame_index)
 
     def to_dict(self) -> dict:
+        table = self.nodules
+        nodules = [
+            {"id": i, "size": size, "organ": ORGAN_SLUGS[organ] if organ >= 0 else None}
+            for i, size, organ in zip(table.id.tolist(), table.size.tolist(), table.organ.tolist())
+        ]
+        bounds = np.searchsorted(table.frame, np.arange(self.frames_used + 1)).tolist()
+        flags = self.frame_stations.tolist()
         return {
             "video_id": self.video_id,
-            "station_positive": {
-                s.slug: flag for s, flag in zip(Station, self.station_positive)
-            },
+            "station_positive": dict(zip(STATION_SLUGS, self.station_positive)),
             "fs": self.fs,
             "its": self.its.value,
             "frames_used": self.frames_used,
             "frames": [
                 {
-                    "frame_index": fa.frame_index,
-                    "time_s": fa.time_s,
-                    "stations_positive": [
-                        s.slug for s, flag in zip(Station, fa.station_positive) if flag
-                    ],
-                    "nodules": [
-                        {
-                            "id": n.id,
-                            "size": n.size,
-                            "organ": n.assigned_organ.slug if n.assigned_organ is not None else None,
-                        }
-                        for n in fa.nodules
-                    ],
+                    "frame_index": index,
+                    "time_s": time_s,
+                    "stations_positive": [s for s, flag in zip(STATION_SLUGS, flags[k]) if flag],
+                    "nodules": nodules[bounds[k] : bounds[k + 1]],
                 }
-                for fa in self.frames
+                for k, (index, time_s) in enumerate(zip(self.frame_index, self.time_s))
             ],
         }
 
@@ -135,42 +141,66 @@ def threshold_organ_masks(frame: ConfidenceFrame, constants: ScoringConstants) -
     return _organ_hits(frame.organ_conf, constants)
 
 
-def threshold_pc_mask(frame: ConfidenceFrame, constants: ScoringConstants) -> np.ndarray:
-    """Binary carcinomatosis mask: (H, W) bool."""
-    return frame.pc_conf >= np.float32(constants.pc_confidence_threshold)
+def threshold_pc_mask(frame: ConfidenceFrame, constants: ScoringConstants, out=None) -> np.ndarray:
+    """Binary carcinomatosis mask: (H, W) bool, written into out if given."""
+    return np.greater_equal(frame.pc_conf, np.float32(constants.pc_confidence_threshold), out=out)
 
 
 def _row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, first column and end column (half-open) of every run of true
-    pixels in a non-empty 2-D bool mask, in row-major order.
+    pixels in a 2-D bool mask, in row-major order.
 
     A run starts on a true pixel whose left neighbour in its row is
-    false and ends on one whose right neighbour is. The flat mask is
+    false and ends on one whose right neighbour is. Rows are independent,
+    so they are read in blocks of at most ``_RUN_BLOCK_PIXELS`` pixels,
+    which keeps the temporaries small. In each block the flat mask is
     ANDed with its negated neighbours, the pixels at the row edges are
     put back, and ``np.flatnonzero`` reads the starts and the ends.
     """
     width = mask.shape[1]
-    flat = mask.ravel()
-    first = flat.copy()
-    first[1:] &= ~flat[:-1]
-    first[::width] = flat[::width]
-    last = flat.copy()
-    last[:-1] &= ~flat[1:]
-    last[width - 1 :: width] = flat[width - 1 :: width]
-    run_first = np.flatnonzero(first)
-    rows = run_first // width
-    row_base = rows * width
-    return rows, run_first - row_base, np.flatnonzero(last) - row_base + 1
+    step = max(1, _RUN_BLOCK_PIXELS // max(width, 1))
+    runs = [(np.zeros(0, dtype=np.intp),) * 3]  # so a mask without pixels has no runs
+    for top in range(0, len(mask) if width else 0, step):
+        flat = mask[top : top + step].ravel()
+        first = flat.copy()
+        first[1:] &= ~flat[:-1]
+        first[::width] = flat[::width]
+        last = flat.copy()
+        last[:-1] &= ~flat[1:]
+        last[width - 1 :: width] = flat[width - 1 :: width]
+        run_first = np.flatnonzero(first)
+        rows = run_first // width
+        row_base = rows * width
+        runs.append((rows + top, run_first - row_base, np.flatnonzero(last) - row_base + 1))
+    return tuple(np.concatenate(column) for column in zip(*runs))
 
 
-def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Nodule]:
+class RowRuns(NamedTuple):
+    """A bool mask held as the runs of true pixels of its rows, as
+    _row_runs gives them with rows counted through the whole mask, and
+    the mask's shape: (H, W) for one frame, (F, H + 1, W) for a stack."""
+
+    rows: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    shape: tuple[int, ...]
+
+
+def connected_components(mask: np.ndarray | RowRuns, connectivity: int = 8) -> NoduleTable:
     """Partition the true pixels of a binary mask into maximal connected
-    components (nodules).
+    components (nodules), as a NoduleTable with no organ assigned.
+
+    The mask is one (H, W) frame, or an (F, H + 1, W) stack of F frames
+    of which every one but the last ends in a blank row, or the RowRuns
+    of either. A blank row cuts every connection between the frames
+    around it, so the stack is labelled as one (F * (H + 1), W) frame,
+    each nodule's frame is its first row // (H + 1), and the ids restart
+    at 0 in every frame.
 
     Two-pass labelling on row runs, after Wu, Otoo & Suzuki (2009), with
     every step an array operation. ``_row_runs`` yields the runs of all
-    rows at once, in row-major order. A run touches the runs of the row
-    above whose column span overlaps its own widened by one column
+    rows, in row-major order. A run touches the runs of the row above
+    whose column span overlaps its own widened by one column
     (8-connectivity) or overlaps it (4-connectivity); because the runs
     of a row are sorted and disjoint, those runs form one contiguous
     range, found for every run by two ``np.searchsorted`` calls. The
@@ -179,25 +209,23 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Nodule
     label, so each run ends up labelled with the lowest run index of its
     component.
 
-    Components are ordered by their first pixel in row-major order and
-    ids are assigned in that order, which is the order of those lowest
-    run indices. Each ``Nodule.pixels`` is an (n, 2) int32 array of
-    (row, col) in row-major order, cut from one array of all pixels
-    grouped by a stable sort on the run labels. Connectivity is 8
-    (default, diagonal neighbours connect) or 4.
+    Components are ordered by their first pixel in row-major order, the
+    order of those lowest run indices. Their pixel ranks are grouped by
+    a stable sort on the run labels, so each nodule's pixels stay in
+    row-major order. Connectivity is 8 (default, diagonal neighbours
+    connect) or 4.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError("mask must be 2-D")
-    if not mask.size:
-        return []
-    width = mask.shape[1]
-    rows, starts, ends = _row_runs(mask)
+    if not isinstance(mask, RowRuns):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim not in (2, 3):
+            raise ValueError("mask must be 2-D, or 3-D for stacked frames")
+        if mask.ndim == 3 and mask[:-1, -1:].any():
+            raise ValueError("every stacked frame but the last must end in a blank row")
+        mask = RowRuns(*_row_runs(mask.reshape(-1, mask.shape[-1])), mask.shape)
+    rows, starts, ends, (*_, frame_rows, width) = mask
     n_runs = rows.size
-    if n_runs == 0:
-        return []
 
     # touching runs of the row above: key = row * stride + col is sorted
     # for starts and for ends, and rows never interleave since stride > width
@@ -232,111 +260,90 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Nodule
     is_root = labels == np.arange(n_runs)
     component = (np.cumsum(is_root) - 1)[labels]
     order = np.argsort(component, kind="stable")
-    lengths = (ends - starts)[order]
-    run_offsets = np.cumsum(lengths) - lengths
-    pixels = np.empty((int(lengths.sum()), 2), dtype=np.int32)
-    pixels[:, 0] = np.repeat(rows[order], lengths)
-    pixels[:, 1] = np.arange(pixels.shape[0]) - np.repeat(run_offsets - starts[order], lengths)
-    sizes = np.bincount(component, weights=ends - starts).astype(np.int64)
-    bounds = [0, *np.cumsum(sizes).tolist()]
-    return [Nodule(id=i, pixels=pixels[bounds[i] : bounds[i + 1]]) for i in range(len(sizes))]
+    lengths = ends - starts
+    run_rank = np.cumsum(lengths) - lengths  # rank of each run's first pixel
+    sorted_lengths = lengths[order]
+    offsets = np.cumsum(sorted_lengths) - sorted_lengths
+    pixel_rank = np.arange(lengths.sum()) + np.repeat(run_rank[order] - offsets, sorted_lengths)
+    size = np.bincount(component, weights=lengths).astype(np.int64)
+    frame = rows[is_root] // frame_rows  # a root is its component's first run
+    ids = np.arange(size.size) - np.searchsorted(frame, frame)  # restart in every frame
+    empty = np.zeros((size.size, 8), dtype=np.int64)
+    return NoduleTable(frame, ids, size, np.full(size.size, -1), empty, pixel_rank)
 
 
 def assign_nodules(
-    nodules: list[Nodule],
-    organ_conf: np.ndarray,
-    constants: ScoringConstants,
-) -> list[Nodule]:
-    """Assign each nodule to an organ by overlap with the organs of the
-    (8, H, W) confidences, thresholded as threshold_organ_masks does.
+    nodules: NoduleTable, pixel_conf: np.ndarray, constants: ScoringConstants
+) -> NoduleTable:
+    """Assign each nodule to an organ by overlap with the organs, given
+    as pixel_conf, the (8, P) organ confidences at the P true pixels of
+    the nodules' mask in row-major order, thresholded as
+    threshold_organ_masks does. Fills the table's organ and counts in
+    place and returns it.
 
     Winner selection, in order: greatest pixel overlap; then greatest
     summed confidence of the organ over its overlapping pixels; then
-    lowest organ code. Nodules overlapping no organ stay unassigned and
-    contribute to no station.
+    lowest organ code. Nodules overlapping no organ stay unassigned
+    (organ -1) and contribute to no station.
 
-    All nodules of a frame are scored at once: the organ confidences
-    are gathered and thresholded at the nodule pixels only, then one
+    All nodules are scored at once: the confidences are gathered in
+    nodule order by pixel rank and thresholded, then one
     ``np.bincount`` over ``8 * nodule + organ`` gives the overlap counts
     and a second one, weighted by the confidences, gives their float64
     sums. The winner is picked with array operations under the rules
-    above. The sums add in pixel order, and the order cannot decide a
-    tie: float32 confidences in [2**e, 1] sum exactly in float64 over
-    fewer than 2**(30 + e) pixels, e.g. any frame under 2**23 pixels
-    thresholded at 1/128 or more.
+    above. The sums add in each nodule's row-major pixel order, and the
+    order cannot decide a tie: float32 confidences in [2**e, 1] sum
+    exactly in float64 over fewer than 2**(30 + e) pixels, e.g. any
+    nodule under 2**23 pixels thresholded at 1/128 or more.
     """
-    if organ_conf.ndim != 3 or organ_conf.shape[0] != 8:
-        raise ChannelCountMismatchError(f"expected 8 organ channels, got shape {organ_conf.shape}")
-    if not nodules:
-        return nodules
-    height, width = organ_conf.shape[1:]
-    sizes = np.array([n.size for n in nodules])
-    px = np.concatenate([n.pixels for n in nodules])
-    outside = (px[:, 0] < 0) | (px[:, 0] >= height) | (px[:, 1] < 0) | (px[:, 1] >= width)
-    if outside.any():
-        first = int(np.searchsorted(np.cumsum(sizes), np.argmax(outside), side="right"))
-        raise DimensionMismatchError(
-            f"nodule {nodules[first].id} has pixels outside the {height}x{width} frame"
-        )
+    if pixel_conf.ndim != 2 or pixel_conf.shape[0] != 8:
+        raise ChannelCountMismatchError(f"expected 8 organ channels, got shape {pixel_conf.shape}")
     n = len(nodules)
-    conf = organ_conf.reshape(8, -1)[:, px[:, 0].astype(np.int64) * width + px[:, 1]]
+    outside = (nodules.pixel_rank < 0) | (nodules.pixel_rank >= pixel_conf.shape[1])
+    if outside.any():
+        first = int(np.searchsorted(np.cumsum(nodules.size), np.argmax(outside), side="right"))
+        raise DimensionMismatchError(f"nodule {nodules.id[first]} has pixels beyond pixel_conf")
+    conf = pixel_conf[:, nodules.pixel_rank]
     organ, pixel = np.nonzero(_organ_hits(conf, constants))
-    key = np.repeat(np.arange(n) * 8, sizes)[pixel] + organ
+    key = np.repeat(np.arange(n) * 8, nodules.size)[pixel] + organ
     counts = np.bincount(key, minlength=8 * n).reshape(n, 8)
     conf_sums = np.bincount(key, weights=conf[organ, pixel], minlength=8 * n).reshape(n, 8)
-
     most = counts.max(axis=1)
     top = counts == most[:, None]
     top_sums = np.where(top, conf_sums, -np.inf)
     top &= top_sums == top_sums.max(axis=1, keepdims=True)
-    best = np.argmax(top, axis=1)  # first True: the lowest code
-    for nodule, row, code, hit in zip(nodules, counts, best.tolist(), (most > 0).tolist()):
-        nodule.overlap_counts = row
-        nodule.assigned_organ = _ORGANS[code] if hit else None
+    nodules.organ = np.where(most > 0, np.argmax(top, axis=1), -1)  # first True: lowest code
+    nodules.counts = counts
     return nodules
 
 
 def classify_frame(
-    frame: ConfidenceFrame,
-    constants: ScoringConstants,
-    *,
-    pc_mask: np.ndarray | None = None,
-) -> FrameAssessment:
-    """Frame-level station classification.
+    pc_mask: np.ndarray, pixel_conf: np.ndarray, constants: ScoringConstants
+) -> tuple[np.ndarray, NoduleTable]:
+    """Station classification of one frame or of a stacked video.
 
-    Threshold the carcinomatosis plane, extract nodules, assign them to
-    organs (assign_nodules, which thresholds the organ planes at the
-    nodule pixels only); a station is positive iff at least one nodule
-    was assigned to one of its organs. pc_mask, when given, must be
-    threshold_pc_mask(frame, constants); score_frames passes the mask
-    its Dice already used. The frame checked its planes when it was
-    built; only pc_mask, which comes from the caller, is checked here.
+    pc_mask is a thresholded carcinomatosis mask, one (H, W) frame, an
+    (F, H + 1, W) stack or the RowRuns of either (see
+    connected_components), and pixel_conf the (8, P) organ confidences
+    at its P true pixels in row-major order. One connected_components
+    call splits the mask into nodules, those under min_nodule_pixels are
+    dropped, and one assign_nodules call assigns the rest to organs. A
+    station is positive in a frame iff a nodule of the frame was
+    assigned to one of its organs. Returns the (F, 6) bool station flags
+    (F = 1 for one frame) and the nodule table.
     """
-    if pc_mask is None:
-        pc_mask = threshold_pc_mask(frame, constants)
-    elif pc_mask.shape != frame.pc_conf.shape:
+    nodules = connected_components(pc_mask)
+    if pixel_conf.shape[1:] != nodules.pixel_rank.shape:
         raise DimensionMismatchError(
-            f"frame {frame.frame_index}: pc_mask {pc_mask.shape} vs planes {frame.pc_conf.shape}"
+            f"pc_mask has {nodules.pixel_rank.size} true pixels, pixel_conf {pixel_conf.shape}"
         )
-    nodules = connected_components(pc_mask, connectivity=8)
-    if constants.min_nodule_pixels > 1:
-        nodules = [n for n in nodules if n.size >= constants.min_nodule_pixels]
-    assign_nodules(nodules, frame.organ_conf, constants)
-    hit = {station_of(n.assigned_organ) for n in nodules if n.assigned_organ is not None}
-    return FrameAssessment(
-        frame_index=frame.frame_index,
-        time_s=frame.time_s,
-        station_positive=tuple(s in hit for s in Station),
-        nodules=nodules,
-    )
-
-
-def aggregate_video(frame_assessments: list[FrameAssessment]) -> tuple[bool, ...]:
-    """Per-station OR over frames: a station is video-positive if it was
-    ever positive in any assessed frame."""
-    if not frame_assessments:
-        raise NoAssessableFramesError("no frames to aggregate")
-    return tuple(map(any, zip(*(fa.station_positive for fa in frame_assessments))))
+    nodules = nodules.take(nodules.size >= constants.min_nodule_pixels)
+    assign_nodules(nodules, pixel_conf, constants)
+    n_frames = pc_mask.shape[0] if len(pc_mask.shape) == 3 else 1
+    stations = np.zeros((n_frames, len(Station)), dtype=bool)
+    hit = nodules.organ >= 0
+    stations[nodules.frame[hit], _ORGAN_STATION[nodules.organ[hit]]] = True
+    return stations, nodules
 
 
 def compute_fs(station_positive: tuple[bool, ...], constants: ScoringConstants) -> int:
@@ -374,7 +381,11 @@ def score_frames(
     read. Each ConfidenceFrame checked its own planes when it was
     built, so a malformed frame fails in load (or where the caller
     built it); the frames of one video must also share one raster size
-    (no silent resampling).
+    (no silent resampling). Each ROI frame is thresholded into the next
+    block of a stack, whose row runs are read once ``_RUN_BLOCK_PIXELS``
+    pixels (at least one frame) are in it, and its organ confidences are
+    gathered at its mask's pixels before the next load; one
+    classify_frame call then scores the RowRuns of the whole stack.
 
     Returns the assessment, the Dice lists (want_dice: one list per
     organ slug and PC_DICE_KEY, in record order) and the ROI confusion
@@ -385,8 +396,16 @@ def score_frames(
     dice_lists = {key: [] for key in (*ORGAN_SLUGS, PC_DICE_KEY)} if want_dice else None
     roi_counts = [0, 0, 0, 0]  # tp, fp, tn, fn
     saw_roi_flag = False
-    assessments: list[FrameAssessment] = []
+    frames: list[tuple[int, float]] = []  # frame_index and time_s of ROI frame k
+    pixel_conf: list[np.ndarray] = []  # (8, P_k) organ confidences at ROI frame k's PC pixels
+    runs: list[tuple] = []  # row runs of the ROI frames stacked so far
+    block = np.zeros((0, 1, 1), dtype=bool)  # ROI frame k thresholded into block[k % len(block)]
     shape: tuple[int, int] | None = None
+
+    def read_runs(count: int) -> None:  # of the last count frames, all in block
+        rows, starts, ends = _row_runs(block[:count].reshape(-1, shape[1]))
+        runs.append((rows + (len(frames) - count) * (shape[0] + 1), starts, ends))
+
     for record in records:
         roi_pass = record.roi_score >= constants.roi_threshold
         if want_roi and record.gt_roi is not None:
@@ -409,24 +428,33 @@ def score_frames(
             for organ, mask in zip(OrganClass, threshold_organ_masks(frame, constants)):
                 dice_lists[organ.slug].append(metrics.dice(frame.gt_labels == organ + 1, mask))
         pc_mask = None
-        if need_dice and frame.gt_pc is not None:
-            pc_mask = threshold_pc_mask(frame, constants)
-            dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pc_mask))
         if roi_pass:
-            assessments.append(classify_frame(frame, constants, pc_mask=pc_mask))
-    if not assessments:
+            if not len(block):  # as many stacked frames as one run block holds, at least one
+                n = max(1, _RUN_BLOCK_PIXELS // ((shape[0] + 1) * max(shape[1], 1)))
+                block = np.zeros((n, shape[0] + 1, shape[1]), dtype=bool)
+            pc_mask = threshold_pc_mask(frame, constants, out=block[len(frames) % len(block), :-1])
+            # gathered now: the frame need stay valid only until the next load
+            pixel_conf.append(frame.organ_conf.reshape(8, -1)[:, np.flatnonzero(pc_mask)])
+            frames.append((frame.frame_index, frame.time_s))
+            if len(frames) % len(block) == 0:  # full: read its runs before it is reused
+                read_runs(len(block))
+        if need_dice and frame.gt_pc is not None:
+            if pc_mask is None:
+                pc_mask = threshold_pc_mask(frame, constants)
+            dice_lists[PC_DICE_KEY].append(metrics.dice(frame.gt_pc > 0, pc_mask))
+    if not frames:
         raise NoAssessableFramesError(
             f"no frame reached the ROI threshold {constants.roi_threshold}"
         )
-    stations = aggregate_video(assessments)
+    read_runs(len(frames) % len(block))
+    stack = RowRuns(*map(np.concatenate, zip(*runs)), (len(frames), shape[0] + 1, shape[1]))
+    frame_stations, nodules = classify_frame(stack, np.concatenate(pixel_conf, axis=1), constants)
+    stations = tuple(frame_stations.any(axis=0).tolist())
     fs = compute_fs(stations, constants)
+    its = compute_its(fs, constants)
+    frame_index, time_s = zip(*frames)
     video = VideoAssessment(
-        video_id=video_id,
-        station_positive=stations,
-        fs=fs,
-        its=compute_its(fs, constants),
-        frames_used=len(assessments),
-        frames=assessments,
+        video_id, stations, fs, its, frame_index, time_s, frame_stations, nodules
     )
     roi = ConfusionCounts(*roi_counts) if want_roi and saw_roi_flag else None
     return video, dice_lists, roi

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import maskio
 from .cohort import (
-    CohortVideo,
     EvalRun,
     _collect,
     _evaluate_run,
@@ -43,10 +42,10 @@ from .core import (
     ScoringConstants,
     Station,
     STATION_SLUGS,
+    _ORGANS_OF,
     _check_scalar_fields,
     _is_int,
     _read_json,
-    organs_of,
 )
 from .errors import EmptyCohortError, InvalidSpecError, NoAssessableFramesError
 from .maskio import (
@@ -62,8 +61,6 @@ __all__ = [
     "NoiseSpec",
     "SynthSpec",
     "generate_cohort",
-    "oracle_fs",
-    "oracle_stations",
     "monte_carlo_sweep",
     "render_sweep_text",
     "render_sweep_csv",
@@ -415,7 +412,7 @@ def _generate_frame(
             if not involved:
                 continue
             count = int(rng.integers(lo_n, hi_n + 1))
-            organs = organs_of(station)
+            organs = _ORGANS_OF[station]
             for _ in range(count):
                 # the candidate's range depends on the organ just drawn
                 organ = organs[int(rng.integers(0, len(organs)))]
@@ -585,26 +582,6 @@ def generate_cohort(spec: SynthSpec, out_dir: str | Path, jobs: int = 1) -> Path
     save_cohort_index(f"synth-{_mask64(spec.seed)}", entries, index_path)
     (out_dir / "spec.json").write_text(canonical_json(spec.to_dict()), encoding="utf-8")
     return index_path
-
-
-def oracle_stations(video: CohortVideo | VideoManifest) -> tuple[bool, ...]:
-    """Planted station involvement, straight from the generation log."""
-    gt = video.ground_truth
-    if gt is None:
-        raise InvalidSpecError("video carries no planted ground truth")
-    return gt.stations
-
-
-def oracle_fs(video: CohortVideo | VideoManifest) -> int:
-    """Recompute the planted score from the station log (2 points per
-    involved station), independently of any raster; cross-checked
-    against the stored total."""
-    stations = oracle_stations(video)
-    fs = 2 * sum(bool(s) for s in stations)
-    stored = video.ground_truth.fs
-    if fs != stored:
-        raise InvalidSpecError(f"stored fs {stored} disagrees with planted stations ({fs})")
-    return fs
 
 
 # --- Monte Carlo noise sweep -----------------------------------------------

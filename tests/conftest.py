@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from carcino import maskio, synth
+from carcino import maskio, pipeline, synth
 from carcino.core import Indication
 from carcino.maskio import ConfidenceFrame, FrameRecord, VideoGroundTruth, VideoManifest
 
@@ -29,6 +29,15 @@ def make_frame(
         roi_score=roi_score,
         **kwargs,
     )
+
+
+def classify(frame: ConfidenceFrame, constants) -> tuple[np.ndarray, pipeline.NoduleTable]:
+    """pipeline.classify_frame over one frame: its thresholded
+    carcinomatosis mask and the organ confidences at the mask's pixels.
+    Returns the (1, 6) station flags and the nodule table."""
+    mask = pipeline.threshold_pc_mask(frame, constants)
+    pixel_conf = frame.organ_conf.reshape(8, -1)[:, np.flatnonzero(mask)]
+    return pipeline.classify_frame(mask, pixel_conf, constants)
 
 
 def blank_organ_conf(shape=(8, 8), fill=0.0) -> np.ndarray:

@@ -17,35 +17,60 @@ disc formulas are the references for synth's cached shapes and disc
 offsets. reference_frame, the former per-disc frame generator, builds
 on those three and the shift-loop morphology; it takes the frame
 generator, the confidence plateaus and the organs of a station from the
-package. pixel_set and fold_ids are plain views of package objects
-that only the tests take.
+package. connected_components, assign_nodules, classify_frame and
+aggregate_video are the former per-frame chain, one Nodule object per
+nodule, kept as the reference for the package's per-video table; they
+share only station_of with the package. oracle_stations and oracle_fs
+read the planted truth of a generated video. pixel_set, nodule_list and
+fold_ids are plain views of package objects that only the tests take.
 """
 
 from __future__ import annotations
 
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from carcino import maskio, metrics, pipeline, synth
 from carcino.cohort import EvalRun, FoldAssignment, evaluate_cohort, load_cohort
-from carcino.core import OrganClass, Station, organs_of
+from carcino.core import OrganClass, Station, organs_of, station_of
 from carcino.errors import (
     BadMagicError,
     CarcinoError,
     ConfidenceOutOfRangeError,
     DimensionMismatchError,
+    InvalidSpecError,
     MaskFormatError,
+    NoAssessableFramesError,
     TruncatedPayloadError,
     UnknownDtypeError,
 )
 from carcino.synth import generate_cohort
 
 
-def pixel_set(nodule: pipeline.Nodule) -> frozenset[tuple[int, int]]:
-    """The (row, col) pixels of a nodule as a set."""
+def pixel_set(nodule: Nodule) -> frozenset[tuple[int, int]]:
+    """The (row, col) pixels of a reference nodule as a set."""
     return frozenset((int(r), int(c)) for r, c in nodule.pixels)
+
+
+def nodule_list(nodules: pipeline.NoduleTable, mask) -> list[Nodule]:
+    """The rows of a nodule table of mask as reference Nodules: id,
+    (row, col) int32 pixels in row-major order (rows count within the
+    nodule's frame for a stacked mask), organ and overlap counts."""
+    mask = np.asarray(mask, dtype=bool)
+    rows, cols = np.divmod(np.flatnonzero(mask)[nodules.pixel_rank], mask.shape[-1])
+    pixels = np.stack([rows % mask.shape[-2], cols], axis=1).astype(np.int32)
+    return [
+        Nodule(i, px, OrganClass(organ) if organ >= 0 else None, counts)
+        for i, px, organ, counts in zip(
+            nodules.id.tolist(),
+            np.split(pixels, np.cumsum(nodules.size)[:-1]),
+            nodules.organ.tolist(),
+            nodules.counts,
+        )
+    ]
 
 
 def fold_ids(folds: FoldAssignment, fold: int) -> list[str]:
@@ -183,6 +208,154 @@ def loop_assign(pixel_arrays, organ_masks, organ_conf) -> list[tuple]:
                 best = code
         results.append((counts.astype(np.int64), best))
     return results
+
+
+# --- the former per-frame chain ------------------------------------------------
+
+
+@dataclass(eq=False)
+class Nodule:
+    """One connected component of a frame's thresholded carcinomatosis
+    mask: an (n, 2) int32 array of (row, col) in row-major order, and
+    the fields assign_nodules fills."""
+
+    id: int
+    pixels: np.ndarray
+    assigned_organ: OrganClass | None = None
+    overlap_counts: np.ndarray | None = None  # (8,) pixel overlap per organ
+
+    @property
+    def size(self) -> int:
+        return int(self.pixels.shape[0])
+
+
+@dataclass(eq=False)
+class FrameAssessment:
+    frame_index: int
+    time_s: float
+    station_positive: tuple[bool, ...]
+    nodules: list[Nodule]
+
+
+def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Nodule]:
+    """Reference labelling, the former per-frame one: runs of every row,
+    touching pairs by two searchsorted calls, minimum hooking and
+    pointer jumping, components in row-major order of first pixel."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.size:
+        return []
+    width = mask.shape[1]
+    rows, starts, ends = padded_row_runs(mask)
+    n_runs = rows.size
+    if n_runs == 0:
+        return []
+    stride = width + 1
+    slack = 0 if connectivity == 8 else 1
+    above = (rows - 1) * stride
+    lo = np.searchsorted(rows * stride + ends, above + starts + slack, side="left")
+    hi = np.searchsorted(rows * stride + starts, above + ends - slack, side="right")
+    n_pairs = np.maximum(hi - lo, 0)
+    cur = np.repeat(np.arange(n_runs), n_pairs)
+    prev = np.arange(cur.size) - np.repeat(np.cumsum(n_pairs) - n_pairs - lo, n_pairs)
+    labels = np.arange(n_runs)
+    while cur.size:
+        lp = labels[prev]
+        lc = labels[cur]
+        open_ = lp != lc
+        if not open_.any():
+            break
+        prev, cur, lp, lc = prev[open_], cur[open_], lp[open_], lc[open_]
+        low = np.minimum(lp, lc)
+        np.minimum.at(labels, lp, low)
+        np.minimum.at(labels, lc, low)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    is_root = labels == np.arange(n_runs)
+    component = (np.cumsum(is_root) - 1)[labels]
+    order = np.argsort(component, kind="stable")
+    lengths = (ends - starts)[order]
+    run_offsets = np.cumsum(lengths) - lengths
+    pixels = np.empty((int(lengths.sum()), 2), dtype=np.int32)
+    pixels[:, 0] = np.repeat(rows[order], lengths)
+    pixels[:, 1] = np.arange(pixels.shape[0]) - np.repeat(run_offsets - starts[order], lengths)
+    sizes = np.bincount(component, weights=ends - starts).astype(np.int64)
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    return [Nodule(id=i, pixels=pixels[bounds[i] : bounds[i + 1]]) for i in range(len(sizes))]
+
+
+def assign_nodules(nodules: list[Nodule], organ_conf: np.ndarray, constants) -> list[Nodule]:
+    """Reference assignment, the former per-frame one: the (8, H, W)
+    confidences gathered at all nodule pixels of a frame, one bincount
+    for the counts and one for the float64 sums, one loop turn per
+    nodule to store the winner."""
+    if not nodules:
+        return nodules
+    width = organ_conf.shape[2]
+    sizes = np.array([n.size for n in nodules])
+    px = np.concatenate([n.pixels for n in nodules])
+    n = len(nodules)
+    conf = organ_conf.reshape(8, -1)[:, px[:, 0].astype(np.int64) * width + px[:, 1]]
+    organ, pixel = np.nonzero(conf >= np.float32(constants.organ_confidence_threshold))
+    key = np.repeat(np.arange(n) * 8, sizes)[pixel] + organ
+    counts = np.bincount(key, minlength=8 * n).reshape(n, 8)
+    conf_sums = np.bincount(key, weights=conf[organ, pixel], minlength=8 * n).reshape(n, 8)
+    most = counts.max(axis=1)
+    top = counts == most[:, None]
+    top_sums = np.where(top, conf_sums, -np.inf)
+    top &= top_sums == top_sums.max(axis=1, keepdims=True)
+    best = np.argmax(top, axis=1)
+    for nodule, row, code, hit in zip(nodules, counts, best.tolist(), (most > 0).tolist()):
+        nodule.overlap_counts = row
+        nodule.assigned_organ = OrganClass(code) if hit else None
+    return nodules
+
+
+def classify_frame(frame, constants) -> FrameAssessment:
+    """Reference frame classification, the former per-frame chain:
+    threshold, label, drop nodules under min_nodule_pixels, assign, and
+    mark the station of every assigned nodule."""
+    mask = frame.pc_conf >= np.float32(constants.pc_confidence_threshold)
+    nodules = connected_components(mask)
+    nodules = [n for n in nodules if n.size >= constants.min_nodule_pixels]
+    assign_nodules(nodules, frame.organ_conf, constants)
+    hit = {station_of(n.assigned_organ) for n in nodules if n.assigned_organ is not None}
+    return FrameAssessment(
+        frame_index=frame.frame_index,
+        time_s=frame.time_s,
+        station_positive=tuple(s in hit for s in Station),
+        nodules=nodules,
+    )
+
+
+def aggregate_video(frame_assessments: list[FrameAssessment]) -> tuple[bool, ...]:
+    """Reference video aggregation: the per-station OR over frames."""
+    if not frame_assessments:
+        raise NoAssessableFramesError("no frames to aggregate")
+    return tuple(map(any, zip(*(fa.station_positive for fa in frame_assessments))))
+
+
+def oracle_stations(video) -> tuple[bool, ...]:
+    """Planted station involvement of a CohortVideo or VideoManifest,
+    straight from the generation log."""
+    gt = video.ground_truth
+    if gt is None:
+        raise InvalidSpecError("video carries no planted ground truth")
+    return gt.stations
+
+
+def oracle_fs(video) -> int:
+    """Recompute the planted score from the station log (2 points per
+    involved station), independently of any raster; cross-checked
+    against the stored total."""
+    stations = oracle_stations(video)
+    fs = 2 * sum(bool(s) for s in stations)
+    stored = video.ground_truth.fs
+    if fs != stored:
+        raise InvalidSpecError(f"stored fs {stored} disagrees with planted stations ({fs})")
+    return fs
 
 
 def _shift(mask: np.ndarray, dr: int, dc: int) -> np.ndarray:
@@ -467,9 +640,9 @@ def assess_frames(records, load, constants, want_dice: bool, want_roi: bool) -> 
                 pred = frame.pc_conf >= pc_threshold
                 dice_lists["peritoneal_carcinomatosis"].append(metrics.dice(frame.gt_pc > 0, pred))
         if roi_pass:
-            assessments.append(pipeline.classify_frame(frame, constants))
+            assessments.append(classify_frame(frame, constants))
     if assessments:
-        stations = pipeline.aggregate_video(assessments)
+        stations = aggregate_video(assessments)
         fs = pipeline.compute_fs(stations, constants)
         its = pipeline.compute_its(fs, constants)
         result["prediction"] = {

@@ -28,8 +28,8 @@ from carcino.metrics import (
 )
 from carcino.synth import NoiseSpec, SynthSpec
 
-from conftest import ground_truth_for, make_frame
-from oracles import flood_components, pixel_set
+from conftest import classify, ground_truth_for, make_frame
+from oracles import flood_components, nodule_list, oracle_fs, oracle_stations, pixel_set
 
 CONSTANTS = ScoringConstants()
 
@@ -69,10 +69,8 @@ def test_connected_components_oracle_equivalence():
         width = int(rng.integers(1, 17))
         mask = rng.random((height, width)) < float(rng.random())
         for connectivity in (4, 8):
-            got = [
-                pixel_set(n)
-                for n in pipeline.connected_components(mask, connectivity=connectivity)
-            ]
+            nodules = pipeline.connected_components(mask, connectivity=connectivity)
+            got = [pixel_set(n) for n in nodule_list(nodules, mask)]
             assert got == flood_components(mask, connectivity=connectivity)
     assert time.monotonic() - started < 10.0
 
@@ -86,8 +84,8 @@ def test_pipeline_zero_noise_exactness(acceptance_cohort_index):
     assert len(cohort.videos) == 50
     for video in cohort.videos:
         assessment = pipeline.score_video(maskio.load_manifest(video.manifest_path))
-        assert assessment.fs == synth.oracle_fs(video)
-        assert assessment.station_positive == synth.oracle_stations(video)
+        assert assessment.fs == oracle_fs(video)
+        assert assessment.station_positive == oracle_stations(video)
     report = evaluate_cohort(
         cohort, independent_runs(cohort), CONSTANTS, compute_dice=False
     )
@@ -138,10 +136,10 @@ def test_nodule_partition_on_zero_noise_cohort(acceptance_cohort_index):
         manifest = maskio.load_manifest(video.manifest_path)
         for record in manifest.frames:
             frame = maskio.load_frame(record, manifest.base_dir)
-            assessment = pipeline.classify_frame(frame, CONSTANTS)
+            _, nodules = classify(frame, CONSTANTS)
             mask = pipeline.threshold_pc_mask(frame, CONSTANTS)
             union = set()
-            for nodule in assessment.nodules:
+            for nodule in nodule_list(nodules, mask):
                 assert not (union & pixel_set(nodule))
                 union |= pixel_set(nodule)
             expected = {(int(r), int(c)) for r, c in zip(*np.nonzero(mask))}

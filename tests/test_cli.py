@@ -10,9 +10,10 @@ import pytest
 from carcino import maskio, synth
 from carcino.cli import main
 from carcino.cohort import _summarize_report, load_cohort, save_cohort_index
-from carcino.synth import SynthSpec, oracle_fs
+from carcino.synth import SynthSpec
 
 from conftest import blank_organ_conf, ground_truth_for, write_video
+from oracles import oracle_fs
 
 
 def _mini_cohort(tmp_path, n_videos=3, **spec_kwargs) -> Path:

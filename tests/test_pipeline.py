@@ -1,6 +1,6 @@
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from carcino import maskio, pipeline, synth
 from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
-from carcino.core import Indication, OrganClass, ScoringConstants, Station
+from carcino.core import Indication, OrganClass, ScoringConstants, Station, organs_of
 from carcino.errors import (
     CarcinoError,
     ChannelCountMismatchError,
@@ -19,12 +19,14 @@ from carcino.errors import (
     NoAssessableFramesError,
 )
 
-from conftest import blank_organ_conf, make_frame, write_video
+import oracles
+from conftest import blank_organ_conf, classify, make_frame, write_video
 from oracles import (
     assess_frames,
     flood_components,
     loop_assign,
     naive_station_vector,
+    nodule_list,
     padded_row_runs,
     pixel_set,
 )
@@ -102,10 +104,11 @@ def test_threshold_subset_monotonicity_random_frames():
 
 
 def test_connected_components_empty_and_singleton():
-    assert pipeline.connected_components(np.zeros((4, 4), dtype=bool)) == []
+    assert len(pipeline.connected_components(np.zeros((4, 4), dtype=bool))) == 0
+    assert len(pipeline.connected_components(np.zeros((0, 4), dtype=bool))) == 0
     mask = np.zeros((4, 4), dtype=bool)
     mask[1, 1] = True
-    nodules = pipeline.connected_components(mask)
+    nodules = nodule_list(pipeline.connected_components(mask), mask)
     assert len(nodules) == 1
     assert pixel_set(nodules[0]) == {(1, 1)}
     assert nodules[0].id == 0
@@ -123,7 +126,7 @@ def test_connected_components_ordering_and_partition():
     mask[4:6, 0:2] = True  # lower-left blob
     mask[0, 5] = True  # upper-right pixel
     mask[2, 3] = True
-    nodules = pipeline.connected_components(mask)
+    nodules = nodule_list(pipeline.connected_components(mask), mask)
     firsts = [tuple(n.pixels[0]) for n in nodules]
     assert firsts == sorted(firsts)  # ordered by first pixel, row-major
     assert [n.id for n in nodules] == [0, 1, 2]
@@ -148,7 +151,7 @@ def test_connected_components_ordering_and_partition():
 def test_connected_components_match_flood_fill(height, width, density, connectivity, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((height, width)) < density
-    nodules = pipeline.connected_components(mask, connectivity=connectivity)
+    nodules = nodule_list(pipeline.connected_components(mask, connectivity=connectivity), mask)
     expected = flood_components(mask, connectivity=connectivity)
     assert [pixel_set(n) for n in nodules] == expected
 
@@ -156,9 +159,12 @@ def test_connected_components_match_flood_fill(height, width, density, connectiv
 def test_connected_components_pixels_are_row_major_sorted():
     rng = np.random.default_rng(5)
     mask = rng.random((10, 10)) < 0.6
-    for nodule in pipeline.connected_components(mask):
+    table = pipeline.connected_components(mask)
+    ranks = np.split(table.pixel_rank, np.cumsum(table.size)[:-1])
+    for nodule, nodule_ranks in zip(nodule_list(table, mask), ranks):
         flat = nodule.pixels[:, 0] * 10 + nodule.pixels[:, 1]
         assert np.all(np.diff(flat) > 0)
+        assert np.all(np.diff(nodule_ranks) > 0)
 
 
 def _comb(n):
@@ -209,10 +215,13 @@ def test_connected_components_structured_masks_match_flood_fill(make_mask, conne
     """Masks whose components chain many runs across many rows, the
     longest merges for the label propagation."""
     mask = make_mask(64)
-    nodules = pipeline.connected_components(mask, connectivity=connectivity)
+    table = pipeline.connected_components(mask, connectivity=connectivity)
+    nodules = nodule_list(table, mask)
     assert [pixel_set(n) for n in nodules] == flood_components(mask, connectivity=connectivity)
+    for field in fields(table):
+        assert getattr(table, field.name).dtype == np.int64
+    assert table.pixel_rank.shape == (int(mask.sum()),)
     for nodule in nodules:
-        assert nodule.pixels.dtype == np.int32 and nodule.pixels.shape == (nodule.size, 2)
         flat = nodule.pixels[:, 0].astype(np.int64) * 64 + nodule.pixels[:, 1]
         assert np.all(np.diff(flat) > 0)
 
@@ -248,10 +257,42 @@ def test_row_runs_match_padded_diff_extraction(mask, connectivity):
     nodules = pipeline.connected_components(mask, connectivity=connectivity)
     with mock.patch.object(pipeline, "_row_runs", padded_row_runs):
         former = pipeline.connected_components(mask, connectivity=connectivity)
-    assert [n.id for n in nodules] == [n.id for n in former]
-    for nodule, reference in zip(nodules, former):
-        assert nodule.pixels.dtype == reference.pixels.dtype
-        assert np.array_equal(nodule.pixels, reference.pixels)
+    _assert_same_tables(nodules, former)
+
+
+def _assert_same_tables(got, want):
+    for field in fields(pipeline.NoduleTable):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=_run_masks(), block=st.integers(1, 120), connectivity=st.sampled_from([4, 8]))
+def test_connected_components_row_blocks_join_exactly(mask, block, connectivity):
+    """Row runs read in row blocks of any number of pixels, here down to
+    one row, give the table of a single block."""
+    whole = pipeline.connected_components(mask, connectivity=connectivity)
+    with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", block):
+        blocked = pipeline.connected_components(mask, connectivity=connectivity)
+    _assert_same_tables(blocked, whole)
+
+
+def test_connected_components_of_a_stack_number_nodules_per_frame():
+    """A blank row ends every stacked frame: a nodule on a frame's last
+    row stays apart from one on the next frame's first row, each nodule
+    knows its frame, and ids restart at 0 in every frame."""
+    stack = np.zeros((3, 4, 5), dtype=bool)
+    stack[0, 2, 1] = stack[1, 0, 1] = stack[1, 0, 3] = stack[2, 1:3, 4] = True
+    table = pipeline.connected_components(stack)
+    assert table.frame.tolist() == [0, 1, 1, 2]
+    assert table.id.tolist() == [0, 0, 1, 0]
+    assert table.size.tolist() == [1, 1, 1, 2]
+    assert [pixel_set(n) for n in nodule_list(table, stack)] == [
+        {(2, 1)}, {(0, 1)}, {(0, 3)}, {(1, 4), (2, 4)}
+    ]
+    stack[1, 3, 0] = True
+    with pytest.raises(ValueError, match="blank row"):
+        pipeline.connected_components(stack)
 
 
 # --- nodule assignment ---------------------------------------------------------
@@ -261,8 +302,14 @@ def _conf(shape=(5, 5)):
     return np.zeros((8, *shape), dtype=np.float32)
 
 
-def _nodule(pixels):
-    return pipeline.Nodule(id=0, pixels=np.array(sorted(pixels), dtype=np.int32))
+def _assigned(pixels, conf):
+    """The one nodule of a mask holding pixels, assigned over conf."""
+    mask = np.zeros(conf.shape[1:], dtype=bool)
+    mask[tuple(np.array(pixels).T)] = True
+    table = pipeline.connected_components(mask)
+    assert len(table) == 1
+    pipeline.assign_nodules(table, conf.reshape(8, -1)[:, np.flatnonzero(mask)], CONSTANTS)
+    return nodule_list(table, mask)[0]
 
 
 def test_assign_greatest_overlap_wins():
@@ -271,8 +318,7 @@ def test_assign_greatest_overlap_wins():
     for r, c in [(0, 0), (0, 1), (0, 2)]:
         conf[OrganClass.LIVER, r, c] = 0.75
     conf[OrganClass.DIAPHRAGM, 0, 3] = 0.99
-    nodule = _nodule([(0, 0), (0, 1), (0, 2), (0, 3)])
-    pipeline.assign_nodules([nodule], conf, CONSTANTS)
+    nodule = _assigned([(0, 0), (0, 1), (0, 2), (0, 3)], conf)
     assert nodule.assigned_organ is OrganClass.LIVER
     assert list(nodule.overlap_counts) == [1, 3, 0, 0, 0, 0, 0, 0]
 
@@ -280,8 +326,7 @@ def test_assign_greatest_overlap_wins():
 def test_assign_no_overlap_stays_unassigned():
     conf = _conf()
     conf[OrganClass.LIVER, 2, 2] = 0.69  # below the 0.70 threshold
-    nodule = _nodule([(2, 2)])
-    pipeline.assign_nodules([nodule], conf, CONSTANTS)
+    nodule = _assigned([(2, 2)], conf)
     assert nodule.assigned_organ is None
     assert nodule.overlap_counts.sum() == 0
 
@@ -292,8 +337,7 @@ def test_assign_tie_broken_by_summed_confidence():
     for r, c in pixels:
         conf[OrganClass.STOMACH, r, c] = 0.80  # sums to 1.60
         conf[OrganClass.BOWEL, r, c] = 0.95  # sums to 1.90
-    nodule = _nodule(pixels)
-    pipeline.assign_nodules([nodule], conf, CONSTANTS)
+    nodule = _assigned(pixels, conf)
     assert nodule.assigned_organ is OrganClass.BOWEL
 
 
@@ -302,28 +346,32 @@ def test_assign_full_tie_broken_by_lowest_code():
     for r, c in [(1, 1), (1, 2)]:
         for organ in (OrganClass.SPLEEN, OrganClass.GREATER_OMENTUM):
             conf[organ, r, c] = 0.9
-    nodule = _nodule([(1, 1), (1, 2)])
-    pipeline.assign_nodules([nodule], conf, CONSTANTS)
+    nodule = _assigned([(1, 1), (1, 2)], conf)
     assert nodule.assigned_organ is OrganClass.SPLEEN
 
 
 def test_assign_checks_the_channel_count_without_nodules():
-    """The channel count is checked before the early return for a frame
+    """The channel count is checked before the early return for a mask
     without nodules, as it was when full organ masks were thresholded
     first."""
-    for bad in (np.zeros((7, 4, 4), np.float32), np.zeros((4, 4), np.float32)):
+    empty = pipeline.connected_components(np.zeros((4, 4), dtype=bool))
+    for bad in (np.zeros((7, 0), np.float32), np.zeros(0, np.float32)):
         with pytest.raises(ChannelCountMismatchError):
-            pipeline.assign_nodules([], bad, CONSTANTS)
-    assert pipeline.assign_nodules([], _conf((4, 4)), CONSTANTS) == []
+            pipeline.assign_nodules(empty, bad, CONSTANTS)
+    assert len(pipeline.assign_nodules(empty, np.zeros((8, 0), np.float32), CONSTANTS)) == 0
 
 
 def test_assign_rejects_pixels_outside_frame():
-    conf = _conf((4, 4))
-    inside = _nodule([(0, 0)])
-    for bad in ([(4, 0)], [(0, 4)], [(-1, 0)]):
-        nodule = pipeline.Nodule(id=7, pixels=np.array(bad, dtype=np.int32))
+    """A pixel rank outside the given confidences names its nodule."""
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[0, 0] = mask[2, 2] = True
+    pixel_conf = np.zeros((8, 2), np.float32)
+    for bad in (2, 16, -1):
+        table = pipeline.connected_components(mask)
+        table.id[1] = 7
+        table.pixel_rank[1] = bad
         with pytest.raises(DimensionMismatchError, match="nodule 7"):
-            pipeline.assign_nodules([inside, nodule], conf, CONSTANTS)
+            pipeline.assign_nodules(table, pixel_conf, CONSTANTS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,10 +415,12 @@ def test_assign_matches_loop_reference_with_forced_ties(
                 rng.choice(below, (height, width)),
             )
     pc = rng.random((height, width)) < 0.5
-    nodules = pipeline.connected_components(pc)
-    expected = loop_assign([n.pixels for n in nodules], conf >= thr, conf)
+    table = pipeline.connected_components(pc)
+    expected = loop_assign([n.pixels for n in nodule_list(table, pc)], conf >= thr, conf)
     constants = ScoringConstants(organ_confidence_threshold=threshold)
-    pipeline.assign_nodules(nodules, conf, constants)
+    pipeline.assign_nodules(table, conf.reshape(8, -1)[:, np.flatnonzero(pc)], constants)
+    nodules = nodule_list(table, pc)
+    assert len(nodules) == len(expected)
     for nodule, (counts, best) in zip(nodules, expected):
         assert nodule.overlap_counts.dtype == np.int64
         assert list(nodule.overlap_counts) == list(counts)
@@ -397,9 +447,9 @@ def _frame_with_blobs(blobs, organ_regions, shape=(10, 10)):
 
 def test_classify_frame_no_pc_means_all_negative():
     frame = make_frame(blank_organ_conf((6, 6), 0.95), np.zeros((6, 6)))
-    assessment = pipeline.classify_frame(frame, CONSTANTS)
-    assert assessment.station_positive == (False,) * 6
-    assert assessment.nodules == []
+    stations, nodules = classify(frame, CONSTANTS)
+    assert stations.tolist() == [[False] * 6]
+    assert len(nodules) == 0
 
 
 def test_classify_frame_spleen_marks_shared_station():
@@ -407,10 +457,10 @@ def test_classify_frame_spleen_marks_shared_station():
         [[(2, 2), (2, 3)]],
         {OrganClass.SPLEEN: [(2, 2), (2, 3), (3, 2), (3, 3)]},
     )
-    assessment = pipeline.classify_frame(frame, CONSTANTS)
+    stations, _ = classify(frame, CONSTANTS)
     expected = [False] * 6
     expected[Station.STOMACH_SPLEEN_LESSER_OMENTUM] = True
-    assert assessment.station_positive == tuple(expected)
+    assert stations.tolist() == [expected]
 
 
 def test_classify_frame_two_nodules_two_stations():
@@ -421,20 +471,20 @@ def test_classify_frame_two_nodules_two_stations():
             OrganClass.BOWEL: [(8, 8), (8, 9), (9, 8)],
         },
     )
-    assessment = pipeline.classify_frame(frame, CONSTANTS)
+    stations, nodules = classify(frame, CONSTANTS)
     expected = [False] * 6
     expected[Station.DIAPHRAGM] = True
     expected[Station.BOWEL] = True
-    assert assessment.station_positive == tuple(expected)
-    assert len(assessment.nodules) == 2
+    assert stations.tolist() == [expected]
+    assert len(nodules) == 2
 
 
 def test_classify_frame_unassigned_nodule_counts_nowhere():
     frame = _frame_with_blobs([[(5, 5)]], {})
-    assessment = pipeline.classify_frame(frame, CONSTANTS)
-    assert assessment.station_positive == (False,) * 6
-    assert len(assessment.nodules) == 1
-    assert assessment.nodules[0].assigned_organ is None
+    stations, nodules = classify(frame, CONSTANTS)
+    assert stations.tolist() == [[False] * 6]
+    assert len(nodules) == 1
+    assert nodules.organ.tolist() == [-1]
 
 
 def test_classify_frame_min_nodule_pixels_filter():
@@ -442,9 +492,9 @@ def test_classify_frame_min_nodule_pixels_filter():
         [[(2, 2)]], {OrganClass.LIVER: [(2, 2), (2, 3)]}
     )
     strict = replace(CONSTANTS, min_nodule_pixels=2)
-    assessment = pipeline.classify_frame(frame, strict)
-    assert assessment.station_positive == (False,) * 6
-    assert assessment.nodules == []
+    stations, nodules = classify(frame, strict)
+    assert stations.tolist() == [[False] * 6]
+    assert len(nodules) == 0
 
 
 def test_classify_frame_partition_invariant():
@@ -453,10 +503,10 @@ def test_classify_frame_partition_invariant():
         conf = rng.random((8, 9, 9), dtype=np.float32)
         pc = rng.random((9, 9), dtype=np.float32)
         frame = make_frame(conf, pc)
-        assessment = pipeline.classify_frame(frame, CONSTANTS)
+        _, nodules = classify(frame, CONSTANTS)
         mask = pipeline.threshold_pc_mask(frame, CONSTANTS)
         union = set()
-        for nodule in assessment.nodules:
+        for nodule in nodule_list(nodules, mask):
             assert not (union & pixel_set(nodule))
             union |= pixel_set(nodule)
         assert union == {(r, c) for r, c in zip(*np.nonzero(mask))}
@@ -468,15 +518,28 @@ def test_classify_frame_matches_naive_recomputation():
         conf = (rng.random((8, 8, 8)) * 1.2 - 0.1).clip(0, 1).astype(np.float32)
         pc = rng.random((8, 8), dtype=np.float32)
         frame = make_frame(conf, pc)
-        assessment = pipeline.classify_frame(frame, CONSTANTS)
-        assert assessment.station_positive == naive_station_vector(frame, CONSTANTS)
+        stations, _ = classify(frame, CONSTANTS)
+        assert tuple(stations[0].tolist()) == naive_station_vector(frame, CONSTANTS)
 
 
 # --- aggregation and scoring ------------------------------------------------------
 
 
 def _fa(stations):
-    return pipeline.FrameAssessment(0, 0.0, tuple(stations))
+    """A 1x12 frame positive for exactly the given stations: a one-pixel
+    nodule at column 2s on the first organ of each positive station s."""
+    organ_conf, pc = blank_organ_conf((1, 12)), np.zeros((1, 12))
+    for s in np.flatnonzero(stations):
+        organ_conf[organs_of(s)[0], 0, 2 * s] = pc[0, 2 * s] = 0.95
+    return make_frame(organ_conf, pc)
+
+
+def _video_stations(frames) -> tuple[bool, ...]:
+    video, _, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
+    assert video.frame_stations.tolist() == [
+        classify(frame, CONSTANTS)[0][0].tolist() for frame in frames
+    ]
+    return video.station_positive
 
 
 def test_aggregate_video_is_or():
@@ -484,22 +547,22 @@ def test_aggregate_video_is_or():
     one_hit = [False] * 6
     one_hit[3] = True
     frames = [_fa(negative)] * 2 + [_fa(one_hit)] + [_fa(negative)] * 7
-    assert pipeline.aggregate_video(frames) == tuple(one_hit)
-    assert pipeline.aggregate_video([_fa(negative)] * 4) == tuple(negative)
+    assert _video_stations(frames) == tuple(one_hit)
+    assert _video_stations([_fa(negative)] * 4) == tuple(negative)
 
 
 def test_aggregate_video_empty_raises():
     with pytest.raises(NoAssessableFramesError):
-        pipeline.aggregate_video([])
+        pipeline.score_frames("v", [], lambda f: f, CONSTANTS)
 
 
 def test_aggregate_monotone_under_added_frames():
     rng = np.random.default_rng(17)
     for _ in range(30):
         frames = [_fa(rng.random(6) < 0.3) for _ in range(rng.integers(1, 6))]
-        before = pipeline.aggregate_video(frames)
+        before = _video_stations(frames)
         frames.append(_fa(rng.random(6) < 0.5))
-        after = pipeline.aggregate_video(frames)
+        after = _video_stations(frames)
         assert all(b <= a for b, a in zip(before, after))
 
 
@@ -628,8 +691,31 @@ def test_score_frames_keeps_frames_at_or_above_roi_threshold():
     for threshold, kept in ((0.5, [0, 2]), (0.0, [0, 1, 2])):  # 0.5 kept: >= semantics
         constants = ScoringConstants(roi_threshold=threshold)
         video, _, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
-        assert [fa.frame_index for fa in video.frames] == kept
+        assert list(video.frame_index) == kept
         assert video.frames_used == len(kept)
+
+
+def test_score_frames_reads_runs_block_by_block():
+    """The stack's row runs are read each time a block of frames fills
+    and once more for the frames left over; any block size, here one
+    frame, two and all 21, gives the same assessment."""
+    rng = np.random.default_rng(8)
+    frames = [
+        make_frame(
+            rng.choice(_CONF_VALUES, (8, 5, 6)),
+            rng.choice(_CONF_VALUES, (5, 6)),
+            roi_score=0.9,
+            frame_index=i,
+        )
+        for i in range(21)
+    ]
+    whole, _, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
+    assert whole.frames_used == 21 and len(whole.nodules) > 21
+    for block_pixels in (1, 100):  # a stacked frame is 6x6: one frame a block, then two
+        with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", block_pixels):
+            video, _, _ = pipeline.score_frames("v", iter(frames), lambda f: f, CONSTANTS)
+        assert video.to_dict() == whole.to_dict()
+        assert video.frame_stations.tolist() == whole.frame_stations.tolist()
 
 
 def test_score_frames_loads_only_frames_it_needs():
@@ -651,7 +737,8 @@ def test_score_frames_loads_only_frames_it_needs():
 def test_score_frames_thresholds_organs_once_per_loaded_frame(monkeypatch):
     """Full organ masks are built once per frame that feeds organ Dice
     and for no other frame; classify_frame decides organs at the nodule
-    pixels and still runs once per ROI frame."""
+    pixels and runs once per video, over its ROI frames stacked with a
+    blank row after each."""
     gt = {"gt_labels": np.zeros((2, 2), np.uint8), "gt_pc": np.zeros((2, 2), np.uint8)}
     frames = [
         make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)), 0.9, 0, gt_roi=True, **gt),
@@ -660,19 +747,23 @@ def test_score_frames_thresholds_organs_once_per_loaded_frame(monkeypatch):
     ]
     calls = {"threshold": [], "classify": []}
 
-    def counted(name, func):
-        def wrapper(frame, *args, **kwargs):
-            calls[name].append(frame.frame_index)
-            return func(frame, *args, **kwargs)
+    def counted(name, func, key):
+        def wrapper(first, *args, **kwargs):
+            calls[name].append(key(first))
+            return func(first, *args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(
-        pipeline, "threshold_organ_masks", counted("threshold", pipeline.threshold_organ_masks)
+        pipeline,
+        "threshold_organ_masks",
+        counted("threshold", pipeline.threshold_organ_masks, lambda frame: frame.frame_index),
     )
-    monkeypatch.setattr(pipeline, "classify_frame", counted("classify", pipeline.classify_frame))
+    monkeypatch.setattr(
+        pipeline, "classify_frame", counted("classify", pipeline.classify_frame, np.shape)
+    )
     pipeline.score_frames("v", frames, lambda f: f, CONSTANTS, want_dice=True)
-    assert calls == {"threshold": [0, 1], "classify": [0, 2]}
+    assert calls == {"threshold": [0, 1], "classify": [(2, 3, 2)]}
 
 
 def test_a_frame_without_eight_organ_planes_fails_on_every_path(tmp_path):
@@ -695,10 +786,13 @@ def test_a_frame_without_eight_organ_planes_fails_on_every_path(tmp_path):
 
 
 def test_classify_frame_checks_the_size_of_a_given_pc_mask():
-    """The frame checked its own planes; pc_mask comes from the caller."""
-    frame = make_frame(blank_organ_conf((4, 4)), np.zeros((4, 4)))
-    with pytest.raises(DimensionMismatchError, match="frame 0: pc_mask"):
-        pipeline.classify_frame(frame, CONSTANTS, pc_mask=np.zeros((4, 5), bool))
+    """pc_mask and pixel_conf both come from the caller: pixel_conf must
+    hold one column per true pixel of the mask."""
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1, 1] = True
+    for bad in (np.zeros((8, 2), np.float32), np.zeros((8, 4, 4), np.float32)):
+        with pytest.raises(DimensionMismatchError, match="pc_mask has 1 true pixels"):
+            pipeline.classify_frame(mask, bad, CONSTANTS)
 
 
 def test_score_frames_thresholds_pc_once_per_loaded_frame(small_cohort_index, monkeypatch):
@@ -722,6 +816,85 @@ def test_score_frames_thresholds_pc_once_per_loaded_frame(small_cohort_index, mo
     report = evaluate_cohort(cohort, [run], CONSTANTS, jobs=1)
     assert report["runs"][0]["failed"] == {}
     assert counts["loaded"] > 0 and counts["pc"] == counts["loaded"]
+
+
+_TIE_VALUES = np.array([0.0, 0.5, 0.69, 0.7, 0.75, 0.8, 0.9, 1.0], dtype=np.float32)
+
+
+@st.composite
+def _stacked_videos(draw):
+    """Videos of 1-6 frames of one size from 1x1 to 24x24, width 1 often:
+    carcinomatosis masks from empty to full, now and then a nodule on a
+    frame's last row beside one on the next frame's first row, organ
+    confidences from few values with some organ planes copied onto
+    others (equal overlap counts, and with the confidences copied too,
+    equal sums), and now and then a frame below the ROI threshold."""
+    n = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 24))
+    width = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pcs = []
+    for i in range(n):
+        density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+        pc = np.where(rng.random((height, width)) < density, np.float32(0.95), np.float32(0.5))
+        if i and draw(st.booleans()):  # touching across the frame edge if not cut
+            col = draw(st.integers(0, width - 1))
+            pcs[-1][-1, col] = pc[0, col] = 0.95
+        pcs.append(pc)
+    frames = []
+    for i, pc in enumerate(pcs):
+        conf = rng.choice(_TIE_VALUES, (8, height, width))
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3)):
+            if draw(st.booleans()):
+                conf[dst] = conf[src]
+            else:
+                conf[dst] = np.where(conf[src] >= 0.7, np.float32(0.9), np.float32(0.1))
+        roi = draw(st.sampled_from([0.9, 0.9, 0.9, 0.1]))
+        frames.append(make_frame(conf, pc, roi_score=roi, frame_index=i, time_s=2.5 * i))
+    return frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frames=_stacked_videos(),
+    min_pixels=st.integers(1, 4),
+    block_pixels=st.sampled_from([1, 60, 300, 1 << 16]),
+)
+def test_video_path_matches_per_frame_reference(frames, min_pixels, block_pixels):
+    """score_frames labels and assigns a video's ROI frames as one stack,
+    its row runs read in blocks of one frame to all frames; the former
+    per-frame chain, run on each ROI frame alone, gives the same station
+    flags per frame, and the same frame, id, size, organ and overlap
+    counts for every nodule, in order."""
+    constants = ScoringConstants(min_nodule_pixels=min_pixels)
+    roi_frames = [f for f in frames if f.roi_score >= constants.roi_threshold]
+    with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", block_pixels):
+        if not roi_frames:
+            with pytest.raises(NoAssessableFramesError):
+                pipeline.score_frames("v", frames, lambda f: f, constants)
+            return
+        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
+    reference = [oracles.classify_frame(frame, constants) for frame in roi_frames]
+    assert video.frame_index == tuple(fa.frame_index for fa in reference)
+    assert video.time_s == tuple(fa.time_s for fa in reference)
+    assert video.frame_stations.tolist() == [list(fa.station_positive) for fa in reference]
+    assert video.station_positive == oracles.aggregate_video(reference)
+    table = video.nodules
+    got = list(
+        zip(
+            table.frame.tolist(),
+            table.id.tolist(),
+            table.size.tolist(),
+            table.organ.tolist(),
+            table.counts.tolist(),
+        )
+    )
+    want = [
+        (k, n.id, n.size, -1 if n.assigned_organ is None else n.assigned_organ, list(n.overlap_counts))
+        for k, fa in enumerate(reference)
+        for n in fa.nodules
+    ]
+    assert got == want
 
 
 _ROI_SCORES = (0.0, float(np.nextafter(0.5, 0.0)), 0.5, 0.9)  # 0.5 is the threshold

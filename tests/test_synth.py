@@ -13,13 +13,16 @@ from carcino import maskio, pipeline, synth
 from carcino.cohort import load_cohort
 from carcino.core import Indication, ScoringConstants
 from carcino.errors import EmptyCohortError, InvalidSpecError
-from carcino.synth import NoiseSpec, SynthSpec, generate_cohort, monte_carlo_sweep, oracle_fs
+from carcino.synth import NoiseSpec, SynthSpec, generate_cohort, monte_carlo_sweep
 
 from oracles import (
     disk_sweep_run,
     grid_disc,
     nodule_site,
+    oracle_fs,
+    oracle_stations,
     organ_layout,
+    nodule_list,
     pixel_set,
     reference_frame,
     shift_dilate,
@@ -202,7 +205,7 @@ def test_oracle_matches_pipeline_at_zero_noise(small_cohort_index):
     for video in cohort.videos:
         assessment = pipeline.score_video(maskio.load_manifest(video.manifest_path))
         assert assessment.fs == oracle_fs(video)
-        assert assessment.station_positive == synth.oracle_stations(video)
+        assert assessment.station_positive == oracle_stations(video)
 
 
 def test_planted_nodules_lie_inside_their_organ(small_cohort_index):
@@ -217,7 +220,8 @@ def test_planted_nodules_lie_inside_their_organ(small_cohort_index):
                 continue
             organ_pixels = frame.gt_labels > 0
             assert not (frame.gt_pc.astype(bool) & ~organ_pixels).any()
-            for nodule in pipeline.connected_components(frame.gt_pc.astype(bool)):
+            mask = frame.gt_pc.astype(bool)
+            for nodule in nodule_list(pipeline.connected_components(mask), mask):
                 labels = {int(frame.gt_labels[r, c]) for r, c in pixel_set(nodule)}
                 assert len(labels) == 1 and labels != {0}
 
