@@ -52,14 +52,14 @@ __all__ = [
 
 PC_DICE_KEY = "peritoneal_carcinomatosis"  # Dice list of the carcinomatosis mask
 _ORGAN_STATION = np.array(_STATION_OF)  # station code of each organ code
-_RUN_BLOCK_PIXELS = 1 << 16  # row runs are read in row blocks of at most this many pixels
+_RUN_BLOCK_PIXELS = 1 << 16  # score_frames reads row runs in blocks of this many pixels
 
 
 @dataclass(eq=False)
 class NoduleTable:
     """The nodules of one mask, one row per nodule, in row-major order of
     their first pixels (for a stacked video, frame order). Every column
-    is an int64 array: frame (n,), the nodule's block of a stacked mask,
+    is an int64 array: frame (n,), the nodule's frame in a stacked mask,
     0 for one frame; id (n,), its number within its frame, given before
     min_nodule_pixels drops any, so a filtered table's ids have gaps;
     size (n,); organ (n,), the organ code assign_nodules gave it, -1 for
@@ -148,31 +148,28 @@ def threshold_pc_mask(frame: ConfidenceFrame, constants: ScoringConstants, out=N
 
 def _row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, first column and end column (half-open) of every run of true
-    pixels in a 2-D bool mask, in row-major order.
+    pixels in a bool mask, in row-major order; the rows of a stack of
+    frames are counted through the stack.
 
     A run starts on a true pixel whose left neighbour in its row is
-    false and ends on one whose right neighbour is. Rows are independent,
-    so they are read in blocks of at most ``_RUN_BLOCK_PIXELS`` pixels,
-    which keeps the temporaries small. In each block the flat mask is
+    false and ends on one whose right neighbour is. The flat mask is
     ANDed with its negated neighbours, the pixels at the row edges are
     put back, and ``np.flatnonzero`` reads the starts and the ends.
     """
-    width = mask.shape[1]
-    step = max(1, _RUN_BLOCK_PIXELS // max(width, 1))
-    runs = [(np.zeros(0, dtype=np.intp),) * 3]  # so a mask without pixels has no runs
-    for top in range(0, len(mask) if width else 0, step):
-        flat = mask[top : top + step].ravel()
-        first = flat.copy()
-        first[1:] &= ~flat[:-1]
-        first[::width] = flat[::width]
-        last = flat.copy()
-        last[:-1] &= ~flat[1:]
-        last[width - 1 :: width] = flat[width - 1 :: width]
-        run_first = np.flatnonzero(first)
-        rows = run_first // width
-        row_base = rows * width
-        runs.append((rows + top, run_first - row_base, np.flatnonzero(last) - row_base + 1))
-    return tuple(np.concatenate(column) for column in zip(*runs))
+    width = mask.shape[-1]
+    flat = mask.ravel()
+    if not flat.size:
+        return (np.zeros(0, dtype=np.intp),) * 3
+    first = flat.copy()
+    first[1:] &= ~flat[:-1]
+    first[::width] = flat[::width]
+    last = flat.copy()
+    last[:-1] &= ~flat[1:]
+    last[width - 1 :: width] = flat[width - 1 :: width]
+    run_first = np.flatnonzero(first)
+    rows = run_first // width
+    row_base = rows * width
+    return rows, run_first - row_base, np.flatnonzero(last) - row_base + 1
 
 
 class RowRuns(NamedTuple):
@@ -223,7 +220,7 @@ def connected_components(mask: np.ndarray | RowRuns, connectivity: int = 8) -> N
             raise ValueError("mask must be 2-D, or 3-D for stacked frames")
         if mask.ndim == 3 and mask[:-1, -1:].any():
             raise ValueError("every stacked frame but the last must end in a blank row")
-        mask = RowRuns(*_row_runs(mask.reshape(-1, mask.shape[-1])), mask.shape)
+        mask = RowRuns(*_row_runs(mask), mask.shape)
     rows, starts, ends, (*_, frame_rows, width) = mask
     n_runs = rows.size
 
@@ -403,7 +400,7 @@ def score_frames(
     shape: tuple[int, int] | None = None
 
     def read_runs(count: int) -> None:  # of the last count frames, all in block
-        rows, starts, ends = _row_runs(block[:count].reshape(-1, shape[1]))
+        rows, starts, ends = _row_runs(block[:count])
         runs.append((rows + (len(frames) - count) * (shape[0] + 1), starts, ends))
 
     for record in records:

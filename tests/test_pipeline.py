@@ -104,8 +104,8 @@ def test_threshold_subset_monotonicity_random_frames():
 
 
 def test_connected_components_empty_and_singleton():
-    assert len(pipeline.connected_components(np.zeros((4, 4), dtype=bool))) == 0
-    assert len(pipeline.connected_components(np.zeros((0, 4), dtype=bool))) == 0
+    for shape in ((4, 4), (0, 4), (4, 0), (0, 0), (2, 3, 0)):
+        assert len(pipeline.connected_components(np.zeros(shape, dtype=bool))) == 0
     mask = np.zeros((4, 4), dtype=bool)
     mask[1, 1] = True
     nodules = nodule_list(pipeline.connected_components(mask), mask)
@@ -264,17 +264,6 @@ def _assert_same_tables(got, want):
     for field in fields(pipeline.NoduleTable):
         a, b = getattr(got, field.name), getattr(want, field.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-
-
-@settings(max_examples=200, deadline=None)
-@given(mask=_run_masks(), block=st.integers(1, 120), connectivity=st.sampled_from([4, 8]))
-def test_connected_components_row_blocks_join_exactly(mask, block, connectivity):
-    """Row runs read in row blocks of any number of pixels, here down to
-    one row, give the table of a single block."""
-    whole = pipeline.connected_components(mask, connectivity=connectivity)
-    with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", block):
-        blocked = pipeline.connected_components(mask, connectivity=connectivity)
-    _assert_same_tables(blocked, whole)
 
 
 def test_connected_components_of_a_stack_number_nodules_per_frame():
@@ -716,6 +705,14 @@ def test_score_frames_reads_runs_block_by_block():
             video, _, _ = pipeline.score_frames("v", iter(frames), lambda f: f, CONSTANTS)
         assert video.to_dict() == whole.to_dict()
         assert video.frame_stations.tolist() == whole.frame_stations.tolist()
+
+
+def test_score_frames_scores_frames_without_pixels_all_negative():
+    for shape in ((3, 0), (0, 3)):
+        frames = [make_frame(blank_organ_conf(shape), np.zeros(shape))] * 3
+        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
+        assert video.station_positive == (False,) * 6 and len(video.nodules) == 0
+        assert video.frames_used == 3
 
 
 def test_score_frames_loads_only_frames_it_needs():
