@@ -86,7 +86,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(maskio.canonical_json(assessment.to_dict()), args.out)
+        _emit(assessment.to_json(), args.out)
     return EXIT_OK
 
 

@@ -43,7 +43,7 @@ from .errors import (
     MissingGroundTruthError,
     TooFewVideosError,
 )
-from .maskio import VideoGroundTruth, canonical_json
+from .maskio import VideoGroundTruth, VideoManifest, canonical_json
 from .metrics import ConfusionCounts
 from .pipeline import PC_DICE_KEY
 
@@ -70,9 +70,16 @@ REPORT_SCHEMA = "carcino.report.v1"
 
 @dataclass(frozen=True)
 class CohortVideo:
+    """One video of a cohort: its id, its manifest's path and the
+    manifest as load_cohort parsed it, whose frames evaluation scores."""
+
     video_id: str
     manifest_path: Path
-    ground_truth: VideoGroundTruth | None
+    manifest: VideoManifest
+
+    @property
+    def ground_truth(self) -> VideoGroundTruth | None:
+        return self.manifest.ground_truth
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ class Cohort:
 
 
 def load_cohort(index_path: str | Path) -> Cohort:
-    """Load a cohort index and every referenced manifest's ground truth.
+    """Load a cohort index and parse every manifest it references.
 
     Manifest paths in the index are relative to the index file's
     directory. Ground-truth consistency is validated per manifest.
@@ -124,7 +131,7 @@ def load_cohort(index_path: str | Path) -> Cohort:
             CohortVideo(
                 video_id=entry["video_id"],
                 manifest_path=manifest_path,
-                ground_truth=manifest.ground_truth,
+                manifest=manifest,
             )
         )
     return Cohort(name=name, videos=tuple(videos))
@@ -338,17 +345,18 @@ def _assess_video(
     want_dice: bool,
     want_roi: bool,
     video_id: str,
+    frames: tuple[maskio.FrameRecord, ...],
 ) -> _Scored:
-    """pipeline.score_frames over the frames of one manifest, loaded from
-    disk. Any per-video error is recorded, not raised, so one broken
+    """pipeline.score_frames over the frames of one video, as parsed from
+    the manifest at manifest_path, their rasters read from the manifest's
+    directory. Any per-video error is recorded, not raised, so one broken
     video cannot sink a run."""
     try:
-        manifest = maskio.load_manifest(manifest_path)
         return _scored(
             *pipeline.score_frames(
                 video_id,
-                manifest.frames,
-                maskio.frame_loader(manifest.base_dir),
+                frames,
+                maskio.frame_loader(Path(manifest_path).parent),
                 constants,
                 want_dice,
                 want_roi,
@@ -597,6 +605,7 @@ def evaluate_cohort(
             repeat(compute_dice),
             repeat(compute_roi),
             unique_ids,
+            [by_id[vid].manifest.frames for vid in unique_ids],
         )
         scored = dict(zip(unique_ids, assessed))
 

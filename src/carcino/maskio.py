@@ -547,8 +547,11 @@ def manifest_to_dict(manifest: VideoManifest) -> dict:
 
 
 def canonical_json(data) -> str:
-    """Stable, human-readable JSON used for every artifact this package
-    writes; byte-identical output for equal input is a hard requirement."""
+    """Stable, human-readable JSON: sorted keys, two-space indents, ASCII
+    escapes and no NaN. Every artifact this package writes is in this
+    form; all but the ``score`` record, which VideoAssessment.to_json
+    writes itself, are written by this function. Byte-identical output
+    for equal input is a hard requirement."""
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 

@@ -22,6 +22,7 @@ pure per video; videos may be processed on any number of workers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple
 
@@ -53,6 +54,25 @@ __all__ = [
 PC_DICE_KEY = "peritoneal_carcinomatosis"  # Dice list of the carcinomatosis mask
 _ORGAN_STATION = np.array(_STATION_OF)  # station code of each organ code
 _RUN_BLOCK_PIXELS = 1 << 16  # score_frames reads row runs in blocks of this many pixels
+
+# a scalar as canonical_json writes it, ValueError for a non-finite float
+_json = json.JSONEncoder(allow_nan=False).encode
+# the record of VideoAssessment.to_json at canonical_json's indents and key order
+_VIDEO_JSON = (
+    '{\n  "frames": %s,\n  "frames_used": %s,\n  "fs": %s,\n  "its": %s,\n'
+    '  "station_positive": {\n%s\n  },\n  "video_id": %s\n}\n'
+)
+_FRAME_JSON = (
+    '    {\n      "frame_index": %s,\n      "nodules": %s,\n'
+    '      "stations_positive": %s,\n      "time_s": %s\n    }'
+)
+_NODULE_JSON = (
+    '        {\n          "id": %d,\n          "organ": %s,\n          "size": %d\n        }'
+)
+_ORGAN_JSON = np.array(  # by organ code; [-1], no organ, is null
+    [*map(_json, ORGAN_SLUGS), "null"], dtype=object
+)
+_STATION_JSON = tuple("        " + _json(slug) for slug in STATION_SLUGS)
 
 
 @dataclass(eq=False)
@@ -105,30 +125,50 @@ class VideoAssessment:
     def frames_used(self) -> int:
         return len(self.frame_index)
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
+        """The assessment as ``score`` writes it: the bytes that
+        ``maskio.canonical_json`` gives for the video's id, station
+        flags, score, indication and frame count, and per frame its
+        index, time, positive stations and nodules (id, size, organ slug
+        or null). They are written straight from the nodule table, with
+        ``json`` encoding only scalars, since it encodes ``indent=2`` in
+        pure Python. Raises ValueError for a non-finite time, as
+        canonical_json does."""
         table = self.nodules
+        organs = _ORGAN_JSON[table.organ].tolist()
         nodules = [
-            {"id": i, "size": size, "organ": ORGAN_SLUGS[organ] if organ >= 0 else None}
-            for i, size, organ in zip(table.id.tolist(), table.size.tolist(), table.organ.tolist())
+            _NODULE_JSON % row for row in zip(table.id.tolist(), organs, table.size.tolist())
         ]
         bounds = np.searchsorted(table.frame, np.arange(self.frames_used + 1)).tolist()
-        flags = self.frame_stations.tolist()
-        return {
-            "video_id": self.video_id,
-            "station_positive": dict(zip(STATION_SLUGS, self.station_positive)),
-            "fs": self.fs,
-            "its": self.its.value,
-            "frames_used": self.frames_used,
-            "frames": [
-                {
-                    "frame_index": index,
-                    "time_s": time_s,
-                    "stations_positive": [s for s, flag in zip(STATION_SLUGS, flags[k]) if flag],
-                    "nodules": nodules[bounds[k] : bounds[k + 1]],
-                }
-                for k, (index, time_s) in enumerate(zip(self.frame_index, self.time_s))
-            ],
-        }
+        frames = [
+            _FRAME_JSON % (
+                _json(index),
+                _json_list(nodules[bounds[k] : bounds[k + 1]], "      "),
+                _json_list([s for s, flag in zip(_STATION_JSON, flags) if flag], "      "),
+                _json(time_s),
+            )
+            for k, (index, time_s, flags) in enumerate(
+                zip(self.frame_index, self.time_s, self.frame_stations.tolist())
+            )
+        ]
+        stations = ",\n".join(
+            f"    {_json(slug)}: {_json(flag)}"
+            for slug, flag in sorted(zip(STATION_SLUGS, self.station_positive))
+        )
+        return _VIDEO_JSON % (
+            _json_list(frames, "  "),
+            _json(self.frames_used),
+            _json(self.fs),
+            _json(self.its.value),
+            stations,
+            _json(self.video_id),
+        )
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of items already written at their indent, its closing
+    bracket at indent."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def _organ_hits(organ_conf: np.ndarray, constants: ScoringConstants) -> np.ndarray:

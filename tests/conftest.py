@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from carcino import maskio, pipeline, synth
+from carcino.cohort import CohortVideo
 from carcino.core import Indication
 from carcino.maskio import ConfidenceFrame, FrameRecord, VideoGroundTruth, VideoManifest
 
@@ -95,6 +96,12 @@ def write_video(
     )
     maskio.save_manifest(manifest, video_dir / "manifest.json")
     return maskio.load_manifest(video_dir / "manifest.json")
+
+
+def cohort_video(video_id: str, ground_truth: VideoGroundTruth | None) -> CohortVideo:
+    """A cohort video built in memory: no manifest file, a manifest of no
+    frames carrying ground_truth."""
+    return CohortVideo(video_id, None, VideoManifest(video_id, (), ground_truth))
 
 
 def ground_truth_for(stations: tuple[bool, ...]) -> VideoGroundTruth:

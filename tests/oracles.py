@@ -21,8 +21,10 @@ package. connected_components, assign_nodules, classify_frame and
 aggregate_video are the former per-frame chain, one Nodule object per
 nodule, kept as the reference for the package's per-video table; they
 share only station_of with the package. oracle_stations and oracle_fs
-read the planted truth of a generated video. pixel_set, nodule_list and
-fold_ids are plain views of package objects that only the tests take.
+read the planted truth of a generated video. assessment_dict, the
+former record builder of VideoAssessment, is the reference for its JSON
+writer. pixel_set, nodule_list and fold_ids are plain views of package
+objects that only the tests take.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from carcino import maskio, metrics, pipeline, synth
 from carcino.cohort import EvalRun, FoldAssignment, evaluate_cohort, load_cohort
-from carcino.core import OrganClass, Station, organs_of, station_of
+from carcino.core import ORGAN_SLUGS, STATION_SLUGS, OrganClass, Station, organs_of, station_of
 from carcino.errors import (
     BadMagicError,
     CarcinoError,
@@ -71,6 +73,35 @@ def nodule_list(nodules: pipeline.NoduleTable, mask) -> list[Nodule]:
             nodules.counts,
         )
     ]
+
+
+def assessment_dict(video: pipeline.VideoAssessment) -> dict:
+    """The record that ``score`` writes for an assessment, as a plain
+    dict built nodule by nodule; canonical_json of it is the reference
+    for VideoAssessment.to_json."""
+    table = video.nodules
+    nodules = [
+        {"id": i, "size": size, "organ": ORGAN_SLUGS[organ] if organ >= 0 else None}
+        for i, size, organ in zip(table.id.tolist(), table.size.tolist(), table.organ.tolist())
+    ]
+    bounds = np.searchsorted(table.frame, np.arange(video.frames_used + 1)).tolist()
+    flags = video.frame_stations.tolist()
+    return {
+        "video_id": video.video_id,
+        "station_positive": dict(zip(STATION_SLUGS, video.station_positive)),
+        "fs": video.fs,
+        "its": video.its.value,
+        "frames_used": video.frames_used,
+        "frames": [
+            {
+                "frame_index": index,
+                "time_s": time_s,
+                "stations_positive": [s for s, flag in zip(STATION_SLUGS, flags[k]) if flag],
+                "nodules": nodules[bounds[k] : bounds[k + 1]],
+            }
+            for k, (index, time_s) in enumerate(zip(video.frame_index, video.time_s))
+        ],
+    }
 
 
 def fold_ids(folds: FoldAssignment, fold: int) -> list[str]:

@@ -28,7 +28,7 @@ from carcino.metrics import (
 )
 from carcino.synth import NoiseSpec, SynthSpec
 
-from conftest import classify, ground_truth_for, make_frame
+from conftest import classify, cohort_video, ground_truth_for, make_frame
 from oracles import flood_components, nodule_list, oracle_fs, oracle_stations, pixel_set
 
 CONSTANTS = ScoringConstants()
@@ -166,18 +166,12 @@ def test_metric_formulas_against_hand_values():
 
 
 def _uniform_101_cohort(tmp_path):
-    from carcino.cohort import Cohort, CohortVideo
+    from carcino.cohort import Cohort
 
     videos = []
     for i in range(101):
         stations = tuple(s < i % 7 for s in range(6))
-        videos.append(
-            CohortVideo(
-                video_id=f"v{i:04d}",
-                manifest_path=None,
-                ground_truth=ground_truth_for(stations),
-            )
-        )
+        videos.append(cohort_video(f"v{i:04d}", ground_truth_for(stations)))
     return Cohort(name="uniform101", videos=tuple(videos))
 
 

@@ -2,10 +2,13 @@ import hashlib
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carcino import maskio, synth
 from carcino.cli import main
@@ -279,6 +282,61 @@ def test_score_and_evaluate_fail_a_video_alike(tmp_path, capsys, frames, score_e
     assert json.loads(out.read_text())["runs"][0]["failed"] == {"bad": message}
 
 
+def _fuzz_video(root: Path) -> Path:
+    """A two-frame 6x6 video with assigned and unassigned nodules and an
+    id that needs escapes; returns its manifest path."""
+    rng = np.random.default_rng(5)
+    organ = np.where(rng.random((8, 6, 6)) < 0.3, 0.95, 0.0)
+    organ[:, :, :2] = 0.0  # nodules in the first columns overlap no organ
+    frames = [
+        {"organ_conf": organ, "pc_conf": np.where(rng.random((6, 6)) < 0.4, 0.9, 0.1)}
+        for _ in range(2)
+    ]
+    manifest = write_video(root, "v", frames).base_dir / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["video_id"] = 'v"\\\u00e9\u2603\x01'
+    manifest.write_text(maskio.canonical_json(data))
+    return manifest
+
+
+_FUZZ_FILES = (
+    "manifest.json", "frames/f000.organ.msk", "frames/f000.pc.msk",
+    "frames/f001.organ.msk", "frames/f001.pc.msk",
+)
+_BYTE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(_FUZZ_FILES),
+        st.integers(0, 2**20),  # taken modulo the file size
+        st.sampled_from(["flip", "set"]),
+        st.integers(0, 255),  # the bit to flip (modulo 8) or the byte to write
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(edits=_BYTE_EDITS)
+def test_score_survives_byte_edits(edits):
+    """Byte edits to a small video's manifest and rasters make score exit
+    0, 2, 3 or 4, never raise; what it writes on 0 is canonical JSON,
+    also when an edit reaches the video id."""
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = _fuzz_video(Path(tmp))
+        for name, offset, kind, value in edits:
+            path = manifest.parent / name
+            data = bytearray(path.read_bytes())
+            offset %= len(data)
+            data[offset] = data[offset] ^ (1 << value % 8) if kind == "flip" else value
+            path.write_bytes(bytes(data))
+        out = Path(tmp) / "score.json"
+        code = main(["score", str(manifest), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            text = out.read_text(encoding="utf-8")
+            assert text == maskio.canonical_json(json.loads(text))
+
+
 # --- split -------------------------------------------------------------------
 
 
@@ -361,13 +419,25 @@ def test_evaluate_text_format_prints_the_table_whatever_files_are_written(tmp_pa
         assert capsys.readouterr().out == out_text.read_text()
 
 
-def test_evaluate_jobs_do_not_change_bytes(tmp_path):
+def test_evaluate_jobs_do_not_change_bytes(tmp_path, monkeypatch):
+    """The report bytes do not depend on --jobs, and evaluate parses each
+    manifest once: load_cohort's parse is the one its frames are scored
+    from (counted in this process, where --jobs 1 scores)."""
     index = _mini_cohort(tmp_path, n_videos=5)
-    out1 = tmp_path / "r1.json"
-    out8 = tmp_path / "r8.json"
-    assert main(["evaluate", str(index), "--independent", "--jobs", "1", "--out-json", str(out1)]) == 0
-    assert main(["evaluate", str(index), "--independent", "--jobs", "8", "--out-json", str(out8)]) == 0
-    assert out1.read_bytes() == out8.read_bytes()
+    parsed = []
+    load_manifest = maskio.load_manifest
+    monkeypatch.setattr(
+        maskio, "load_manifest", lambda path: parsed.append(path) or load_manifest(path)
+    )
+    reports = []
+    for jobs in ("1", "2", "8"):
+        out = tmp_path / f"r{jobs}.json"
+        parsed.clear()
+        argv = ["evaluate", str(index), "--independent", "--jobs", jobs, "--out-json", str(out)]
+        assert main(argv) == 0
+        assert len(parsed) == len(set(parsed)) == 5
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_jobs_env_var_fallback(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import shutil
 import time
+from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -27,7 +28,7 @@ from carcino.errors import (
     MissingGroundTruthError,
     TooFewVideosError,
 )
-from conftest import ground_truth_for
+from conftest import cohort_video, ground_truth_for
 from oracles import fold_ids
 
 
@@ -36,13 +37,7 @@ def _cohort_with_fs(fs_values, name="toy"):
     videos = []
     for i, fs in enumerate(fs_values):
         stations = tuple(s < fs // 2 for s in range(6))
-        videos.append(
-            cm.CohortVideo(
-                video_id=f"v{i:03d}",
-                manifest_path=None,
-                ground_truth=ground_truth_for(stations),
-            )
-        )
+        videos.append(cohort_video(f"v{i:03d}", ground_truth_for(stations)))
     return cm.Cohort(name=name, videos=tuple(videos))
 
 
@@ -85,7 +80,7 @@ def test_too_few_videos():
 
 
 def test_missing_ground_truth_rejected():
-    video = cm.CohortVideo(video_id="x", manifest_path=None, ground_truth=None)
+    video = cohort_video("x", None)
     cohort = cm.Cohort(name="t", videos=(video,))
     with pytest.raises(MissingGroundTruthError):
         stratified_kfold(cohort, k=1, seed=0)
@@ -216,7 +211,7 @@ def test_load_cohort_rejects_malformed_index(tmp_path, index):
 
 
 def test_duplicate_video_ids_rejected():
-    video = cm.CohortVideo(video_id="dup", manifest_path=None, ground_truth=None)
+    video = cohort_video("dup", None)
     with pytest.raises(CarcinoError):
         cm.Cohort(name="d", videos=(video, video))
 
@@ -358,7 +353,8 @@ def test_evaluate_requires_ground_truth(small_cohort_index):
     stripped = cm.Cohort(
         name=cohort.name,
         videos=tuple(
-            cm.CohortVideo(v.video_id, v.manifest_path, None) for v in cohort.videos
+            cm.CohortVideo(v.video_id, v.manifest_path, replace(v.manifest, ground_truth=None))
+            for v in cohort.videos
         ),
     )
     with pytest.raises(MissingGroundTruthError) as excinfo:

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import tempfile
 from dataclasses import fields, replace
@@ -647,8 +649,8 @@ def test_score_video_deterministic(tmp_path):
 
     video = load_cohort(index).videos[0]
     manifest = maskio.load_manifest(video.manifest_path)
-    first = pipeline.score_video(manifest).to_dict()
-    second = pipeline.score_video(manifest).to_dict()
+    first = pipeline.score_video(manifest).to_json()
+    second = pipeline.score_video(manifest).to_json()
     assert first == second
 
 
@@ -661,12 +663,56 @@ def test_assessment_json_record_shape(tmp_path):
         "rec",
         [{"organ_conf": frame.organ_conf, "pc_conf": frame.pc_conf}],
     )
-    record = pipeline.score_video(manifest).to_dict()
+    record = json.loads(pipeline.score_video(manifest).to_json())
     assert record["video_id"] == "rec"
     assert record["fs"] == 2
     assert record["its"] == "SurgeryIndicated"
     assert record["station_positive"]["diaphragm"] is True
     assert record["frames"][0]["nodules"] == [{"id": 0, "size": 1, "organ": "diaphragm"}]
+
+
+_ODD_TEXT = st.text(
+    alphabet=st.sampled_from('v0"\\/\x00\x1f\x7f\u00e9\u2028\u2603\U0001f600'), min_size=1
+)
+_TIMES = st.sampled_from([0, 5, 0.0, 0.1, 1e16, 5e-324, 2**53 + 1, -0.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    video_id=st.text(min_size=1) | _ODD_TEXT,
+    times=st.lists(_TIMES, min_size=1, max_size=4),
+    first_index=st.sampled_from([0, 7, 2**31, 2**70]),
+    seed=st.integers(0, 2**32 - 1),
+    min_pixels=st.integers(1, 3),
+)
+def test_to_json_writes_canonical_json_of_the_record(
+    video_id, times, first_index, seed, min_pixels
+):
+    """VideoAssessment.to_json gives the bytes of canonical_json over the
+    record built nodule by nodule: frames without nodules, unassigned
+    nodules, id gaps left by min_nodule_pixels, int and float times,
+    large frame indices, and ids needing escapes or outside ASCII."""
+    rng = np.random.default_rng(seed)
+    frames = [
+        make_frame(
+            rng.choice(_CONF_VALUES, (8, 5, 6)) * rng.integers(0, 2, (8, 1, 1)),
+            rng.choice(_CONF_VALUES, (5, 6)) * rng.integers(0, 2),
+            frame_index=first_index + 3 * k,
+            time_s=time_s,
+        )
+        for k, time_s in enumerate(times)
+    ]
+    constants = ScoringConstants(min_nodule_pixels=min_pixels)
+    video, _, _ = pipeline.score_frames(video_id, frames, lambda f: f, constants)
+    assert video.to_json() == maskio.canonical_json(oracles.assessment_dict(video))
+    for bad in (math.inf, math.nan):
+        broken = replace(video, time_s=(*video.time_s[:-1], bad))
+        with pytest.raises(ValueError):
+            maskio.canonical_json(oracles.assessment_dict(broken))
+        with pytest.raises(ValueError):
+            broken.to_json()
 
 
 # --- score_frames: the one per-video loop -----------------------------------
@@ -703,7 +749,7 @@ def test_score_frames_reads_runs_block_by_block():
     for block_pixels in (1, 100):  # a stacked frame is 6x6: one frame a block, then two
         with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", block_pixels):
             video, _, _ = pipeline.score_frames("v", iter(frames), lambda f: f, CONSTANTS)
-        assert video.to_dict() == whole.to_dict()
+        assert video.to_json() == whole.to_json()
         assert video.frame_stations.tolist() == whole.frame_stations.tolist()
 
 
@@ -1031,7 +1077,7 @@ def test_frame_loader_scores_as_fresh_loads(video, want_dice, want_roi):
                 )
             except (CarcinoError, OSError) as exc:
                 return type(exc), str(exc)
-            return assessment.to_dict(), dice, roi
+            return assessment.to_json(), dice, roi
 
         fresh = outcome(lambda record: maskio.load_frame(record, manifest.base_dir))
         assert outcome(maskio.frame_loader(manifest.base_dir)) == fresh
