@@ -202,7 +202,76 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _score_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("manifest", help="path to the video manifest JSON")
+    p.add_argument("--out", metavar="FILE", help="write the assessment here")
+    _add_common_flags(p, "--config", "--format")
+
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("index", help="cohort index JSON")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--folds", metavar="FILE", help="fold assignment file")
+    group.add_argument(
+        "--independent", action="store_true", help="evaluate one run on the full cohort"
+    )
+    p.add_argument("--predictor", choices=("pipeline", "oracle"), default="pipeline")
+    p.add_argument("--dice-average", choices=("frame", "video"), default="frame")
+    p.add_argument("--no-dice", action="store_true", help="skip Dice computation")
+    p.add_argument("--no-roi", action="store_true", help="skip ROI accuracy")
+    p.add_argument("--out-json", metavar="FILE")
+    p.add_argument("--out-text", metavar="FILE")
+    _add_common_flags(p, "--config", "--jobs", "--format")
+
+
+def _split_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("index", help="cohort index JSON")
+    p.add_argument("--k", type=int, required=True, help="fold count")
+    p.add_argument("--out", metavar="FILE", help="fold file (default: stdout)")
+    _add_common_flags(p, "--seed")
+
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec", help="synthetic cohort spec JSON")
+    p.add_argument(
+        "--out",
+        metavar="DIR",
+        help="output directory for the cohort; a --sweep writes nothing there",
+    )
+    p.add_argument("--sweep", metavar="PARAM", help="noise parameter to sweep (e.g. miss_rate)")
+    p.add_argument("--levels", metavar="X,Y,...", help="comma-separated sweep levels")
+    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--out-json", metavar="FILE", help="write the sweep report here")
+    p.add_argument("--out-csv", metavar="FILE", help="write a per-replicate CSV table")
+    _add_common_flags(p, "--config", "--seed", "--jobs", "--format")
+
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("report", help="report JSON produced by evaluate or simulate")
+    _add_common_flags(p, "--format")
+
+
+# name -> (help line, handler, function adding the subcommand's arguments)
+_SUBCOMMANDS = {
+    "score": ("score one video manifest", cmd_score, _score_arguments),
+    "evaluate": ("evaluate a cohort", cmd_evaluate, _evaluate_arguments),
+    "split": ("write a stratified fold assignment", cmd_split, _split_arguments),
+    "simulate": (
+        "generate a synthetic cohort or run a sweep",
+        cmd_simulate,
+        _simulate_arguments,
+    ),
+    "report": ("render a saved report", cmd_report, _report_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The carcino parser; given a subcommand's name, a parser of that
+    subcommand alone. In Python 3.11 every add_argument builds a help
+    formatter, which asks for the terminal size, so building all five
+    subcommands costs about 1 ms a call. The usage line still names
+    every subcommand, so for an argv that starts with that name both
+    parsers give the same namespace, help and errors."""
     parser = argparse.ArgumentParser(
         prog="carcino",
         description=(
@@ -210,67 +279,24 @@ def build_parser() -> argparse.ArgumentParser:
             "over per-frame segmentation outputs."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_score = sub.add_parser("score", help="score one video manifest")
-    p_score.add_argument("manifest", help="path to the video manifest JSON")
-    p_score.add_argument("--out", metavar="FILE", help="write the assessment here")
-    _add_common_flags(p_score, "--config", "--format")
-    p_score.set_defaults(func=cmd_score)
-
-    p_eval = sub.add_parser("evaluate", help="evaluate a cohort")
-    p_eval.add_argument("index", help="cohort index JSON")
-    group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--folds", metavar="FILE", help="fold assignment file")
-    group.add_argument(
-        "--independent", action="store_true", help="evaluate one run on the full cohort"
-    )
-    p_eval.add_argument(
-        "--predictor", choices=("pipeline", "oracle"), default="pipeline"
-    )
-    p_eval.add_argument("--dice-average", choices=("frame", "video"), default="frame")
-    p_eval.add_argument("--no-dice", action="store_true", help="skip Dice computation")
-    p_eval.add_argument("--no-roi", action="store_true", help="skip ROI accuracy")
-    p_eval.add_argument("--out-json", metavar="FILE")
-    p_eval.add_argument("--out-text", metavar="FILE")
-    _add_common_flags(p_eval, "--config", "--jobs", "--format")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_split = sub.add_parser("split", help="write a stratified fold assignment")
-    p_split.add_argument("index", help="cohort index JSON")
-    p_split.add_argument("--k", type=int, required=True, help="fold count")
-    p_split.add_argument("--out", metavar="FILE", help="fold file (default: stdout)")
-    _add_common_flags(p_split, "--seed")
-    p_split.set_defaults(func=cmd_split)
-
-    p_sim = sub.add_parser("simulate", help="generate a synthetic cohort or run a sweep")
-    p_sim.add_argument("spec", help="synthetic cohort spec JSON")
-    p_sim.add_argument(
-        "--out",
-        metavar="DIR",
-        help="output directory for the cohort; a --sweep writes nothing there",
-    )
-    p_sim.add_argument(
-        "--sweep", metavar="PARAM", help="noise parameter to sweep (e.g. miss_rate)"
-    )
-    p_sim.add_argument("--levels", metavar="X,Y,...", help="comma-separated sweep levels")
-    p_sim.add_argument("--replicates", type=int, default=1)
-    p_sim.add_argument("--out-json", metavar="FILE", help="write the sweep report here")
-    p_sim.add_argument("--out-csv", metavar="FILE", help="write a per-replicate CSV table")
-    _add_common_flags(p_sim, "--config", "--seed", "--jobs", "--format")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_rep = sub.add_parser("report", help="render a saved report")
-    p_rep.add_argument("report", help="report JSON produced by evaluate or simulate")
-    _add_common_flags(p_rep, "--format")
-    p_rep.set_defaults(func=cmd_report)
-
+    names = list(_SUBCOMMANDS) if command is None else [command]
+    # the full parser's usage spells the choices out from the subparsers; this
+    # metavar spells them the same way where only one subparser is built
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, handler, add_arguments = _SUBCOMMANDS[name]
+        subparser = sub.add_parser(name, help=help_line)
+        add_arguments(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no subcommand or an unknown one: the full parser gives the usual help and errors
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except NoAssessableFramesError as exc:

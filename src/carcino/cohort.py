@@ -13,9 +13,11 @@ the whole cohort).
 
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -273,46 +275,115 @@ def independent_runs(cohort: Cohort) -> list[EvalRun]:
 
 def _pool_map(fn: Callable, jobs: int, *iterables: Iterable) -> list:
     """[fn(*task) for task in zip(*iterables)], computed by
-    min(jobs, task count) worker processes; with one worker, fn runs in
-    this process. Results are in task order. Workers are forked where
-    the platform offers fork and started by its default method
-    otherwise. A forked pool starts every worker up front, hence the
-    cap. Where the platform can set CPU affinity, each worker starts on
-    its own CPU (see _spread_worker)."""
+    min(jobs, task count) worker processes; with one worker, or where the
+    platform has no os.fork, fn runs in this process. Results are in task
+    order, and a failing task raises the exception of the lowest-index
+    task that failed, as the list comprehension would.
+
+    The calling process is the last worker; the others are forked from
+    it and inherit the tasks, so no task is pickled (the caller must run
+    no other thread). Each worker takes the next task index from a shared
+    counter until none is left, so uneven tasks stay balanced. A child
+    sends back one pickled message, its (index, result) pairs and the
+    first exception it met, and exits; one that exits without sending it
+    raises RuntimeError. Where the platform can set CPU affinity, child n
+    starts on the n-th CPU this process may use (see _start_on)."""
     tasks = list(zip(*iterables))
     workers = min(jobs, len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(*task) for task in tasks]
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    context = multiprocessing.get_context(method)
-    placement = {}
-    if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        if len(cpus) > 1:
-            placement = {
-                "initializer": _spread_worker,
-                "initargs": (cpus, context.Value("i", 0)),
-            }
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=context, **placement
-    ) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+    counter = multiprocessing.Value("i", 0)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    reaped: set[int] = set()
+    try:
+        for n in range(workers - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the child leaves this branch only through os._exit
+                status = 1
+                try:
+                    _start_on(n, cpus)
+                    done, error = _work(fn, tasks, counter)
+                    if error and hasattr(error[1], "add_note"):  # Python 3.11+
+                        # the traceback does not pickle: send it as text
+                        tb = "".join(traceback.format_tb(error[1].__traceback__))
+                        error[1].add_note(f"raised in worker process {os.getpid()}:\n{tb}")
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump((done, error), pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                except Exception:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        done, error = _work(fn, tasks, counter)
+        errors = [error] if error else []
+        for pid, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                message = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status != 0 or not message:
+                how = f"status {status}" if status >= 0 else f"signal {-status}"
+                raise RuntimeError(f"worker process {pid} exited with {how} before sending results")
+            child_done, child_error = pickle.loads(message)
+            done += child_done
+            if child_error:
+                errors.append(child_error)
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    results = [None] * len(tasks)
+    for index, result in done:
+        results[index] = result
+    return results
 
 
-def _spread_worker(cpus: list[int], started) -> None:
-    """Pool initializer: move the n-th worker to start (n counted by the
-    shared int started) onto cpus[n % len(cpus)], then allow it every
-    CPU in cpus again. Workers forked in a burst can otherwise all land
-    on one CPU and share it for a whole short call while another CPU
-    idles (seen on 2 vCPUs: evaluate --jobs 2 took twice as long in
-    some calls as in others); the kernel may still move them later."""
-    with started.get_lock():
-        n = started.value
-        started.value += 1
+def _work(fn: Callable, tasks: list[tuple], counter) -> tuple[list, tuple | None]:
+    """Run tasks[i] for each index i this worker takes from the shared
+    counter. Returns the (index, result) pairs and, if a task raised, its
+    (index, exception); that task is the worker's last, and it moves the
+    counter past the end so the other workers stop too. Every lower index
+    was already taken, so the lowest failure is still found."""
+    done = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(tasks):
+            return done, None
+        try:
+            done.append((index, fn(*tasks[index])))
+        except Exception as exc:
+            with counter.get_lock():
+                counter.value = len(tasks)
+            return done, (index, exc)
+
+
+def _start_on(n: int, cpus: list[int]) -> None:
+    """Move this worker onto cpus[n % len(cpus)], then allow it every CPU
+    in cpus again. Workers forked in a burst can otherwise all land on
+    one CPU and share it for a whole short call while another CPU idles
+    (seen on 2 vCPUs: evaluate --jobs 2 took twice as long in some calls
+    as in others); the kernel may still move them later."""
+    if len(cpus) < 2:
+        return
     try:
         os.sched_setaffinity(0, {cpus[n % len(cpus)]})
         os.sched_setaffinity(0, cpus)
-    except OSError:  # a CPU went offline since the pool started; placement is only a hint
+    except OSError:  # a CPU went offline since the call began; placement is only a hint
         pass
 
 

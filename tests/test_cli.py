@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carcino import maskio, synth
-from carcino.cli import main
+from carcino.cli import build_parser, main
 from carcino.cohort import _summarize_report, load_cohort, save_cohort_index
 from carcino.synth import SynthSpec
 
@@ -77,6 +80,78 @@ def test_subcommands_reject_common_flags_they_do_not_read(argv, flag, capsys):
         main(argv + flag)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+_ACCEPTED_ARGV = [
+    ["score", "m.json"],
+    ["score", "m.json", "--out", "o.json", "--config", "c.json", "--format", "text"],
+    ["evaluate", "i.json", "--independent", "--jobs", "3", "--no-dice"],
+    ["evaluate", "i.json", "--folds", "f.json", "--dice-average", "video", "--predictor", "oracle"],
+    ["split", "i.json", "--k", "4", "--seed", "2", "--out", "f.json"],
+    ["simulate", "s.json", "--sweep", "miss_rate", "--levels", "0,1", "--replicates", "2"],
+    ["simulate", "s.json", "--out", "d", "--jobs", "2", "--seed", "5", "--format", "text"],
+    ["report", "r.json", "--format", "text"],
+]
+_REJECTED_ARGV = [  # each prints help or an error and exits
+    ["score"],
+    ["score", "m.json", "--seed", "7"],
+    ["score", "m.json", "extra"],
+    ["score", "--help"],
+    ["evaluate", "i.json"],
+    ["evaluate", "i.json", "--folds", "f.json", "--independent"],
+    ["evaluate", "i.json", "--independent", "--predictor", "magic"],
+    ["evaluate", "--help"],
+    ["split", "i.json"],
+    ["split", "i.json", "--k", "four"],
+    ["split", "--help"],
+    ["simulate", "s.json", "--replicates", "many"],
+    ["simulate", "--help"],
+    ["report", "r.json", "--format", "xml"],
+    ["report", "--help"],
+]
+
+
+def _parse(parse, argv):
+    """What parse(argv) gives: its result, or the code it exits with,
+    and what it prints to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = parse(argv)
+        except SystemExit as exc:
+            parsed = exc.code
+    return parsed, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _ACCEPTED_ARGV + _REJECTED_ARGV, ids=" ".join)
+def test_one_subcommand_parser_parses_like_the_full_one(argv):
+    full = _parse(build_parser().parse_args, argv)
+    assert _parse(build_parser(argv[0]).parse_args, argv) == full
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--help"], ["-h"], ["bogus", "x"], ["--help", "score"], *_REJECTED_ARGV],
+    ids=" ".join,
+)
+def test_main_prints_the_full_parsers_help_and_errors(argv):
+    """main builds one subcommand's parser when argv starts with its name
+    and the full parser otherwise; either way it prints the full parser's
+    help, usage and error text."""
+    assert _parse(main, argv) == _parse(build_parser().parse_args, argv)
+
+
+def test_main_adds_only_the_chosen_subcommands_arguments(monkeypatch, tmp_path):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *names, **kwargs):
+        added.append(names[0])
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    main(["score", str(tmp_path / "missing.json")])
+    # carcino's -h, then score's -h and its own four arguments
+    assert added == ["-h", "-h", "manifest", "--out", "--config", "--format"]
 
 
 # --- score -------------------------------------------------------------------

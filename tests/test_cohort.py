@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import shutil
 import time
@@ -418,52 +417,92 @@ def test_pool_map_keeps_task_order(jobs):
     assert cm._pool_map(_slow_divmod, jobs, [], []) == []
 
 
-class _InProcessExecutor:
-    """Stands in for ProcessPoolExecutor: records its arguments and maps
-    in this process."""
-
-    made: list = []
-
-    def __init__(self, max_workers, mp_context, initializer=None, initargs=()):
-        self.made.append((max_workers, mp_context.get_start_method()))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+def _pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
 
 
 @pytest.mark.parametrize(
     "jobs, tasks, workers", [(1, 5, None), (4, 1, None), (2, 5, 2), (500, 3, 3)]
 )
-def test_pool_map_caps_workers_at_the_task_count(monkeypatch, jobs, tasks, workers):
-    monkeypatch.setattr(cm.concurrent.futures, "ProcessPoolExecutor", _InProcessExecutor)
-    monkeypatch.setattr(_InProcessExecutor, "made", [])
-    assert cm._pool_map(pow, jobs, range(tasks), repeat(2)) == [i**2 for i in range(tasks)]
-    if workers is None:  # one worker: fn runs in this process, no pool
-        assert _InProcessExecutor.made == []
+def test_pool_map_caps_workers_at_the_task_count(jobs, tasks, workers):
+    pids = set(cm._pool_map(_pid_after, jobs, [0.05] * tasks))
+    if workers is None:  # one worker: fn runs in this process, nothing is forked
+        assert pids == {os.getpid()}
     else:
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        assert _InProcessExecutor.made == [
-            (workers, multiprocessing.get_context(method).get_start_method())
-        ]
+        assert 1 <= len(pids) <= workers
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
 def test_spread_worker_starts_each_worker_on_the_next_cpu(monkeypatch):
     calls = []
     monkeypatch.setattr(cm.os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)))
-    started = multiprocessing.Value("i", 0)
-    for _ in range(3):
-        cm._spread_worker([2, 5], started)
-    assert started.value == 3
+    for n in range(3):
+        cm._start_on(n, [2, 5])
+    cm._start_on(0, [2])  # one CPU: nothing to spread over
     assert calls == [
         (0, {2}), (0, [2, 5]), (0, {5}), (0, [2, 5]), (0, {2}), (0, [2, 5])
     ]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_after(seconds, message):
+    time.sleep(seconds)
+    raise ValueError(message)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pool_map_raises_the_lowest_failed_task_and_leaves_no_child(jobs):
+    cm._pool_map(abs, jobs, [1, 2, 3])  # the first call makes the shared counter's file
+    fds = _open_fds()
+    # in the second case the tasks after the first fail before it does
+    for fn, *args in [(divmod, [4, 1, 2], [2, 0, 0]), (_fail_after, [0.2, 0, 0], "abc")]:
+        with pytest.raises(Exception) as in_process:
+            cm._pool_map(fn, 1, *args)
+        with pytest.raises(type(in_process.value)) as pooled:
+            cm._pool_map(fn, jobs, *args)
+        assert str(pooled.value) == str(in_process.value)
+        _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def _exit_in_a_child(caller, seconds):
+    if os.getpid() != caller:
+        os._exit(3)
+    time.sleep(seconds)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="tasks run in this process without fork")
+def test_pool_map_names_the_status_of_a_worker_that_died():
+    cm._pool_map(abs, 2, [1, 2])
+    fds = _open_fds()
+    start = time.perf_counter()
+    # the caller alone would take 0.3 s, so the child takes a task and exits
+    with pytest.raises(RuntimeError, match=r"exited with status 3\b"):
+        cm._pool_map(_exit_in_a_child, 2, repeat(os.getpid()), [0.05] * 6)
+    assert time.perf_counter() - start < 10
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def _sleep_for(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def test_pool_map_hands_out_tasks_one_at_a_time():
+    start = time.perf_counter()
+    assert cm._pool_map(_sleep_for, 2, [0.3, 0.01] * 3) == [0.3, 0.01] * 3
+    # fixed stripes would give one worker all three long tasks: 0.9 s
+    assert time.perf_counter() - start < 0.8
 
 
 @pytest.mark.skipif(
