@@ -15,6 +15,8 @@ from .core import (
     ScoringConstants,
     STATION_SLUGS,
     Station,
+    compute_fs,
+    compute_its,
     organs_of,
     station_of,
 )
@@ -35,8 +37,6 @@ from .pipeline import (
     VideoAssessment,
     assign_nodules,
     classify_frame,
-    compute_fs,
-    compute_its,
     connected_components,
     score_frames,
     score_video,

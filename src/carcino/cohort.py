@@ -23,8 +23,6 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from . import maskio, metrics, pipeline
 from .core import (
     Indication,
@@ -37,6 +35,9 @@ from .core import (
     STATION_SLUGS,
     _is_int,
     _read_json,
+    _rng,
+    compute_fs,
+    compute_its,
 )
 from .errors import (
     CarcinoError,
@@ -199,7 +200,7 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int = 0) -> FoldAssignment:
                 f"video {v.video_id!r} has no ground truth; cannot stratify"
             )
     ordered = sorted(cohort.videos, key=lambda v: (v.ground_truth.fs, v.video_id))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([_mask64(seed), 0xF0])))
+    rng = _rng(seed, 0xF0)
     dealt: list[CohortVideo] = []
     start = 0
     while start < len(ordered):
@@ -225,11 +226,6 @@ def save_folds(folds: FoldAssignment, path: str | Path) -> None:
 
 def load_folds(path: str | Path) -> FoldAssignment:
     return FoldAssignment.from_dict(_read_json(path, CarcinoError))
-
-
-def _mask64(seed: int) -> int:
-    """A seed as the unsigned 64-bit word numpy's SeedSequence accepts."""
-    return int(seed) & 0xFFFF_FFFF_FFFF_FFFF
 
 
 # --- evaluation -----------------------------------------------------------
@@ -523,8 +519,8 @@ def _evaluate_run(
     entry["stations_average"] = _average_prf(list(stations.values()))
 
     # the ground-truth score and indication follow the scoring rules in use
-    gt_fs = [pipeline.compute_fs(ground_truth[vid].stations, constants) for vid in ok_ids]
-    gt_its = [pipeline.compute_its(fs, constants) for fs in gt_fs]
+    gt_fs = [compute_fs(ground_truth[vid].stations, constants) for vid in ok_ids]
+    gt_its = [compute_its(fs, constants) for fs in gt_fs]
     pred_fs = [scored[vid].fs for vid in ok_ids]
     rmse = metrics.fs_rmse(pred_fs, gt_fs)
     entry["fs_rmse"] = rmse
@@ -665,8 +661,8 @@ def evaluate_cohort(
         scored = {}
         for vid in unique_ids:
             stations = ground_truth[vid].stations
-            fs = pipeline.compute_fs(stations, constants)
-            scored[vid] = _Scored(stations, fs, pipeline.compute_its(fs, constants))
+            fs = compute_fs(stations, constants)
+            scored[vid] = _Scored(stations, fs, compute_its(fs, constants))
     else:
         assessed = _pool_map(
             _assess_video,

@@ -18,6 +18,8 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CarcinoError
 
 __all__ = [
@@ -25,6 +27,9 @@ __all__ = [
     "Station",
     "Indication",
     "ScoringConstants",
+    "FRAME_SAMPLING_INTERVAL",
+    "compute_fs",
+    "compute_its",
     "station_of",
     "organs_of",
     "ORGAN_SLUGS",
@@ -87,6 +92,8 @@ _ORGANS_OF = tuple(tuple(o for o in OrganClass if _STATION_OF[o] is s) for s in 
 
 ORGAN_SLUGS = tuple(o.slug for o in OrganClass)
 STATION_SLUGS = tuple(s.slug for s in Station)
+
+FRAME_SAMPLING_INTERVAL = 5.0  # seconds between the ROI frames of a synthetic video
 
 ORGAN_DISPLAY = {
     OrganClass.DIAPHRAGM: "Diaphragm",
@@ -166,10 +173,9 @@ class ScoringConstants:
     organ_confidence_threshold / pc_confidence_threshold: minimum model
         confidence for a pixel to enter an organ / carcinomatosis mask
         (inclusive, >= semantics).
-    points_per_positive_station: score contribution of an involved station.
+    points_per_positive_station: score contribution of an involved
+        station, and so the score step the normalized RMSE divides by.
     its_cutoff: total score at or above which surgery is contraindicated.
-    frame_sampling_interval: seconds between frames sampled from ROIs.
-    fs_step: score step size; divisor for the normalized RMSE.
     roi_threshold: minimum relevance score for a frame to be assessed.
     min_nodule_pixels: speck suppression; nodules smaller than this are
         dropped (1 keeps everything).
@@ -179,8 +185,6 @@ class ScoringConstants:
     pc_confidence_threshold: float = 0.90
     points_per_positive_station: int = 2
     its_cutoff: int = 8
-    frame_sampling_interval: float = 5.0
-    fs_step: int = 2
     roi_threshold: float = 0.5
     min_nodule_pixels: int = 1
 
@@ -196,15 +200,18 @@ class ScoringConstants:
             raise CarcinoError("points_per_positive_station must be positive")
         if self.its_cutoff <= 0:
             raise CarcinoError("its_cutoff must be positive")
-        if self.frame_sampling_interval <= 0:
-            raise CarcinoError("frame_sampling_interval must be positive")
-        if self.fs_step <= 0:
-            raise CarcinoError("fs_step must be positive")
         if self.min_nodule_pixels < 1:
             raise CarcinoError("min_nodule_pixels must be >= 1")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, plus two values report and sweep schema v1 carry:
+        ``fs_step``, the score step, and the generator's
+        ``frame_sampling_interval``; neither can be set."""
+        return {
+            **asdict(self),
+            "fs_step": self.points_per_positive_station,
+            "frame_sampling_interval": FRAME_SAMPLING_INTERVAL,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoringConstants":
@@ -221,3 +228,29 @@ class ScoringConstants:
         if not isinstance(data, dict):
             raise CarcinoError(f"constants file {path}: expected a JSON object")
         return cls.from_dict(data)
+
+
+def compute_fs(station_positive: tuple[bool, ...], constants: ScoringConstants) -> int:
+    """Total score: points per positive station times the positive count
+    (0, 2, ..., 12 at the default 2 points per station)."""
+    return constants.points_per_positive_station * sum(bool(s) for s in station_positive)
+
+
+def compute_its(fs: int, constants: ScoringConstants) -> Indication:
+    """Surgery contraindicated iff the score reaches the cutoff."""
+    if fs >= constants.its_cutoff:
+        return Indication.SURGERY_CONTRAINDICATED
+    return Indication.SURGERY_INDICATED
+
+
+def _mask64(seed: int) -> int:
+    """A seed as the unsigned 64-bit word numpy's SeedSequence accepts."""
+    return int(seed) & 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _rng(seed: int, *counters: int) -> np.random.Generator:
+    """The Philox generator of (seed, *counters): one independent,
+    reproducible stream per counter tuple."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence([_mask64(seed), *counters]))
+    )

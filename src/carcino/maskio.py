@@ -33,13 +33,13 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .core import Indication, STATION_SLUGS, _read_json
+from .core import Indication, ScoringConstants, STATION_SLUGS, _read_json, compute_fs, compute_its
 from .errors import (
     BadMagicError,
     ChannelCountMismatchError,
@@ -89,6 +89,7 @@ HEADER_SIZE = _HEADER.size  # 14 bytes
 _NUMPY_DTYPES = {DTYPE_LABEL: np.dtype("u1"), DTYPE_CONFIDENCE: np.dtype("<f4")}
 _ONE_BITS = 0x3F800000  # the float32 1.0 as an unsigned integer
 _STREAM_CHUNK = 1 << 16  # bytes per read from a stream of unknown length
+_MANIFEST_CONSTANTS = ScoringConstants()  # the rules a manifest's ground truth is scored by
 _FRAME_RASTERS = (  # field, dtype code, channels; a one-channel field is an (H, W) plane
     ("organ_conf", DTYPE_CONFIDENCE, _ORGAN_PLANES), ("pc_conf", DTYPE_CONFIDENCE, 1),
     ("gt_labels", DTYPE_LABEL, 1), ("gt_pc", DTYPE_LABEL, 1),
@@ -339,31 +340,24 @@ class FrameRecord:
 
 @dataclass(frozen=True)
 class VideoGroundTruth:
-    """Clinical reference for one video: six station flags, the total
-    score, and the derived indication. Always stored consistently
-    (fs = 2 x positive stations; contraindicated iff fs >= 8)."""
+    """Clinical reference for one video: its six station flags. The total
+    score and the indication follow from them by the default scoring
+    rules (core.compute_fs and core.compute_its at ScoringConstants()),
+    which the manifest format fixes."""
 
     stations: tuple[bool, ...]
-    fs: int
-    its: Indication
 
     def __post_init__(self) -> None:
         if len(self.stations) != 6:
             raise GroundTruthInconsistentError("ground truth needs exactly 6 station flags")
-        expected_fs = 2 * sum(bool(s) for s in self.stations)
-        if self.fs != expected_fs:
-            raise GroundTruthInconsistentError(
-                f"fs is {self.fs} but {expected_fs} station points are flagged"
-            )
-        expected_its = (
-            Indication.SURGERY_CONTRAINDICATED
-            if self.fs >= 8
-            else Indication.SURGERY_INDICATED
-        )
-        if self.its is not expected_its:
-            raise GroundTruthInconsistentError(
-                f"its is {self.its.value} but fs {self.fs} implies {expected_its.value}"
-            )
+
+    @property
+    def fs(self) -> int:
+        return compute_fs(self.stations, _MANIFEST_CONSTANTS)
+
+    @property
+    def its(self) -> Indication:
+        return compute_its(self.fs, _MANIFEST_CONSTANTS)
 
 
 @dataclass(frozen=True)
@@ -427,7 +421,14 @@ def _parse_ground_truth(data: dict, context: str) -> VideoGroundTruth:
         its = Indication(its_raw)
     except ValueError:
         raise ManifestError(f"{context}: unknown indication {its_raw!r}") from None
-    return VideoGroundTruth(stations=tuple(flags), fs=fs, its=its)
+    truth = VideoGroundTruth(tuple(flags))
+    if fs != truth.fs:
+        raise GroundTruthInconsistentError(f"fs is {fs} but {truth.fs} station points are flagged")
+    if its is not truth.its:
+        raise GroundTruthInconsistentError(
+            f"its is {its.value} but fs {fs} implies {truth.its.value}"
+        )
+    return truth
 
 
 def _parse_frame(data: dict, context: str) -> FrameRecord:
@@ -517,22 +518,9 @@ def manifest_from_dict(data: dict, base_dir: Path | None = None) -> VideoManifes
 
 
 def manifest_to_dict(manifest: VideoManifest) -> dict:
-    frames = []
-    for rec in manifest.frames:
-        entry = {
-            "frame_index": rec.frame_index,
-            "time_s": rec.time_s,
-            "organ_conf": rec.organ_conf,
-            "pc_conf": rec.pc_conf,
-            "roi_score": rec.roi_score,
-        }
-        if rec.gt_labels is not None:
-            entry["gt_labels"] = rec.gt_labels
-        if rec.gt_pc is not None:
-            entry["gt_pc"] = rec.gt_pc
-        if rec.gt_roi is not None:
-            entry["gt_roi"] = rec.gt_roi
-        frames.append(entry)
+    frames = [
+        {k: v for k, v in asdict(record).items() if v is not None} for record in manifest.frames
+    ]
     data: dict = {"video_id": manifest.video_id, "frames": frames}
     if manifest.ground_truth is not None:
         gt = manifest.ground_truth

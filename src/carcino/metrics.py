@@ -161,11 +161,11 @@ def fs_rmse(pred_fs: Sequence[float], gt_fs: Sequence[float]) -> float:
 
 
 def normalized_rmse(rmse: float, constants: ScoringConstants | None = None) -> float:
-    """RMSE expressed in score levels: RMSE divided by the score step."""
+    """RMSE expressed in score levels: RMSE divided by the score step, the
+    points per positive station."""
     if rmse < 0:
         raise ValueError("rmse must be non-negative")
-    step = (constants or ScoringConstants()).fs_step
-    return rmse / step
+    return rmse / (constants or ScoringConstants()).points_per_positive_station
 
 
 def balanced_accuracy(c: ConfusionCounts) -> float:

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import maskio, metrics
 from .core import (
-    _STATION_OF, ORGAN_SLUGS, STATION_SLUGS, Indication, OrganClass, ScoringConstants, Station
+    _STATION_OF, ORGAN_SLUGS, STATION_SLUGS, Indication, OrganClass, ScoringConstants, Station,
+    compute_fs, compute_its,
 )
 from .errors import ChannelCountMismatchError, DimensionMismatchError, NoAssessableFramesError
 from .maskio import ConfidenceFrame, VideoManifest
@@ -45,8 +46,6 @@ __all__ = [
     "connected_components",
     "assign_nodules",
     "classify_frame",
-    "compute_fs",
-    "compute_its",
     "score_frames",
     "score_video",
 ]
@@ -381,19 +380,6 @@ def classify_frame(
     hit = nodules.organ >= 0
     stations[nodules.frame[hit], _ORGAN_STATION[nodules.organ[hit]]] = True
     return stations, nodules
-
-
-def compute_fs(station_positive: tuple[bool, ...], constants: ScoringConstants) -> int:
-    """Total score: points per positive station times the positive count
-    (0, 2, ..., 12 at the default 2 points per station)."""
-    return constants.points_per_positive_station * sum(bool(s) for s in station_positive)
-
-
-def compute_its(fs: int, constants: ScoringConstants) -> Indication:
-    """Surgery contraindicated iff the score reaches the cutoff."""
-    if fs >= constants.its_cutoff:
-        return Indication.SURGERY_CONTRAINDICATED
-    return Indication.SURGERY_INDICATED
 
 
 def score_frames(

@@ -30,7 +30,6 @@ from .cohort import (
     EvalRun,
     _collect,
     _evaluate_run,
-    _mask64,
     _pool_map,
     _scored,
     _Scored,
@@ -39,13 +38,16 @@ from .cohort import (
     save_cohort_index,
 )
 from .core import (
+    FRAME_SAMPLING_INTERVAL,
     ScoringConstants,
     Station,
     STATION_SLUGS,
     _ORGANS_OF,
     _check_scalar_fields,
     _is_int,
+    _mask64,
     _read_json,
+    _rng,
 )
 from .errors import EmptyCohortError, InvalidSpecError, NoAssessableFramesError
 from .maskio import (
@@ -55,7 +57,7 @@ from .maskio import (
     VideoManifest,
     canonical_json,
 )
-from .pipeline import compute_fs, compute_its, score_frames
+from .pipeline import score_frames
 
 __all__ = [
     "NoiseSpec",
@@ -190,12 +192,6 @@ class SynthSpec:
             return cls.from_dict(data)
         except TypeError as exc:
             raise InvalidSpecError(f"{path}: {exc}") from exc
-
-
-def _rng(seed: int, *counters: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([_mask64(seed), *counters]))
-    )
 
 
 def _square_pass(src: np.ndarray, dst: np.ndarray, combine: np.ufunc, erode: bool) -> None:
@@ -473,21 +469,13 @@ def _planted_stations(spec: SynthSpec, video_index: int) -> tuple[bool, ...]:
     return tuple(bool(draws[s] < spec.station_prevalence[s]) for s in range(6))
 
 
-def _video_ground_truth(stations: tuple[bool, ...]) -> VideoGroundTruth:
-    """The stored ground truth, scored by the default rules the manifest
-    format requires."""
-    constants = ScoringConstants()
-    fs = compute_fs(stations, constants)
-    return VideoGroundTruth(stations=stations, fs=fs, its=compute_its(fs, constants))
-
-
 def _video_id(video_index: int) -> str:
     return f"v{video_index:04d}"
 
 
 def _roi_segment_end(spec: SynthSpec) -> float:
     """End time of the video's single ROI segment, which starts at 0."""
-    return float(ScoringConstants().frame_sampling_interval * (spec.frames_per_video - 1))
+    return FRAME_SAMPLING_INTERVAL * (spec.frames_per_video - 1)
 
 
 def _video_frames(
@@ -498,25 +486,18 @@ def _video_frames(
     non-ROI frames after it. The confidence maps of every frame are
     written into one pair of arrays, so a frame is valid only until the
     next one is drawn."""
-    interval = ScoringConstants().frame_sampling_interval
-    segment_end = _roi_segment_end(spec)
     width, height = spec.frame_size
     scratch = np.empty((height, width))  # the noise of one plane
     organ_conf = np.empty((8, height, width), dtype=np.float32)
     pc_conf = np.empty((height, width), dtype=np.float32)
     for frame_index in range(spec.frames_per_video + spec.nonroi_frames_per_video):
-        is_roi = frame_index < spec.frames_per_video
-        if is_roi:
-            time_s = frame_index * interval
-        else:
-            time_s = segment_end + (frame_index - spec.frames_per_video + 1) * interval
         yield _generate_frame(
             spec,
             video_index,
             frame_index,
-            float(time_s),
+            frame_index * FRAME_SAMPLING_INTERVAL,  # the non-ROI frames keep the spacing
             stations,
-            is_roi,
+            frame_index < spec.frames_per_video,
             scratch,
             organ_conf,
             pc_conf,
@@ -554,7 +535,7 @@ def _generate_video(spec: SynthSpec, video_index: int, video_dir: Path) -> None:
     manifest = VideoManifest(
         video_id=_video_id(video_index),
         frames=tuple(records),
-        ground_truth=_video_ground_truth(stations),
+        ground_truth=VideoGroundTruth(stations),
         roi_segments=((0.0, _roi_segment_end(spec)),),
         base_dir=video_dir,
     )
@@ -656,7 +637,7 @@ def _replicate_run(
     run = _evaluate_run(
         EvalRun(label="all", video_ids=tuple(ids)),
         dict(zip(ids, scored)),
-        {vid: _video_ground_truth(_planted_stations(spec, i)) for i, vid in enumerate(ids)},
+        {vid: VideoGroundTruth(_planted_stations(spec, i)) for i, vid in enumerate(ids)},
         constants,
         "frame",
     )

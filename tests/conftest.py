@@ -8,7 +8,6 @@ import pytest
 
 from carcino import maskio, pipeline, synth
 from carcino.cohort import CohortVideo
-from carcino.core import Indication
 from carcino.maskio import ConfidenceFrame, FrameRecord, VideoGroundTruth, VideoManifest
 
 
@@ -102,12 +101,6 @@ def cohort_video(video_id: str, ground_truth: VideoGroundTruth | None) -> Cohort
     """A cohort video built in memory: no manifest file, a manifest of no
     frames carrying ground_truth."""
     return CohortVideo(video_id, None, VideoManifest(video_id, (), ground_truth))
-
-
-def ground_truth_for(stations: tuple[bool, ...]) -> VideoGroundTruth:
-    fs = 2 * sum(stations)
-    its = Indication.SURGERY_CONTRAINDICATED if fs >= 8 else Indication.SURGERY_INDICATED
-    return VideoGroundTruth(stations=stations, fs=fs, its=its)
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from carcino.metrics import (
 )
 from carcino.synth import NoiseSpec, SynthSpec
 
-from conftest import classify, cohort_video, ground_truth_for, make_frame
+from conftest import classify, cohort_video, make_frame
 from oracles import flood_components, nodule_list, oracle_fs, oracle_stations, pixel_set
 
 CONSTANTS = ScoringConstants()
@@ -171,7 +171,7 @@ def _uniform_101_cohort(tmp_path):
     videos = []
     for i in range(101):
         stations = tuple(s < i % 7 for s in range(6))
-        videos.append(cohort_video(f"v{i:04d}", ground_truth_for(stations)))
+        videos.append(cohort_video(f"v{i:04d}", maskio.VideoGroundTruth(stations)))
     return Cohort(name="uniform101", videos=tuple(videos))
 
 

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from carcino import maskio, synth
 from carcino.cli import build_parser, main
 from carcino.cohort import _summarize_report, load_cohort, save_cohort_index
-from carcino.synth import SynthSpec
+from carcino.synth import NoiseSpec, SynthSpec
 
-from conftest import blank_organ_conf, ground_truth_for, write_video
+from conftest import blank_organ_conf, write_video
 from oracles import oracle_fs
 
 
@@ -45,7 +45,7 @@ def _uniform_manifest_cohort(tmp_path, n=101) -> Path:
         manifest = maskio.VideoManifest(
             video_id=f"v{i:04d}",
             frames=(),
-            ground_truth=ground_truth_for(stations),
+            ground_truth=maskio.VideoGroundTruth(stations),
         )
         rel = f"v{i:04d}.json"
         maskio.save_manifest(manifest, root / rel)
@@ -344,7 +344,7 @@ def _frame(size: int, roi_score: float = 1.0) -> dict:
 def test_score_and_evaluate_fail_a_video_alike(tmp_path, capsys, frames, score_exit, message):
     """score and evaluate run one chain: the video score rejects is the
     one evaluate lists as failed, with the same message."""
-    gt = ground_truth_for((False,) * 6)
+    gt = maskio.VideoGroundTruth((False,) * 6)
     bad = write_video(tmp_path, "bad", frames, ground_truth=gt)
     write_video(tmp_path, "good", [_frame(16)], ground_truth=gt)
     index = tmp_path / "index.json"
@@ -629,19 +629,54 @@ def test_unnamed_cohort_from_a_relative_index_path_takes_its_directory_name(
     "config",
     [
         '{"pc_confidence_threshold": "x"}',
-        '{"frame_sampling_interval": Infinity}',
+        '{"roi_threshold": Infinity}',
         '{"min_nodule_pixels": 1.5}',
         '{"its_cutoff": true}',
     ],
 )
 def test_score_malformed_config_exits_2(tmp_path, capsys, config):
-    """A string threshold used to raise TypeError; an infinite interval
+    """A string threshold used to raise TypeError; an infinite float field
     used to pass validation and crash in the JSON writer."""
     video = load_cohort(_mini_cohort(tmp_path, n_videos=1)).videos[0]
     config_path = tmp_path / "config.json"
     config_path.write_text(config)
     assert main(["score", str(video.manifest_path), "--config", str(config_path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("config", ['{"fs_step": 2}', '{"frame_sampling_interval": 5.0}'])
+def test_config_naming_a_derived_constant_exits_2(tmp_path, capsys, config):
+    """The score step is the points per station and the sampling interval
+    is the generator's; a config naming either is an unknown field."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config)
+    field = next(iter(json.loads(config)))
+    for argv in (
+        ["score", str(load_cohort(index).videos[0].manifest_path)],
+        ["evaluate", str(index), "--independent"],
+        ["simulate", str(_sweep_spec(tmp_path)), "--sweep", "miss_rate", "--levels", "0"],
+    ):
+        assert main([*argv, "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err
+
+
+def test_evaluate_normalizes_rmse_by_points_per_station(tmp_path):
+    """The normalized RMSE used to divide by a separate fs_step, which
+    stayed 2 when a config made each station score 3 points."""
+    index = _mini_cohort(tmp_path, n_videos=8, noise=NoiseSpec(miss_rate=0.5))
+    folds_path, config, out_json = (tmp_path / name for name in ("f.json", "c.json", "r.json"))
+    assert main(["split", str(index), "--k", "2", "--out", str(folds_path)]) == 0
+    config.write_text('{"points_per_positive_station": 3}')
+    argv = ["evaluate", str(index), "--folds", str(folds_path), "--config", str(config)]
+    assert main([*argv, "--out-json", str(out_json)]) == 0
+    report = json.loads(out_json.read_text())
+    assert report["constants"]["fs_step"] == 3
+    assert len(report["runs"]) == 2
+    assert any(run["fs_rmse"] > 0 for run in report["runs"])
+    for run in report["runs"]:
+        assert run["fs_rmse_normalized"] == run["fs_rmse"] / 3
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from carcino.errors import (
     MissingGroundTruthError,
     TooFewVideosError,
 )
-from conftest import cohort_video, ground_truth_for
+from conftest import cohort_video
 from oracles import fold_ids
 
 
@@ -36,7 +36,7 @@ def _cohort_with_fs(fs_values, name="toy"):
     videos = []
     for i, fs in enumerate(fs_values):
         stations = tuple(s < fs // 2 for s in range(6))
-        videos.append(cohort_video(f"v{i:03d}", ground_truth_for(stations)))
+        videos.append(cohort_video(f"v{i:03d}", maskio.VideoGroundTruth(stations)))
     return cm.Cohort(name=name, videos=tuple(videos))
 
 
@@ -300,7 +300,7 @@ def test_dice_average_modes_differ_as_designed(tmp_path):
             "gt_roi": True,
         }
 
-    gt = ground_truth_for((False,) * 6)
+    gt = maskio.VideoGroundTruth((False,) * 6)
     write_video(
         tmp_path,
         "va",

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from carcino.core import (
+    FRAME_SAMPLING_INTERVAL,
     Indication,
     OrganClass,
     ScoringConstants,
@@ -77,8 +78,29 @@ def test_default_constants_match_clinical_operating_point():
     assert c.pc_confidence_threshold == 0.90
     assert c.points_per_positive_station == 2
     assert c.its_cutoff == 8
-    assert c.frame_sampling_interval == 5.0
-    assert c.fs_step == 2
+    assert c.roi_threshold == 0.5
+    assert c.min_nodule_pixels == 1
+    assert FRAME_SAMPLING_INTERVAL == 5.0
+
+
+def test_constants_dict_keeps_the_report_schema():
+    """The constants a report echoes carry fs_step and
+    frame_sampling_interval, which cannot be set, with the types report
+    schema v1 has always had."""
+    expected = {
+        "organ_confidence_threshold": 0.70,
+        "pc_confidence_threshold": 0.90,
+        "points_per_positive_station": 2,
+        "its_cutoff": 8,
+        "frame_sampling_interval": 5.0,
+        "fs_step": 2,
+        "roi_threshold": 0.5,
+        "min_nodule_pixels": 1,
+    }
+    got = ScoringConstants().to_dict()
+    assert got == expected
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+    assert replace(ScoringConstants(), points_per_positive_station=3).to_dict()["fs_step"] == 3
 
 
 def test_constants_are_overridable():
@@ -96,12 +118,9 @@ def test_constants_are_overridable():
         ("roi_threshold", 1.2),
         ("points_per_positive_station", 0),
         ("its_cutoff", -1),
-        ("frame_sampling_interval", 0.0),
-        ("fs_step", 0),
         ("min_nodule_pixels", 0),
         ("pc_confidence_threshold", "x"),
         ("organ_confidence_threshold", float("nan")),
-        ("frame_sampling_interval", float("inf")),
         ("roi_threshold", True),
         ("min_nodule_pixels", 1.5),
         ("its_cutoff", None),

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import threading
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carcino import maskio
-from carcino.core import STATION_SLUGS, Indication
+from carcino.core import STATION_SLUGS, Indication, ScoringConstants, compute_fs, compute_its
 from carcino.errors import (
     BadMagicError,
     CarcinoError,
@@ -28,7 +29,7 @@ from carcino.errors import (
     UnknownDtypeError,
 )
 
-from conftest import ground_truth_for, write_video
+from conftest import write_video
 from oracles import bytes_decode_raster, bytes_read_raster, float_check_confidences
 
 
@@ -464,6 +465,33 @@ def test_manifest_rejects_its_fs_mismatch(tmp_path):
         maskio.load_manifest(path)
 
 
+def test_ground_truth_scores_its_flags_by_the_default_rules():
+    """Ground truth stores only its station flags; fs and its follow from
+    them, for each of the 64 flag vectors."""
+    defaults = ScoringConstants()
+    for stations in itertools.product((False, True), repeat=6):
+        truth = maskio.VideoGroundTruth(stations)
+        assert truth.fs == compute_fs(stations, defaults)
+        assert truth.its is compute_its(truth.fs, defaults)
+    with pytest.raises(GroundTruthInconsistentError, match="needs exactly 6 station flags"):
+        maskio.VideoGroundTruth((True,) * 5)
+
+
+@pytest.mark.parametrize(
+    "fs, its, message",
+    [
+        (4, "SurgeryIndicated", "fs is 4 but 2 station points are flagged"),
+        (2, "SurgeryContraindicated",
+         "its is SurgeryContraindicated but fs 2 implies SurgeryIndicated"),
+    ],
+)
+def test_manifest_ground_truth_mismatch_messages(tmp_path, fs, its, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_minimal_manifest(_gt_dict([True] + [False] * 5, fs, its))))
+    with pytest.raises(GroundTruthInconsistentError, match=message):
+        maskio.load_manifest(path)
+
+
 def test_manifest_rejects_bad_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{not json")
@@ -536,7 +564,7 @@ def test_manifest_save_load_roundtrip(tmp_path):
                 "gt_roi": True,
             }
         ],
-        ground_truth=ground_truth_for((False,) * 6),
+        ground_truth=maskio.VideoGroundTruth((False,) * 6),
     )
     again = maskio.load_manifest(manifest.base_dir / "manifest.json")
     assert maskio.manifest_to_dict(again) == maskio.manifest_to_dict(manifest)

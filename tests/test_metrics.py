@@ -222,8 +222,9 @@ def test_normalized_rmse_is_linear():
         assert abs(normalized_rmse(k * x) - k * normalized_rmse(x)) < 1e-12
 
 
-def test_normalized_rmse_respects_fs_step():
-    constants = ScoringConstants(fs_step=4)
+def test_normalized_rmse_respects_points_per_station():
+    """The score step is the points a positive station adds."""
+    constants = ScoringConstants(points_per_positive_station=4)
     assert normalized_rmse(2.0, constants) == 0.5
 
 
