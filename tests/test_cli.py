@@ -1040,6 +1040,46 @@ def test_report_and_sweep_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert digests == PINNED_DIGESTS
 
 
+# SHA-256 of the files test_failed_run_bytes_are_pinned writes: an evaluation
+# in which every video of one fold fails while the other folds score.
+PINNED_FAILED_RUN_DIGESTS = {
+    "report.json": "7f3fbf4274aba22a439fbba21958e16a51a89d3a0cb07d2f76542af84add9539",
+    "report.txt": "f5811eb44c82ad1120c153589ae74439c24bfc5198cdc545609e6c95de913bcc",
+}
+
+
+def test_failed_run_bytes_are_pinned(tmp_path, monkeypatch):
+    """A 3-fold evaluation of 6 videos with Dice and ROI, whose fold 1
+    loses every video to a truncated raster (JSON, text): that run keeps
+    its counts and failures, with null metrics, and the summary is taken
+    over the other two."""
+    monkeypatch.chdir(tmp_path)
+    synth.generate_cohort(
+        SynthSpec(seed=5, n_videos=6, frame_size=(32, 32), frames_per_video=2,
+                  nonroi_frames_per_video=1, noise=NoiseSpec(confidence_jitter=0.1)),
+        "cohort",
+    )
+    assert main(["split", "cohort/index.json", "--k", "3", "--out", "folds.json"]) == 0
+    assignment = json.loads(Path("folds.json").read_text(encoding="utf-8"))["assignment"]
+    failing = sorted(vid for vid, fold in assignment.items() if fold == 1)
+    for vid in failing:
+        raster = Path(f"cohort/videos/{vid}/frames/f0001.pc.msk")
+        raster.write_bytes(raster.read_bytes()[:-5])
+    assert main(["evaluate", "cohort/index.json", "--folds", "folds.json",
+                 "--out-json", "report.json", "--out-text", "report.txt"]) == 0
+    artifacts = {name: Path(name).read_bytes() for name in PINNED_FAILED_RUN_DIGESTS}
+    report = json.loads(artifacts["report.json"])
+    failed_run = report["runs"][1]
+    assert failed_run["error"] == "all videos failed"
+    assert sorted(failed_run["failed"]) == failing and failed_run["n_failed"] == len(failing)
+    assert failed_run["stations"] is None and failed_run["videos"] is None
+    assert [run["error"] for run in report["runs"]] == [None, "all videos failed", None]
+    assert report["summary"]["failed_videos_total"] == len(failing)
+    assert "  fold1: FAILED (all videos failed)\n" in artifacts["report.txt"].decode()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
+    assert digests == PINNED_FAILED_RUN_DIGESTS
+
+
 # SHA-256 of the JSON and the text that score writes for the video of
 # _pinned_score_video, at default constants and at {"min_nodule_pixels": 3}.
 # They pin the per-nodule id, size and organ of every frame, which neither
