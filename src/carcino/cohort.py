@@ -18,8 +18,8 @@ import os
 import pickle
 import signal
 import traceback
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import asdict, dataclass
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -69,6 +69,20 @@ __all__ = [
 ORGAN_AVG_DICE_KEY = "anatomical_structures_average"
 _PRF = ("precision", "recall", "f1")
 REPORT_SCHEMA = "carcino.report.v1"
+
+# run-entry key -> run-entry path of each value the summary takes the
+# mean/std of, nested as the summary is; a run whose every video failed
+# holds None under each key
+_RUN_METRICS = {
+    "stations": {slug: {m: ("stations", slug, m) for m in _PRF} for slug in STATION_SLUGS},
+    "stations_average": {m: ("stations_average", m) for m in _PRF},
+    "its": {ind.value: {m: ("its", ind.value, m) for m in _PRF} for ind in Indication},
+    "its_average": {m: ("its_average", m) for m in _PRF},
+    "fs_rmse": ("fs_rmse",),
+    "fs_rmse_normalized": ("fs_rmse_normalized",),
+    "dice": {key: ("dice", key) for key in (*ORGAN_SLUGS, ORGAN_AVG_DICE_KEY, PC_DICE_KEY)},
+    "roi_balanced_accuracy": ("roi_balanced_accuracy",),
+}
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,10 @@ def load_cohort(index_path: str | Path) -> Cohort:
         ):
             raise ManifestError(
                 f"{index_path}: videos[{i}] needs string 'video_id' and 'manifest'"
+            )
+        if "\x00" in entry["manifest"]:
+            raise ManifestError(
+                f"{index_path}: videos[{i}] 'manifest' must not contain a NUL character"
             )
         manifest_path = index_path.parent / entry["manifest"]
         manifest = maskio.load_manifest(manifest_path)
@@ -202,16 +220,9 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int = 0) -> FoldAssignment:
     ordered = sorted(cohort.videos, key=lambda v: (v.ground_truth.fs, v.video_id))
     rng = _rng(seed, 0xF0)
     dealt: list[CohortVideo] = []
-    start = 0
-    while start < len(ordered):
-        end = start
-        fs = ordered[start].ground_truth.fs
-        while end < len(ordered) and ordered[end].ground_truth.fs == fs:
-            end += 1
-        group = ordered[start:end]
-        for i in rng.permutation(len(group)):
-            dealt.append(group[int(i)])
-        start = end
+    for _, group in groupby(ordered, key=lambda v: v.ground_truth.fs):
+        group = list(group)
+        dealt += [group[i] for i in rng.permutation(len(group))]
     assignment: dict[str, int] = {}
     for i, video in enumerate(dealt):
         cycle, pos = divmod(i, k)
@@ -384,14 +395,13 @@ def _start_on(n: int, cpus: list[int]) -> None:
 
 
 class _Scored(NamedTuple):
-    """One graded video: its station vector, score and indication, or the
-    error that failed it, plus the frame-level data evaluation reads
-    (Dice lists, ROI counts). Workers return it: the per-frame nodules
-    stay behind, so no pixel arrays cross a process pool."""
+    """One graded video: its station flags, or the error that failed it,
+    plus the frame-level data evaluation reads (Dice lists, ROI counts).
+    Its score and indication follow from the flags and the constants in
+    use. Workers return it: the per-frame nodules stay behind, so no
+    pixel arrays cross a process pool."""
 
     stations: tuple[bool, ...] | None
-    fs: int | None
-    its: Indication | None
     error: str | None = None
     dice: dict[str, list] | None = None
     roi: ConfusionCounts | None = None
@@ -403,7 +413,7 @@ def _scored(
     roi: ConfusionCounts | None = None,
 ) -> _Scored:
     """The graded record of a pipeline.score_frames result."""
-    return _Scored(video.station_positive, video.fs, video.its, None, dice, roi)
+    return _Scored(video.station_positive, None, dice, roi)
 
 
 def _assess_video(
@@ -431,7 +441,7 @@ def _assess_video(
         )
     except (CarcinoError, OSError) as exc:
         # all-or-nothing per video: a broken raster voids its frame metrics
-        return _Scored(None, None, None, str(exc))
+        return _Scored(None, str(exc))
 
 
 def _aggregate_dice(per_video: list[dict[str, list] | None], average: str) -> dict | None:
@@ -460,16 +470,7 @@ def _aggregate_dice(per_video: list[dict[str, list] | None], average: str) -> di
 
 
 def _prf_dict(counts: ConfusionCounts) -> dict:
-    precision, recall, f1 = metrics.precision_recall_f1(counts)
-    return {
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-        "tp": counts.tp,
-        "fp": counts.fp,
-        "tn": counts.tn,
-        "fn": counts.fn,
-    }
+    return {**dict(zip(_PRF, metrics.precision_recall_f1(counts))), **asdict(counts)}
 
 
 def _average_prf(rows: list[dict]) -> dict:
@@ -493,20 +494,7 @@ def _evaluate_run(
         "error": None,
     }
     if not ok_ids:
-        entry["error"] = "all videos failed"
-        for key in (
-            "stations",
-            "stations_average",
-            "its",
-            "its_average",
-            "fs_rmse",
-            "fs_rmse_normalized",
-            "dice",
-            "roi_balanced_accuracy",
-            "videos",
-        ):
-            entry[key] = None
-        return entry
+        return {**entry, "error": "all videos failed", **dict.fromkeys((*_RUN_METRICS, "videos"))}
 
     preds = [scored[vid].stations for vid in ok_ids]
     gts = [ground_truth[vid].stations for vid in ok_ids]
@@ -518,15 +506,15 @@ def _evaluate_run(
     entry["stations"] = stations
     entry["stations_average"] = _average_prf(list(stations.values()))
 
-    # the ground-truth score and indication follow the scoring rules in use
-    gt_fs = [compute_fs(ground_truth[vid].stations, constants) for vid in ok_ids]
+    # both scores and indications follow from the flags by the scoring rules in use
+    gt_fs = [compute_fs(flags, constants) for flags in gts]
     gt_its = [compute_its(fs, constants) for fs in gt_fs]
-    pred_fs = [scored[vid].fs for vid in ok_ids]
+    pred_fs = [compute_fs(flags, constants) for flags in preds]
+    pred_its = [compute_its(fs, constants) for fs in pred_fs]
     rmse = metrics.fs_rmse(pred_fs, gt_fs)
     entry["fs_rmse"] = rmse
     entry["fs_rmse_normalized"] = metrics.normalized_rmse(rmse, constants)
 
-    pred_its = [scored[vid].its for vid in ok_ids]
     its_counts = metrics.its_confusions(pred_its, gt_its)
     its_rows = {ind.value: _prf_dict(counts) for ind, counts in its_counts.items()}
     entry["its"] = its_rows
@@ -544,13 +532,13 @@ def _evaluate_run(
 
     entry["videos"] = {
         vid: {
-            "fs": scored[vid].fs,
-            "its": scored[vid].its.value,
-            "stations": list(scored[vid].stations),
-            "gt_fs": fs,
-            "gt_its": its.value,
+            "fs": fs,
+            "its": its.value,
+            "stations": list(flags),
+            "gt_fs": gt,
+            "gt_its": gt_ind.value,
         }
-        for vid, fs, its in zip(ok_ids, gt_fs, gt_its)
+        for vid, flags, fs, its, gt, gt_ind in zip(ok_ids, preds, pred_fs, pred_its, gt_fs, gt_its)
     }
     return entry
 
@@ -575,35 +563,33 @@ def _collect(run_entries: list[dict], *path: str) -> list:
     return values
 
 
-def _summarize_report(run_entries: list[dict]) -> dict:
-    """Mean/std across runs for every metric; failed runs contribute
-    undefined values and show up in the excluded counts."""
-    dice = {
-        key: _summary_value(_collect(run_entries, "dice", key))
-        for key in (*ORGAN_SLUGS, ORGAN_AVG_DICE_KEY, PC_DICE_KEY)
+def _nested_map(fn: Callable, table: dict) -> dict:
+    """table with fn applied to every leaf that is not a dict."""
+    return {
+        key: _nested_map(fn, leaf) if isinstance(leaf, dict) else fn(leaf)
+        for key, leaf in table.items()
     }
+
+
+def _summarize_report(run_entries: list[dict]) -> dict:
+    """Mean/std across runs of every value _RUN_METRICS names, nested as
+    there; failed runs contribute undefined values and show up in the
+    excluded counts. The Dice table is None where no run has a defined
+    Dice value. Also the run count and the failed videos of all runs."""
+    summary = _nested_map(lambda path: _summary_value(_collect(run_entries, *path)), _RUN_METRICS)
+    if all(value is None for value in summary["dice"].values()):
+        summary["dice"] = None
     return {
         "n_runs": len(run_entries),
-        "stations": {
-            slug: {m: _summary_value(_collect(run_entries, "stations", slug, m)) for m in _PRF}
-            for slug in STATION_SLUGS
-        },
-        "stations_average": {
-            m: _summary_value(_collect(run_entries, "stations_average", m)) for m in _PRF
-        },
-        "its": {
-            ind.value: {
-                m: _summary_value(_collect(run_entries, "its", ind.value, m)) for m in _PRF
-            }
-            for ind in Indication
-        },
-        "its_average": {m: _summary_value(_collect(run_entries, "its_average", m)) for m in _PRF},
-        "fs_rmse": _summary_value(_collect(run_entries, "fs_rmse")),
-        "fs_rmse_normalized": _summary_value(_collect(run_entries, "fs_rmse_normalized")),
-        "dice": None if all(v is None for v in dice.values()) else dice,
-        "roi_balanced_accuracy": _summary_value(_collect(run_entries, "roi_balanced_accuracy")),
+        **summary,
         "failed_videos_total": sum(entry["n_failed"] for entry in run_entries),
     }
+
+
+def _require_a_scored_run(run_entries: list[dict]) -> None:
+    """EmptyCohortError unless some run scored a video."""
+    if all(entry["error"] is not None for entry in run_entries):
+        raise EmptyCohortError("every run failed: no video could be scored")
 
 
 def evaluate_cohort(
@@ -658,11 +644,7 @@ def evaluate_cohort(
 
     ground_truth = {vid: by_id[vid].ground_truth for vid in unique_ids}
     if predictor == "oracle":
-        scored = {}
-        for vid in unique_ids:
-            stations = ground_truth[vid].stations
-            fs = compute_fs(stations, constants)
-            scored[vid] = _Scored(stations, fs, compute_its(fs, constants))
+        scored = {vid: _Scored(ground_truth[vid].stations) for vid in unique_ids}
     else:
         assessed = _pool_map(
             _assess_video,
@@ -679,8 +661,7 @@ def evaluate_cohort(
     run_entries = [
         _evaluate_run(run, scored, ground_truth, constants, dice_average) for run in run_list
     ]
-    if all(entry["error"] is not None for entry in run_entries):
-        raise EmptyCohortError("every run failed: no video could be scored")
+    _require_a_scored_run(run_entries)
 
     return {
         "schema": REPORT_SCHEMA,

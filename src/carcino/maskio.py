@@ -33,7 +33,7 @@ import math
 import os
 import stat
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -436,28 +436,21 @@ def _parse_frame(data: dict, context: str) -> FrameRecord:
         *(_require(data, name, context) for name in ("frame_index", "time_s", "roi_score")),
         context,
     )
-    organ_conf = _require(data, "organ_conf", context)
-    pc_conf = _require(data, "pc_conf", context)
-    for name, value in (("organ_conf", organ_conf), ("pc_conf", pc_conf)):
+    # the prediction rasters are required, the ground-truth ones optional
+    paths = {name: _require(data, name, context) for name in ("organ_conf", "pc_conf")}
+    paths.update((name, data.get(name)) for name in ("gt_labels", "gt_pc"))
+    for name, value in paths.items():
+        if value is None and name.startswith("gt_"):
+            continue
         if not isinstance(value, str):
             raise ManifestError(f"{context}: {name!r} must be a path string")
-    gt_labels = data.get("gt_labels")
-    gt_pc = data.get("gt_pc")
-    for name, value in (("gt_labels", gt_labels), ("gt_pc", gt_pc)):
-        if value is not None and not isinstance(value, str):
-            raise ManifestError(f"{context}: {name!r} must be a path string")
+        if "\x00" in value:
+            raise ManifestError(f"{context}: {name!r} must not contain a NUL character")
     gt_roi = data.get("gt_roi")
     if gt_roi is not None and not isinstance(gt_roi, bool):
         raise ManifestError(f"{context}: 'gt_roi' must be a boolean")
     return FrameRecord(
-        frame_index=frame_index,
-        time_s=time_s,
-        organ_conf=organ_conf,
-        pc_conf=pc_conf,
-        roi_score=roi_score,
-        gt_labels=gt_labels,
-        gt_pc=gt_pc,
-        gt_roi=gt_roi,
+        frame_index=frame_index, time_s=time_s, roi_score=roi_score, gt_roi=gt_roi, **paths
     )
 
 
@@ -519,7 +512,7 @@ def manifest_from_dict(data: dict, base_dir: Path | None = None) -> VideoManifes
 
 def manifest_to_dict(manifest: VideoManifest) -> dict:
     frames = [
-        {k: v for k, v in asdict(record).items() if v is not None} for record in manifest.frames
+        {k: v for k, v in vars(record).items() if v is not None} for record in manifest.frames
     ]
     data: dict = {"video_id": manifest.video_id, "frames": frames}
     if manifest.ground_truth is not None:

@@ -28,9 +28,12 @@ import numpy as np
 from . import maskio
 from .cohort import (
     EvalRun,
+    _RUN_METRICS,
     _collect,
     _evaluate_run,
+    _nested_map,
     _pool_map,
+    _require_a_scored_run,
     _scored,
     _Scored,
     _summary_value,
@@ -41,7 +44,6 @@ from .core import (
     FRAME_SAMPLING_INTERVAL,
     ScoringConstants,
     Station,
-    STATION_SLUGS,
     _ORGANS_OF,
     _check_scalar_fields,
     _is_int,
@@ -49,7 +51,7 @@ from .core import (
     _read_json,
     _rng,
 )
-from .errors import EmptyCohortError, InvalidSpecError, NoAssessableFramesError
+from .errors import InvalidSpecError, NoAssessableFramesError
 from .maskio import (
     ConfidenceFrame,
     FrameRecord,
@@ -605,26 +607,19 @@ def _sweep_video(task: tuple[SynthSpec, int, ScoringConstants]) -> _Scored:
     try:
         return _scored(*score_frames(video_id, frames, _checked_frame, constants))
     except NoAssessableFramesError as exc:
-        return _Scored(None, None, None, str(exc))
+        return _Scored(None, str(exc))
 
 
-# sweep key -> run-entry path of each metric a sweep level reports; the
-# keys with a path of their own are the CSV columns, in this order
+# sweep key -> run-entry path of each metric a sweep level reports, taken
+# from the run table; the keys with a path of their own are the CSV
+# columns, in this order
 _SWEEP_METRICS = {
-    "fs_rmse": ("fs_rmse",),
-    "fs_rmse_normalized": ("fs_rmse_normalized",),
-    "station_f1_average": ("stations_average", "f1"),
-    "its_f1_average": ("its_average", "f1"),
-    "stations_f1": {slug: ("stations", slug, "f1") for slug in STATION_SLUGS},
+    "fs_rmse": _RUN_METRICS["fs_rmse"],
+    "fs_rmse_normalized": _RUN_METRICS["fs_rmse_normalized"],
+    "station_f1_average": _RUN_METRICS["stations_average"]["f1"],
+    "its_f1_average": _RUN_METRICS["its_average"]["f1"],
+    "stations_f1": {slug: paths["f1"] for slug, paths in _RUN_METRICS["stations"].items()},
 }
-
-
-def _nested_map(fn, table: dict) -> dict:
-    """table with fn applied to every leaf that is not a dict."""
-    return {
-        key: _nested_map(fn, leaf) if isinstance(leaf, dict) else fn(leaf)
-        for key, leaf in table.items()
-    }
 
 
 def _replicate_run(
@@ -641,8 +636,7 @@ def _replicate_run(
         constants,
         "frame",
     )
-    if run["error"] is not None:
-        raise EmptyCohortError("every run failed: no video could be scored")
+    _require_a_scored_run([run])
     return run
 
 

@@ -692,6 +692,40 @@ def test_score_non_finite_manifest_number_exits_2(tmp_path, capsys, value):
     assert "time_s" in capsys.readouterr().err
 
 
+
+def _assert_exits_2(argv, capsys, message):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["organ_conf", "pc_conf", "gt_labels", "gt_pc"])
+def test_nul_in_a_raster_path_exits_2(tmp_path, capsys, field):
+    """A raster path holding NUL used to crash score and evaluate with
+    ValueError: embedded null byte (exit 1)."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    manifest = load_cohort(index).videos[1].manifest_path
+    data = json.loads(manifest.read_text())
+    data["frames"][0][field] = "frames/f0000\u0000.msk"
+    manifest.write_text(json.dumps(data))
+    message = f"frame 0: {field!r} must not contain a NUL character"
+    _assert_exits_2(["score", str(manifest)], capsys, message)
+    _assert_exits_2(["evaluate", str(index), "--independent"], capsys, message)
+
+
+def test_nul_in_a_cohort_index_manifest_path_exits_2(tmp_path, capsys):
+    """It used to exit 2 as 'invalid JSON (embedded null byte)', naming
+    the manifest path rather than the index entry."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    data = json.loads(index.read_text())
+    data["videos"][1]["manifest"] = "videos/v0001\u0000/manifest.json"
+    index.write_text(json.dumps(data))
+    message = f"{index}: videos[1] 'manifest' must not contain a NUL character"
+    _assert_exits_2(["evaluate", str(index), "--independent"], capsys, message)
+    _assert_exits_2(["split", str(index), "--k", "2"], capsys, message)
+
 def _json_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
     """Each JSON file the CLI reads, with a command line that reads it."""
     index = _mini_cohort(tmp_path, n_videos=2)
