@@ -438,10 +438,10 @@ def _parse_frame(data: dict, context: str) -> FrameRecord:
     )
     # the prediction rasters are required, the ground-truth ones optional
     paths = {name: _require(data, name, context) for name in ("organ_conf", "pc_conf")}
-    paths.update((name, data.get(name)) for name in ("gt_labels", "gt_pc"))
+    paths.update(
+        (name, data[name]) for name in ("gt_labels", "gt_pc") if data.get(name) is not None
+    )
     for name, value in paths.items():
-        if value is None and name.startswith("gt_"):
-            continue
         if not isinstance(value, str):
             raise ManifestError(f"{context}: {name!r} must be a path string")
         if "\x00" in value:
