@@ -17,7 +17,6 @@ from .core import (
     Station,
     compute_fs,
     compute_its,
-    organs_of,
     station_of,
 )
 from .errors import CarcinoError

@@ -192,6 +192,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise CarcinoError(f"{args.report}: unknown report kind {kind!r}")
     try:
         text = _RENDERERS[kind](report)
+        text.encode("utf-8")  # a string escape such as "\ud800" has no UTF-8 form
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         # the renderers read the layout evaluate and simulate write; any
         # other layout fails on the key, index or value it lacks

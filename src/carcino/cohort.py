@@ -28,9 +28,7 @@ from .core import (
     Indication,
     ORGAN_DISPLAY,
     ORGAN_SLUGS,
-    OrganClass,
     ScoringConstants,
-    Station,
     STATION_DISPLAY,
     STATION_SLUGS,
     _is_int,
@@ -58,7 +56,6 @@ __all__ = [
     "load_cohort",
     "save_cohort_index",
     "stratified_kfold",
-    "save_folds",
     "load_folds",
     "runs_from_folds",
     "independent_runs",
@@ -82,6 +79,23 @@ _RUN_METRICS = {
     "fs_rmse_normalized": ("fs_rmse_normalized",),
     "dice": {key: ("dice", key) for key in (*ORGAN_SLUGS, ORGAN_AVG_DICE_KEY, PC_DICE_KEY)},
     "roi_balanced_accuracy": ("roi_balanced_accuracy",),
+}
+
+# display label of each row render_report_text prints, by _RUN_METRICS key;
+# an ItS label is formatted with the cutoff in use
+_ROW_LABELS = {
+    "stations": dict(zip(STATION_SLUGS, STATION_DISPLAY.values())),
+    "stations_average": "AS Involvement Average",
+    "its": {
+        Indication.SURGERY_INDICATED.value: "ItS < {cutoff}",
+        Indication.SURGERY_CONTRAINDICATED.value: "ItS >= {cutoff}",
+    },
+    "its_average": "ItS Average",
+    "dice": {
+        **dict(zip(ORGAN_SLUGS, ORGAN_DISPLAY.values())),
+        ORGAN_AVG_DICE_KEY: "Average for anatomical structures",
+        PC_DICE_KEY: "Peritoneal Carcinomatosis",
+    },
 }
 
 
@@ -127,6 +141,8 @@ def load_cohort(index_path: str | Path) -> Cohort:
     name = data.get("name", Path(os.path.abspath(index_path)).parent.name)
     if not isinstance(name, str):
         raise ManifestError(f"{index_path}: 'name' must be a string, got {name!r}")
+    if "name" in data:  # a directory's name is taken as the OS gives it
+        maskio._encoded(name, f"{index_path}: 'name'")
     videos = []
     for i, entry in enumerate(data["videos"]):
         if not (
@@ -137,10 +153,7 @@ def load_cohort(index_path: str | Path) -> Cohort:
             raise ManifestError(
                 f"{index_path}: videos[{i}] needs string 'video_id' and 'manifest'"
             )
-        if "\x00" in entry["manifest"]:
-            raise ManifestError(
-                f"{index_path}: videos[{i}] 'manifest' must not contain a NUL character"
-            )
+        maskio._check_path(entry["manifest"], f"{index_path}: videos[{i}] 'manifest'")
         manifest_path = index_path.parent / entry["manifest"]
         manifest = maskio.load_manifest(manifest_path)
         if manifest.video_id != entry["video_id"]:
@@ -229,10 +242,6 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int = 0) -> FoldAssignment:
         fold = pos if cycle % 2 == 0 else k - 1 - pos
         assignment[video.video_id] = fold
     return FoldAssignment(k=k, seed=seed, assignment=assignment)
-
-
-def save_folds(folds: FoldAssignment, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(folds.to_dict()), encoding="utf-8")
 
 
 def load_folds(path: str | Path) -> FoldAssignment:
@@ -469,12 +478,16 @@ def _aggregate_dice(per_video: list[dict[str, list] | None], average: str) -> di
     return out
 
 
-def _prf_dict(counts: ConfusionCounts) -> dict:
-    return {**dict(zip(_PRF, metrics.precision_recall_f1(counts))), **asdict(counts)}
-
-
-def _average_prf(rows: list[dict]) -> dict:
-    return {metric: metrics.macro_average([row[metric] for row in rows]) for metric in _PRF}
+def _prf_table(table: str, counts: dict[str, ConfusionCounts]) -> dict:
+    """The run-entry items of one PRF table: under table, each row key's
+    precision/recall/F1 and confusion counts; under table + "_average",
+    the macro average of each of the three over the rows."""
+    rows = {
+        key: {**dict(zip(_PRF, metrics.precision_recall_f1(c))), **asdict(c)}
+        for key, c in counts.items()
+    }
+    average = {m: metrics.macro_average([row[m] for row in rows.values()]) for m in _PRF}
+    return {table: rows, f"{table}_average": average}
 
 
 def _evaluate_run(
@@ -499,12 +512,7 @@ def _evaluate_run(
     preds = [scored[vid].stations for vid in ok_ids]
     gts = [ground_truth[vid].stations for vid in ok_ids]
     station_counts = metrics.station_confusions(preds, gts)
-    stations = {
-        station.slug: _prf_dict(counts)
-        for station, counts in zip(Station, station_counts)
-    }
-    entry["stations"] = stations
-    entry["stations_average"] = _average_prf(list(stations.values()))
+    entry.update(_prf_table("stations", dict(zip(STATION_SLUGS, station_counts))))
 
     # both scores and indications follow from the flags by the scoring rules in use
     gt_fs = [compute_fs(flags, constants) for flags in gts]
@@ -516,9 +524,7 @@ def _evaluate_run(
     entry["fs_rmse_normalized"] = metrics.normalized_rmse(rmse, constants)
 
     its_counts = metrics.its_confusions(pred_its, gt_its)
-    its_rows = {ind.value: _prf_dict(counts) for ind, counts in its_counts.items()}
-    entry["its"] = its_rows
-    entry["its_average"] = _average_prf(list(its_rows.values()))
+    entry.update(_prf_table("its", {ind.value: c for ind, c in its_counts.items()}))
 
     entry["dice"] = _aggregate_dice([scored[vid].dice for vid in ok_ids], dice_average)
 
@@ -695,17 +701,17 @@ def _fmt_points(summary: dict | None) -> str:
 def render_report_text(report: dict) -> str:
     """Aligned plain-text tables: station involvement and indication
     rows with precision/recall/F1, score error lines, and the Dice table
-    when frame-level ground truth was available."""
+    when frame-level ground truth was available. The rows of each table
+    are those of _RUN_METRICS, in its order, labelled by _ROW_LABELS."""
     summary = report["summary"]
     constants = report.get("constants", {})
     cutoff = constants.get("its_cutoff", 8)
-    lines: list[str] = []
-    lines.append(
+    lines = [
         f"Cohort evaluation: {report['cohort']} "
         f"({report['n_videos']} videos, {summary['n_runs']} runs, {report['mode']}, "
-        f"predictor={report['predictor']})"
-    )
-    lines.append("")
+        f"predictor={report['predictor']})",
+        "",
+    ]
     name_w = 34
     col_w = 15
     header = (
@@ -714,46 +720,34 @@ def render_report_text(report: dict) -> str:
     )
 
     def prf_row(label: str, row: dict) -> str:
+        label = label.format(cutoff=cutoff)
         return f"{label:<{name_w}}" + "".join(f"{_fmt_pct(row[m]):>{col_w}}" for m in _PRF)
 
-    lines.append(header)
-    lines.append("-" * len(header))
-    for station in Station:
-        lines.append(prf_row(STATION_DISPLAY[station], summary["stations"][station.slug]))
-    lines.append(prf_row("AS Involvement Average", summary["stations_average"]))
-    lines.append("-" * len(header))
-    its = summary["its"]
-    lines.append(prf_row(f"ItS < {cutoff}", its[Indication.SURGERY_INDICATED.value]))
-    lines.append(prf_row(f"ItS >= {cutoff}", its[Indication.SURGERY_CONTRAINDICATED.value]))
-    lines.append(prf_row("ItS Average", summary["its_average"]))
-    lines.append("")
+    rule = "-" * len(header)
+    lines += [header, rule]
+    for table, end in (("stations", rule), ("its", "")):
+        labels, rows = _ROW_LABELS[table], summary[table]
+        lines += [prf_row(labels[key], rows[key]) for key in _RUN_METRICS[table]]
+        average = f"{table}_average"
+        lines += [prf_row(_ROW_LABELS[average], summary[average]), end]
     lines.append(f"FS RMSE (points):     {_fmt_points(summary['fs_rmse'])}")
     lines.append(f"FS RMSE (normalized): {_fmt_points(summary['fs_rmse_normalized'])}")
     if summary.get("dice") is not None:
         lines.append("")
         lines.append(f"{'Segmentation Dice':<{name_w}}{'Dice (%)':>{col_w}}")
         lines.append("-" * (name_w + col_w))
-        dice_summary = summary["dice"]
-        for organ in OrganClass:
-            lines.append(
-                f"{ORGAN_DISPLAY[organ]:<{name_w}}{_fmt_pct(dice_summary[organ.slug]):>{col_w}}"
-            )
-        lines.append(
-            f"{'Average for anatomical structures':<{name_w}}"
-            f"{_fmt_pct(dice_summary[ORGAN_AVG_DICE_KEY]):>{col_w}}"
-        )
-        lines.append(
-            f"{'Peritoneal Carcinomatosis':<{name_w}}"
-            f"{_fmt_pct(dice_summary[PC_DICE_KEY]):>{col_w}}"
-        )
+        labels, dice_summary = _ROW_LABELS["dice"], summary["dice"]
+        lines += [
+            f"{labels[key]:<{name_w}}{_fmt_pct(dice_summary[key]):>{col_w}}"
+            for key in _RUN_METRICS["dice"]
+        ]
     if summary.get("roi_balanced_accuracy") is not None:
         lines.append("")
         lines.append(
             f"ROI balanced accuracy (%): {_fmt_pct(summary['roi_balanced_accuracy'])}"
         )
     lines.append("")
-    failed_total = summary.get("failed_videos_total", 0)
-    lines.append(f"Videos failing to score: {failed_total}")
+    lines.append(f"Videos failing to score: {summary.get('failed_videos_total', 0)}")
     lines.append("Per-run values:")
     for entry in report["runs"]:
         if entry["error"] is not None:

@@ -31,7 +31,6 @@ __all__ = [
     "compute_fs",
     "compute_its",
     "station_of",
-    "organs_of",
     "ORGAN_SLUGS",
     "STATION_SLUGS",
     "ORGAN_DISPLAY",
@@ -123,11 +122,6 @@ def station_of(organ: OrganClass | int) -> Station:
     one station, every other organ is a station of its own.
     """
     return _STATION_OF[OrganClass(organ)]
-
-
-def organs_of(station: Station | int) -> tuple[OrganClass, ...]:
-    """Preimage of ``station_of``: the organs grouped under a station."""
-    return _ORGANS_OF[Station(station)]
 
 
 def _is_int(value) -> bool:

@@ -62,19 +62,15 @@ class GroundTruthInconsistentError(ManifestError):
 
 # --- pipeline -----------------------------------------------------------
 
-class PipelineError(CarcinoError):
+class ChannelCountMismatchError(CarcinoError):
     pass
 
 
-class ChannelCountMismatchError(PipelineError):
+class DimensionMismatchError(CarcinoError):
     pass
 
 
-class DimensionMismatchError(PipelineError):
-    pass
-
-
-class NoAssessableFramesError(PipelineError):
+class NoAssessableFramesError(CarcinoError):
     """No frame survived the ROI filter; the video cannot be scored.
 
     Deliberately distinct from a score of 0, which is a clinical claim."""
@@ -82,23 +78,19 @@ class NoAssessableFramesError(PipelineError):
 
 # --- metrics ------------------------------------------------------------
 
-class MetricError(CarcinoError):
+class LengthMismatchError(CarcinoError):
     pass
 
 
-class LengthMismatchError(MetricError):
+class EmptyCohortError(CarcinoError):
     pass
 
 
-class EmptyCohortError(MetricError):
-    pass
-
-
-class UndefinedClassError(MetricError):
+class UndefinedClassError(CarcinoError):
     """Balanced accuracy is undefined because one class has no members."""
 
 
-class AllUndefinedError(MetricError):
+class AllUndefinedError(CarcinoError):
     """Every run value passed to a summary was undefined."""
 
 

@@ -387,6 +387,24 @@ def _as_number(value, field: str, context: str) -> float:
     return number
 
 
+def _encoded(value: str, where: str, encode: Callable[[str], bytes] = str.encode) -> bytes:
+    """encode(value), UTF-8 by default, as text output needs; ManifestError
+    naming where if it fails, as it does for the lone surrogate that a
+    JSON escape such as "\\ud800" parses into."""
+    try:
+        return encode(value)
+    except UnicodeEncodeError as exc:
+        raise ManifestError(f"{where} must not contain {value[exc.start]!r}") from None
+
+
+def _check_path(value: str, where: str) -> None:
+    """ManifestError unless value can name a file: os.fsencode takes it,
+    a surrogate escape of a file-name byte (U+DC80-U+DCFF on a UTF-8 file
+    system) standing for that byte, and it holds no NUL."""
+    if b"\x00" in _encoded(value, where, os.fsencode):
+        raise ManifestError(f"{where} must not contain a NUL character")
+
+
 def _check_frame_scalars(frame_index, time_s, roi_score, context: str) -> tuple[int, float, float]:
     """A frame's index (an integer), time (a finite number) and relevance
     score (a number in [0, 1]), with the numbers as floats; ManifestError
@@ -444,8 +462,7 @@ def _parse_frame(data: dict, context: str) -> FrameRecord:
     for name, value in paths.items():
         if not isinstance(value, str):
             raise ManifestError(f"{context}: {name!r} must be a path string")
-        if "\x00" in value:
-            raise ManifestError(f"{context}: {name!r} must not contain a NUL character")
+        _check_path(value, f"{context}: {name!r}")
     gt_roi = data.get("gt_roi")
     if gt_roi is not None and not isinstance(gt_roi, bool):
         raise ManifestError(f"{context}: 'gt_roi' must be a boolean")
@@ -460,6 +477,7 @@ def manifest_from_dict(data: dict, base_dir: Path | None = None) -> VideoManifes
     video_id = _require(data, "video_id", "manifest")
     if not isinstance(video_id, str) or not video_id:
         raise ManifestError("manifest: 'video_id' must be a non-empty string")
+    _encoded(video_id, "manifest: 'video_id'")
     context = f"manifest {video_id!r}"
     frames_raw = _require(data, "frames", context)
     if not isinstance(frames_raw, list):

@@ -37,7 +37,7 @@ import numpy as np
 
 from carcino import maskio, metrics, pipeline, synth
 from carcino.cohort import EvalRun, FoldAssignment, evaluate_cohort, load_cohort
-from carcino.core import ORGAN_SLUGS, STATION_SLUGS, OrganClass, Station, organs_of, station_of
+from carcino.core import _ORGANS_OF, ORGAN_SLUGS, STATION_SLUGS, OrganClass, Station, station_of
 from carcino.errors import (
     BadMagicError,
     CarcinoError,
@@ -499,7 +499,7 @@ def reference_frame(
                 continue
             lo_n, hi_n = spec.nodules_per_positive_station
             count = int(rng.integers(lo_n, hi_n + 1))
-            organs = organs_of(station)
+            organs = _ORGANS_OF[station]
             for _ in range(count):
                 organ = organs[int(rng.integers(0, len(organs)))]
                 radius, candidates = sites[organ]

@@ -15,7 +15,6 @@ from carcino.cohort import (
     evaluate_cohort,
     independent_runs,
     load_cohort,
-    save_folds,
     stratified_kfold,
 )
 from carcino.core import Indication, ScoringConstants
@@ -195,11 +194,10 @@ def test_split_properties_on_101_videos(tmp_path):
         ]
         means.append(sum(values) / len(values))
     assert max(means) - min(means) <= 0.5
-    path_a = tmp_path / "folds_a.json"
-    path_b = tmp_path / "folds_b.json"
-    save_folds(stratified_kfold(cohort, k=4, seed=17), path_a)
-    save_folds(stratified_kfold(cohort, k=4, seed=17), path_b)
-    assert path_a.read_bytes() == path_b.read_bytes()
+    # the bytes split writes
+    text_a = maskio.canonical_json(stratified_kfold(cohort, k=4, seed=17).to_dict())
+    text_b = maskio.canonical_json(stratified_kfold(cohort, k=4, seed=17).to_dict())
+    assert text_a == text_b
 
 
 def test_monte_carlo_miss_rate_extremes():

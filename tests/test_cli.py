@@ -726,6 +726,80 @@ def test_nul_in_a_cohort_index_manifest_path_exits_2(tmp_path, capsys):
     _assert_exits_2(["evaluate", str(index), "--independent"], capsys, message)
     _assert_exits_2(["split", str(index), "--k", "2"], capsys, message)
 
+
+def _edit_json(path: Path, edit) -> None:
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))  # ASCII: a lone surrogate is written as its escape
+
+
+@pytest.mark.parametrize(
+    "field", ["organ_conf", "pc_conf", "gt_labels", "gt_pc", "manifest", "name", "video_id"]
+)
+def test_lone_surrogate_exits_2(tmp_path, capsys, field):
+    """A JSON escape such as "\\ud800" parses into a lone surrogate, which
+    no file name and no UTF-8 writer can encode. In a raster path it used to
+    make score and evaluate exit 1 with a UnicodeEncodeError; in an index
+    'manifest' entry, exit 2 as "invalid JSON"; in an index name or a
+    video id, make the text outputs exit 1. Each is now rejected on load,
+    naming the field."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    manifest = load_cohort(index).videos[1].manifest_path
+    out_text = tmp_path / "report.txt"
+    evaluate = [
+        ["evaluate", str(index), "--independent", "--jobs", jobs, *extra]
+        for jobs in ("1", "2")
+        for extra in ([], ["--format", "text"], ["--out-text", str(out_text)])
+    ]
+    if field == "manifest":
+        _edit_json(index, lambda d: d["videos"][1].update(manifest="v0001\ud800/manifest.json"))
+        message = f"{index}: videos[1] 'manifest' must not contain '\\ud800'"
+        argvs = [*evaluate, ["split", str(index), "--k", "2"]]
+    elif field == "name":
+        _edit_json(index, lambda d: d.update(name="cohort\ud800"))
+        message = f"{index}: 'name' must not contain '\\ud800'"
+        argvs = [*evaluate, ["split", str(index), "--k", "2"]]
+    elif field == "video_id":
+        _edit_json(manifest, lambda d: d.update(video_id="v0001\ud800"))
+        message = "manifest: 'video_id' must not contain '\\ud800'"
+        argvs = [*evaluate, ["score", str(manifest), "--format", "text"]]
+    else:
+        _edit_json(manifest, lambda d: d["frames"][0].update({field: "frames/f0000\ud800.msk"}))
+        message = f"frame 0: {field!r} must not contain '\\ud800'"
+        argvs = [*evaluate, ["score", str(manifest)], ["score", str(manifest), "--format", "text"]]
+    for argv in argvs:
+        _assert_exits_2(argv, capsys, message)
+    assert not out_text.exists()
+
+
+def test_surrogate_escaped_byte_paths_read_as_bytes(tmp_path, capsys):
+    """U+DC80-U+DCFF in a path stand for the file-name bytes 0x80-0xFF (the
+    surrogateescape form Python gives such names), so they are not
+    rejected: the file they name is read, and a missing one is an I/O error.
+    An unnamed cohort takes such a name from its directory."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    unnamed = tmp_path / os.fsdecode(b"c\xff")
+    shutil.copytree(index.parent, unnamed)
+    _edit_json(unnamed / "index.json", lambda d: d.pop("name", None))
+    assert main(["evaluate", str(unnamed / "index.json"), "--independent"]) == 0
+    assert json.loads(capsys.readouterr().out)["cohort"] == unnamed.name
+    manifest = load_cohort(index).videos[1].manifest_path
+    assert main(["score", str(manifest)]) == 0
+    expected = capsys.readouterr().out
+    frames = manifest.parent / "frames"
+    odd_name = os.fsdecode(b"f0000\xff.organ.msk")
+    (frames / "f0000.organ.msk").rename(frames / odd_name)
+    _edit_json(manifest, lambda d: d["frames"][0].update(organ_conf=f"frames/{odd_name}"))
+    assert main(["score", str(manifest)]) == 0
+    assert capsys.readouterr().out == expected
+    (frames / odd_name).unlink()
+    assert main(["score", str(manifest)]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+    _edit_json(index, lambda d: d["videos"][1].update(manifest="videos/v0001\udcff/manifest.json"))
+    assert main(["evaluate", str(index), "--independent"]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def _json_inputs(tmp_path) -> dict[str, tuple[Path, list[str]]]:
     """Each JSON file the CLI reads, with a command line that reads it."""
     index = _mini_cohort(tmp_path, n_videos=2)
@@ -1010,8 +1084,12 @@ def test_report_renders_a_run_free_evaluation(tmp_path, capsys):
         (_evaluation_text(summary={}), "text"),
         (_evaluation_text(runs=[{}]), "text"),
         (_evaluation_text(summary={**_summarize_report([]), "stations": [1, 2]}), "text"),
+        (_evaluation_text(cohort="c\ud800"), "text"),
     ],
-    ids=["nan", "overflow", "list", "no-summary", "empty-summary", "empty-run", "stations-list"],
+    ids=[
+        "nan", "overflow", "list", "no-summary", "empty-summary", "empty-run", "stations-list",
+        "lone-surrogate",
+    ],
 )
 def test_report_malformed_file_exits_2(tmp_path, capsys, text, fmt):
     """Each of these used to escape main with a traceback."""

@@ -152,8 +152,8 @@ def test_kfold_deterministic_and_file_bytes_stable(tmp_path):
     b = stratified_kfold(cohort, k=4, seed=99)
     assert a.assignment == b.assignment
     path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
-    cm.save_folds(a, path_a)
-    cm.save_folds(b, path_b)
+    path_a.write_text(maskio.canonical_json(a.to_dict()), encoding="utf-8")
+    path_b.write_text(maskio.canonical_json(b.to_dict()), encoding="utf-8")
     assert path_a.read_bytes() == path_b.read_bytes()
     loaded = cm.load_folds(path_a)
     assert loaded == a

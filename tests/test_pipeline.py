@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from carcino import maskio, pipeline, synth
 from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
-from carcino.core import Indication, OrganClass, ScoringConstants, Station, organs_of
+from carcino.core import _ORGANS_OF, Indication, OrganClass, ScoringConstants, Station
 from carcino.errors import (
     CarcinoError,
     ChannelCountMismatchError,
@@ -521,7 +521,7 @@ def _fa(stations):
     nodule at column 2s on the first organ of each positive station s."""
     organ_conf, pc = blank_organ_conf((1, 12)), np.zeros((1, 12))
     for s in np.flatnonzero(stations):
-        organ_conf[organs_of(s)[0], 0, 2 * s] = pc[0, 2 * s] = 0.95
+        organ_conf[_ORGANS_OF[s][0], 0, 2 * s] = pc[0, 2 * s] = 0.95
     return make_frame(organ_conf, pc)
 
 
@@ -1081,3 +1081,123 @@ def test_frame_loader_scores_as_fresh_loads(video, want_dice, want_roi):
 
         fresh = outcome(lambda record: maskio.load_frame(record, manifest.base_dir))
         assert outcome(maskio.frame_loader(manifest.base_dir)) == fresh
+
+
+# --- metamorphic relations ---------------------------------------------------
+#
+# Relations between whole runs rather than checks against a reference: they
+# hold at the default constants, where the organ tie-break sums are exact
+# (see assign_nodules), so the order in which a nodule's pixels are read
+# cannot decide its organ.
+
+_TRANSFORMS = {
+    "transpose": lambda plane: plane.swapaxes(-1, -2),
+    "flip rows": lambda plane: plane[..., ::-1, :],
+    "flip columns": lambda plane: plane[..., ::-1],
+}
+
+
+def _transformed(frame, transform):
+    return replace(
+        frame,
+        organ_conf=np.ascontiguousarray(transform(frame.organ_conf)),
+        pc_conf=np.ascontiguousarray(transform(frame.pc_conf)),
+    )
+
+
+def _nodules_by_frame(table, n_frames) -> list[list[tuple[int, int]]]:
+    """Each frame's nodules as a sorted list of (size, organ)."""
+    rows = sorted(zip(table.frame.tolist(), table.size.tolist(), table.organ.tolist()))
+    return [[(size, organ) for f, size, organ in rows if f == k] for k in range(n_frames)]
+
+
+def _scored_shape(frames):
+    """The station flags, score, indication and per-frame (size, organ)
+    multisets score_frames gives, or the error class it raises."""
+    try:
+        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
+    except NoAssessableFramesError:
+        return NoAssessableFramesError
+    return (
+        video.station_positive,
+        video.fs,
+        video.its,
+        video.frame_stations.tolist(),
+        _nodules_by_frame(video.nodules, video.frames_used),
+    )
+
+
+def _components_shape(frames, connectivity):
+    """Per-frame (size, organ) multisets of the frames labelled as one
+    stack, a blank row after each, at that connectivity, and assigned."""
+    masks = [pipeline.threshold_pc_mask(frame, CONSTANTS) for frame in frames]
+    height, width = masks[0].shape
+    stack = np.zeros((len(masks), height + 1, width), dtype=bool)
+    stack[:, :-1] = masks
+    pixel_conf = np.concatenate(
+        [f.organ_conf.reshape(8, -1)[:, np.flatnonzero(m)] for f, m in zip(frames, masks)], axis=1
+    )
+    nodules = pipeline.connected_components(stack, connectivity)
+    pipeline.assign_nodules(nodules, pixel_conf, CONSTANTS)
+    return _nodules_by_frame(nodules, len(frames))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=_stacked_videos(),
+    name=st.sampled_from(sorted(_TRANSFORMS)),
+    block_pixels=st.sampled_from([1, 60, 300, 1 << 16]),
+)
+def test_transposing_or_flipping_every_raster_changes_no_outcome(frames, name, block_pixels):
+    """Transposing every raster of a video, or flipping it along either
+    axis, maps each nodule onto a nodule of the same size and organ
+    overlap in the same frame: the station flags, FS, ItS and each
+    frame's multiset of (size, organ) stay the same, through score_frames
+    (its row runs read in blocks of one frame to all frames) and through
+    connected_components at 4- and 8-connectivity."""
+    moved = [_transformed(frame, _TRANSFORMS[name]) for frame in frames]
+    with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", block_pixels):
+        assert _scored_shape(moved) == _scored_shape(frames)
+    for connectivity in (4, 8):
+        assert _components_shape(moved, connectivity) == _components_shape(frames, connectivity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=st.one_of(_stacked_videos(), _videos()),
+    data=st.data(),
+    want_dice=st.booleans(),
+    want_roi=st.booleans(),
+)
+def test_a_frame_below_the_roi_threshold_changes_no_byte(frames, data, want_dice, want_roi):
+    """A frame inserted anywhere in a video, below the ROI threshold, with
+    no ground-truth rasters and no relevance flag, changes no byte of the
+    assessment, nor the Dice lists, the ROI counts or the error raised."""
+    frames = [  # odd indices, so that the new frame takes an even one between them
+        replace(frame, frame_index=2 * i + 1, time_s=2.5 * (2 * i + 1))
+        for i, frame in enumerate(frames)
+    ]
+    at = data.draw(st.integers(0, len(frames)), label="at")
+    below = [score for score in _ROI_SCORES if score < CONSTANTS.roi_threshold]
+    roi_score = data.draw(st.sampled_from(below), label="roi_score")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    shape = frames[0].pc_conf.shape
+    added = make_frame(
+        rng.choice(_TIE_VALUES, (8, *shape)),
+        rng.choice(_TIE_VALUES, shape),
+        roi_score=roi_score,
+        frame_index=2 * at,
+        time_s=2.5 * 2 * at,
+    )
+
+    def outcome(video_frames):
+        try:
+            video, dice, roi = pipeline.score_frames(
+                "v", video_frames, lambda f: f, CONSTANTS, want_dice, want_roi
+            )
+        except CarcinoError as exc:
+            return type(exc), str(exc)
+        return video.to_json(), dice, roi
+
+    assert outcome([*frames[:at], added, *frames[at:]]) == outcome(frames)
