@@ -17,7 +17,6 @@ from .core import (
     Station,
     compute_fs,
     compute_its,
-    station_of,
 )
 from .errors import CarcinoError
 from .maskio import (

@@ -190,15 +190,9 @@ class FoldAssignment:
     seed: int
     assignment: dict[str, int]  # video_id -> fold index in [0, k)
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "seed": self.seed, "assignment": dict(sorted(self.assignment.items()))}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FoldAssignment":
-        if not isinstance(data, dict) or not {"k", "seed", "assignment"} <= set(data):
-            raise CarcinoError("fold file must contain 'k', 'seed' and 'assignment'")
-        k, seed, assignment = data["k"], data["seed"], data["assignment"]
-        if not _is_int(k) or not _is_int(seed):
+    def __post_init__(self) -> None:
+        k, assignment = self.k, self.assignment
+        if not _is_int(k) or not _is_int(self.seed):
             raise CarcinoError("fold file: 'k' and 'seed' must be integers")
         if k < 1:
             raise CarcinoError(f"fold count must be >= 1, got {k}")
@@ -207,7 +201,18 @@ class FoldAssignment:
         outside = sorted(vid for vid, f in assignment.items() if not 0 <= f < k)
         if outside:
             raise CarcinoError(f"fold index outside [0, {k}) for video(s): {outside}")
-        return cls(k=k, seed=seed, assignment={str(vid): f for vid, f in assignment.items()})
+
+    def to_dict(self) -> dict:
+        return {"k": self.k, "seed": self.seed, "assignment": dict(sorted(self.assignment.items()))}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FoldAssignment":
+        if not isinstance(data, dict) or not {"k", "seed", "assignment"} <= set(data):
+            raise CarcinoError("fold file must contain 'k', 'seed' and 'assignment'")
+        assignment = data["assignment"]
+        if isinstance(assignment, dict):  # __post_init__ rejects any other value
+            assignment = {str(vid): f for vid, f in assignment.items()}
+        return cls(k=data["k"], seed=data["seed"], assignment=assignment)
 
 
 def stratified_kfold(cohort: Cohort, k: int, seed: int = 0) -> FoldAssignment:
@@ -268,7 +273,7 @@ def runs_from_folds(cohort: Cohort, folds: FoldAssignment) -> list[EvalRun]:
     unknown = set(folds.assignment) - cohort_ids
     if unknown:
         raise CarcinoError(f"fold assignment names unknown video(s): {sorted(unknown)}")
-    used = {f for f in folds.assignment.values() if 0 <= f < folds.k}
+    used = set(folds.assignment.values())
     if len(used) < folds.k:  # k may be huge: list the first few empty folds only
         empty = [f for f in range(min(folds.k, len(used) + 5)) if f not in used][:5]
         more = folds.k - len(used) - len(empty)
@@ -461,8 +466,6 @@ def _aggregate_dice(per_video: list[dict[str, list] | None], average: str) -> di
     excluded; a label with no defined frame is undefined for the run.
     """
     collected = [d for d in per_video if d is not None]
-    if not collected:
-        return None
     keys = list(ORGAN_SLUGS) + [PC_DICE_KEY]
     out: dict[str, float | None] = {}
     for key in keys:
@@ -529,12 +532,7 @@ def _evaluate_run(
     entry["dice"] = _aggregate_dice([scored[vid].dice for vid in ok_ids], dice_average)
 
     roi = [scored[vid].roi for vid in ok_ids if scored[vid].roi is not None]
-    entry["roi_balanced_accuracy"] = None
-    if roi:
-        try:
-            entry["roi_balanced_accuracy"] = metrics.balanced_accuracy(sum(roi, ConfusionCounts()))
-        except CarcinoError:
-            pass
+    entry["roi_balanced_accuracy"] = metrics.balanced_accuracy(sum(roi, ConfusionCounts()))
 
     entry["videos"] = {
         vid: {
@@ -550,10 +548,8 @@ def _evaluate_run(
 
 
 def _summary_value(values: list[float | None]) -> dict | None:
-    try:
-        return metrics.summarize_runs(values).to_dict()
-    except CarcinoError:
-        return None
+    summary = metrics.summarize_runs(values)
+    return None if summary is None else summary.to_dict()
 
 
 def _collect(run_entries: list[dict], *path: str) -> list:
@@ -706,8 +702,11 @@ def render_report_text(report: dict) -> str:
     summary = report["summary"]
     constants = report.get("constants", {})
     cutoff = constants.get("its_cutoff", 8)
+    # an unnamed cohort is named after its directory, as the OS gives it:
+    # U+DC80-U+DCFF stand for file-name bytes, shown as \x escapes
+    name = os.fsencode(report["cohort"]).decode("utf-8", "backslashreplace")
     lines = [
-        f"Cohort evaluation: {report['cohort']} "
+        f"Cohort evaluation: {name} "
         f"({report['n_videos']} videos, {summary['n_runs']} runs, {report['mode']}, "
         f"predictor={report['predictor']})",
         "",

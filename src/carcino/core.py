@@ -30,7 +30,6 @@ __all__ = [
     "FRAME_SAMPLING_INTERVAL",
     "compute_fs",
     "compute_its",
-    "station_of",
     "ORGAN_SLUGS",
     "STATION_SLUGS",
     "ORGAN_DISPLAY",
@@ -115,15 +114,6 @@ STATION_DISPLAY = {
 }
 
 
-def station_of(organ: OrganClass | int) -> Station:
-    """Map an anatomical structure to its scoring station.
-
-    Total over all eight organs: stomach, spleen and lesser omentum share
-    one station, every other organ is a station of its own.
-    """
-    return _STATION_OF[OrganClass(organ)]
-
-
 def _is_int(value) -> bool:
     """True for a Python int; bools are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -154,6 +144,15 @@ def _check_scalar_fields(obj, error: type[CarcinoError]) -> None:
             _is_int(value) or (isinstance(value, float) and math.isfinite(value))
         ):
             raise error(f"{f.name} must be a finite number, got {value!r}")
+
+
+def _known_fields(cls, data: dict, error: type[CarcinoError], what: str) -> dict:
+    """data, once each of its keys names a field of the dataclass cls;
+    error(f"unknown {what} field(s): [...]") if some key does not."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise error(f"unknown {what} field(s): {sorted(unknown)}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -209,11 +208,7 @@ class ScoringConstants:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoringConstants":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise CarcinoError(f"unknown constants field(s): {sorted(unknown)}")
-        return cls(**data)
+        return cls(**_known_fields(cls, data, CarcinoError, "constants"))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScoringConstants":

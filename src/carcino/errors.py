@@ -86,14 +86,6 @@ class EmptyCohortError(CarcinoError):
     pass
 
 
-class UndefinedClassError(CarcinoError):
-    """Balanced accuracy is undefined because one class has no members."""
-
-
-class AllUndefinedError(CarcinoError):
-    """Every run value passed to a summary was undefined."""
-
-
 class MissingGroundTruthError(CarcinoError):
     pass
 

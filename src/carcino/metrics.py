@@ -6,9 +6,12 @@ total score, precision/recall/F1 per indication class, and balanced
 accuracy for the frame relevance discriminator; plus mean/std summaries
 across folds or models.
 
-Undefined values are explicit: operations return None (never a silent
-0) and summaries report how many run values were excluded. Standard
-deviations are population standard deviations, fixed for determinism.
+Undefined values are explicit: an operation returns None, never a
+silent 0 or an exception, for Dice over two empty masks, a ratio over a
+zero denominator, balanced accuracy with a class absent, and a summary
+with no defined run value. Summaries report how many run values they
+excluded. Standard deviations are population standard deviations,
+fixed for determinism.
 """
 
 from __future__ import annotations
@@ -22,12 +25,10 @@ import numpy as np
 
 from .core import Indication, ScoringConstants
 from .errors import (
-    AllUndefinedError,
     DimensionMismatchError,
     EmptyCohortError,
     LengthMismatchError,
     MissingGroundTruthError,
-    UndefinedClassError,
 )
 
 __all__ = [
@@ -168,14 +169,12 @@ def normalized_rmse(rmse: float, constants: ScoringConstants | None = None) -> f
     return rmse / (constants or ScoringConstants()).points_per_positive_station
 
 
-def balanced_accuracy(c: ConfusionCounts) -> float:
+def balanced_accuracy(c: ConfusionCounts) -> float | None:
     """Mean of sensitivity and specificity; robust to class imbalance.
 
-    Requires both classes to be present."""
-    if c.tp + c.fn == 0:
-        raise UndefinedClassError("no positive units; sensitivity undefined")
-    if c.tn + c.fp == 0:
-        raise UndefinedClassError("no negative units; specificity undefined")
+    None (undefined) unless both classes are present."""
+    if c.tp + c.fn == 0 or c.tn + c.fp == 0:
+        return None
     sensitivity = c.tp / (c.tp + c.fn)
     specificity = c.tn / (c.tn + c.fp)
     return (sensitivity + specificity) / 2.0
@@ -195,17 +194,18 @@ def its_confusions(
     }
 
 
-def summarize_runs(values: Iterable[float | None]) -> MetricSummary:
+def summarize_runs(values: Iterable[float | None]) -> MetricSummary | None:
     """Arithmetic mean and population standard deviation over run values.
 
-    Undefined (None) values are excluded and counted; summation order is
-    the input order, fixed for bitwise reproducibility.
+    Undefined (None) values are excluded and counted; None when no value
+    is defined. Summation order is the input order, fixed for bitwise
+    reproducibility.
     """
     values = list(values)
     defined = [float(v) for v in values if v is not None]
     excluded = len(values) - len(defined)
     if not defined:
-        raise AllUndefinedError("all run values are undefined")
+        return None
     n = len(defined)
     mean = sum(defined) / n
     variance = sum((v - mean) ** 2 for v in defined) / n

@@ -47,6 +47,7 @@ from .core import (
     _ORGANS_OF,
     _check_scalar_fields,
     _is_int,
+    _known_fields,
     _mask64,
     _read_json,
     _rng,
@@ -171,18 +172,16 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidSpecError(f"unknown spec field(s): {sorted(unknown)}")
-        if "seed" not in data:
+        kwargs = dict(_known_fields(cls, data, InvalidSpecError, "spec"))
+        if "seed" not in kwargs:
             raise InvalidSpecError("spec needs a 'seed'")
-        kwargs = dict(data)
         for name in ("frame_size", "station_prevalence", "nodules_per_positive_station"):
             if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         if isinstance(kwargs.get("noise"), dict):
-            kwargs["noise"] = NoiseSpec(**kwargs["noise"])
+            kwargs["noise"] = NoiseSpec(
+                **_known_fields(NoiseSpec, kwargs["noise"], InvalidSpecError, "noise")
+            )
         return cls(**kwargs)
 
     @classmethod
@@ -190,10 +189,7 @@ class SynthSpec:
         data = _read_json(path, InvalidSpecError)
         if not isinstance(data, dict):
             raise InvalidSpecError(f"{path}: expected a JSON object")
-        try:
-            return cls.from_dict(data)
-        except TypeError as exc:
-            raise InvalidSpecError(f"{path}: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def _square_pass(src: np.ndarray, dst: np.ndarray, combine: np.ufunc, erode: bool) -> None:

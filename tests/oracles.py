@@ -20,11 +20,11 @@ generator, the confidence plateaus and the organs of a station from the
 package. connected_components, assign_nodules, classify_frame and
 aggregate_video are the former per-frame chain, one Nodule object per
 nodule, kept as the reference for the package's per-video table; they
-share only station_of with the package. oracle_stations and oracle_fs
-read the planted truth of a generated video. assessment_dict, the
-former record builder of VideoAssessment, is the reference for its JSON
-writer. pixel_set, nodule_list and fold_ids are plain views of package
-objects that only the tests take.
+share only the organ-to-station map _STATION_OF with the package.
+oracle_stations and oracle_fs read the planted truth of a generated
+video. assessment_dict, the former record builder of VideoAssessment,
+is the reference for its JSON writer. pixel_set, nodule_list and
+fold_ids are plain views of package objects that only the tests take.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ import numpy as np
 
 from carcino import maskio, metrics, pipeline, synth
 from carcino.cohort import EvalRun, FoldAssignment, evaluate_cohort, load_cohort
-from carcino.core import _ORGANS_OF, ORGAN_SLUGS, STATION_SLUGS, OrganClass, Station, station_of
+from carcino.core import (
+    _ORGANS_OF, _STATION_OF, ORGAN_SLUGS, STATION_SLUGS, OrganClass, Station,
+)
 from carcino.errors import (
     BadMagicError,
     CarcinoError,
@@ -352,7 +354,7 @@ def classify_frame(frame, constants) -> FrameAssessment:
     nodules = connected_components(mask)
     nodules = [n for n in nodules if n.size >= constants.min_nodule_pixels]
     assign_nodules(nodules, frame.organ_conf, constants)
-    hit = {station_of(n.assigned_organ) for n in nodules if n.assigned_organ is not None}
+    hit = {_STATION_OF[n.assigned_organ] for n in nodules if n.assigned_organ is not None}
     return FrameAssessment(
         frame_index=frame.frame_index,
         time_s=frame.time_s,

@@ -776,13 +776,20 @@ def test_surrogate_escaped_byte_paths_read_as_bytes(tmp_path, capsys):
     """U+DC80-U+DCFF in a path stand for the file-name bytes 0x80-0xFF (the
     surrogateescape form Python gives such names), so they are not
     rejected: the file they name is read, and a missing one is an I/O error.
-    An unnamed cohort takes such a name from its directory."""
+    An unnamed cohort takes such a name from its directory; its text report
+    spells the byte as an escape (it used to exit 1 with a
+    UnicodeEncodeError, and report --format text to exit 2)."""
     index = _mini_cohort(tmp_path, n_videos=2)
     unnamed = tmp_path / os.fsdecode(b"c\xff")
     shutil.copytree(index.parent, unnamed)
     _edit_json(unnamed / "index.json", lambda d: d.pop("name", None))
-    assert main(["evaluate", str(unnamed / "index.json"), "--independent"]) == 0
-    assert json.loads(capsys.readouterr().out)["cohort"] == unnamed.name
+    report, text = tmp_path / "report.json", tmp_path / "report.txt"
+    argv = ["evaluate", str(unnamed / "index.json"), "--independent"]
+    assert main([*argv, "--out-json", str(report), "--out-text", str(text)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["cohort"] == unnamed.name
+    assert text.read_text(encoding="utf-8").startswith("Cohort evaluation: c\\xff (2 videos")
+    assert main(["report", str(report), "--format", "text"]) == 0
+    assert capsys.readouterr().out == text.read_text(encoding="utf-8")
     manifest = load_cohort(index).videos[1].manifest_path
     assert main(["score", str(manifest)]) == 0
     expected = capsys.readouterr().out

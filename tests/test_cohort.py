@@ -573,6 +573,14 @@ def test_fold_file_rejects_fold_index_outside_range(k, index):
         FoldAssignment.from_dict(data)
 
 
+@pytest.mark.parametrize("fold", [5, -1, True], ids=["past-k", "negative", "bool"])
+def test_fold_assignment_checks_itself(fold):
+    """Built in memory, a fold outside [0, k) used to drop its video from
+    every run, and a bool fold filed it under fold int(fold)."""
+    with pytest.raises(CarcinoError):
+        FoldAssignment(k=2, seed=0, assignment={"a": 0, "b": 1, "c": fold})
+
+
 @pytest.mark.parametrize(
     "data",
     [

@@ -9,7 +9,7 @@ from carcino.core import (
     ScoringConstants,
     Station,
     _ORGANS_OF,
-    station_of,
+    _STATION_OF,
 )
 from carcino.errors import CarcinoError
 
@@ -45,17 +45,17 @@ def test_station_of_full_mapping():
         OrganClass.BOWEL: Station.BOWEL,
     }
     for organ in OrganClass:
-        assert station_of(organ) is expected[organ]
+        assert _STATION_OF[organ] is expected[organ]
     # specific groupings
-    assert station_of(OrganClass.STOMACH) is Station.STOMACH_SPLEEN_LESSER_OMENTUM
-    assert station_of(OrganClass.LIVER) is Station.LIVER
-    assert station_of(OrganClass.BOWEL) is Station.BOWEL
+    assert _STATION_OF[OrganClass.STOMACH] is Station.STOMACH_SPLEEN_LESSER_OMENTUM
+    assert _STATION_OF[OrganClass.LIVER] is Station.LIVER
+    assert _STATION_OF[OrganClass.BOWEL] is Station.BOWEL
 
 
 def test_station_of_is_surjective_and_constant():
-    hit = {station_of(o) for o in OrganClass}
+    hit = {_STATION_OF[o] for o in OrganClass}
     assert hit == set(Station)
-    assert [station_of(o) for o in OrganClass] == [station_of(o) for o in OrganClass]
+    assert [_STATION_OF[o] for o in OrganClass] == [_STATION_OF[o] for o in OrganClass]
 
 
 def test_organs_of_is_exact_preimage():
@@ -69,7 +69,7 @@ def test_organs_of_is_exact_preimage():
     assert sorted(all_organs) == list(OrganClass)
     for s in Station:
         for o in groups[s]:
-            assert station_of(o) is s
+            assert _STATION_OF[o] is s
 
 
 def test_default_constants_match_clinical_operating_point():

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from carcino.core import Indication, ScoringConstants
 from carcino.errors import (
-    AllUndefinedError,
     DimensionMismatchError,
     EmptyCohortError,
     LengthMismatchError,
     MissingGroundTruthError,
-    UndefinedClassError,
 )
 from carcino.metrics import (
     ConfusionCounts,
@@ -243,10 +241,9 @@ def test_balanced_accuracy_hand_value():
 
 
 def test_balanced_accuracy_undefined_class():
-    with pytest.raises(UndefinedClassError):
-        balanced_accuracy(ConfusionCounts(tp=3, fn=1))  # no negative units
-    with pytest.raises(UndefinedClassError):
-        balanced_accuracy(ConfusionCounts(tn=3, fp=1))  # no positive units
+    assert balanced_accuracy(ConfusionCounts(tp=3, fn=1)) is None  # no negative units
+    assert balanced_accuracy(ConfusionCounts(tn=3, fp=1)) is None  # no positive units
+    assert balanced_accuracy(ConfusionCounts()) is None
 
 
 def test_balanced_accuracy_invariant_under_duplication():
@@ -315,9 +312,9 @@ def test_summarize_excludes_undefined():
     assert (s.mean, s.std, s.n, s.excluded) == (2.0, 1.0, 2, 2)
 
 
-def test_summarize_all_undefined_raises():
-    with pytest.raises(AllUndefinedError):
-        summarize_runs([None, None])
+def test_summarize_all_undefined_is_none():
+    assert summarize_runs([None, None]) is None
+    assert summarize_runs([]) is None
 
 
 def test_macro_average():

@@ -79,6 +79,17 @@ def test_spec_dict_roundtrip(tmp_path):
         SynthSpec.from_dict({"seed": 1, "bogus": 2})
 
 
+def test_unknown_noise_field_is_rejected_by_name(tmp_path):
+    """It used to raise a bare TypeError from the NoiseSpec constructor."""
+    data = {"seed": 1, "noise": {"miss_rate": 0.1, "bogus": 1}}
+    with pytest.raises(InvalidSpecError, match=r"^unknown noise field\(s\): \['bogus'\]$"):
+        SynthSpec.from_dict(data)
+    path = tmp_path / "spec.json"
+    path.write_text(maskio.canonical_json(data))
+    with pytest.raises(InvalidSpecError, match="unknown noise field"):
+        SynthSpec.from_json_file(path)
+
+
 def test_same_spec_generates_identical_bytes(tmp_path):
     spec = SynthSpec(seed=11, n_videos=3, frame_size=(32, 32), frames_per_video=2)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
