@@ -26,10 +26,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import maskio, metrics, pipeline
 from .core import (
     Indication,
-    ORGAN_DISPLAY,
     ORGAN_SLUGS,
     ScoringConstants,
-    STATION_DISPLAY,
     STATION_SLUGS,
     _is_int,
     _read_json,
@@ -84,7 +82,10 @@ _RUN_METRICS = {
 # display label of each row render_report_text prints, by _RUN_METRICS key;
 # an ItS label is formatted with the cutoff in use
 _ROW_LABELS = {
-    "stations": dict(zip(STATION_SLUGS, STATION_DISPLAY.values())),
+    "stations": dict(zip(STATION_SLUGS, (
+        "Diaphragm", "Liver", "Stomach, Spleen, Lesser Omentum", "Greater Omentum",
+        "Parietal peritoneum", "Bowel",
+    ))),
     "stations_average": "AS Involvement Average",
     "its": {
         Indication.SURGERY_INDICATED.value: "ItS < {cutoff}",
@@ -92,7 +93,10 @@ _ROW_LABELS = {
     },
     "its_average": "ItS Average",
     "dice": {
-        **dict(zip(ORGAN_SLUGS, ORGAN_DISPLAY.values())),
+        **dict(zip(ORGAN_SLUGS, (
+            "Diaphragm", "Liver", "Stomach", "Spleen", "Lesser Omentum", "Greater Omentum",
+            "Parietal peritoneum", "Bowel",
+        ))),
         ORGAN_AVG_DICE_KEY: "Average for anatomical structures",
         PC_DICE_KEY: "Peritoneal Carcinomatosis",
     },
@@ -196,7 +200,10 @@ class FoldAssignment:
             raise CarcinoError("fold file: 'k' and 'seed' must be integers")
         if k < 1:
             raise CarcinoError(f"fold count must be >= 1, got {k}")
-        if not isinstance(assignment, dict) or not all(map(_is_int, assignment.values())):
+        if not (
+            isinstance(assignment, dict)
+            and all(isinstance(vid, str) and _is_int(f) for vid, f in assignment.items())
+        ):
             raise CarcinoError("fold file: 'assignment' must map video ids to integer folds")
         outside = sorted(vid for vid, f in assignment.items() if not 0 <= f < k)
         if outside:
@@ -631,18 +638,18 @@ def evaluate_cohort(
         raise EmptyCohortError("no runs to evaluate")
 
     by_id = {v.video_id: v for v in cohort.videos}
-    position = {v.video_id: i for i, v in enumerate(cohort.videos)}
     seen = set()
     for run in run_list:
         for vid in run.video_ids:
             if vid not in by_id:
                 raise CarcinoError(f"run {run.label!r} references unknown video {vid!r}")
             seen.add(vid)
-    for vid in seen:
+    # prediction order, and the video a missing ground truth names, follow
+    # the cohort ordering, not run order
+    unique_ids = [v.video_id for v in cohort.videos if v.video_id in seen]
+    for vid in unique_ids:
         if by_id[vid].ground_truth is None:
             raise MissingGroundTruthError(f"video {vid!r} has no ground truth")
-    # prediction order follows the cohort ordering, not run order
-    unique_ids = sorted(seen, key=position.__getitem__)
 
     ground_truth = {vid: by_id[vid].ground_truth for vid in unique_ids}
     if predictor == "oracle":
@@ -682,16 +689,11 @@ def evaluate_cohort(
 # --- text rendering --------------------------------------------------------
 
 
-def _fmt_pct(summary: dict | None) -> str:
+def _fmt(summary: dict | None, scale: float = 1, digits: int = 3) -> str:
+    """A summary's mean and std, each times scale, to digits decimals."""
     if summary is None:
         return "n/a"
-    return f"{100 * summary['mean']:.1f} ± {100 * summary['std']:.1f}"
-
-
-def _fmt_points(summary: dict | None) -> str:
-    if summary is None:
-        return "n/a"
-    return f"{summary['mean']:.3f} ± {summary['std']:.3f}"
+    return f"{scale * summary['mean']:.{digits}f} ± {scale * summary['std']:.{digits}f}"
 
 
 def render_report_text(report: dict) -> str:
@@ -720,7 +722,7 @@ def render_report_text(report: dict) -> str:
 
     def prf_row(label: str, row: dict) -> str:
         label = label.format(cutoff=cutoff)
-        return f"{label:<{name_w}}" + "".join(f"{_fmt_pct(row[m]):>{col_w}}" for m in _PRF)
+        return f"{label:<{name_w}}" + "".join(f"{_fmt(row[m], 100, 1):>{col_w}}" for m in _PRF)
 
     rule = "-" * len(header)
     lines += [header, rule]
@@ -729,21 +731,21 @@ def render_report_text(report: dict) -> str:
         lines += [prf_row(labels[key], rows[key]) for key in _RUN_METRICS[table]]
         average = f"{table}_average"
         lines += [prf_row(_ROW_LABELS[average], summary[average]), end]
-    lines.append(f"FS RMSE (points):     {_fmt_points(summary['fs_rmse'])}")
-    lines.append(f"FS RMSE (normalized): {_fmt_points(summary['fs_rmse_normalized'])}")
+    lines.append(f"FS RMSE (points):     {_fmt(summary['fs_rmse'])}")
+    lines.append(f"FS RMSE (normalized): {_fmt(summary['fs_rmse_normalized'])}")
     if summary.get("dice") is not None:
         lines.append("")
         lines.append(f"{'Segmentation Dice':<{name_w}}{'Dice (%)':>{col_w}}")
         lines.append("-" * (name_w + col_w))
         labels, dice_summary = _ROW_LABELS["dice"], summary["dice"]
         lines += [
-            f"{labels[key]:<{name_w}}{_fmt_pct(dice_summary[key]):>{col_w}}"
+            f"{labels[key]:<{name_w}}{_fmt(dice_summary[key], 100, 1):>{col_w}}"
             for key in _RUN_METRICS["dice"]
         ]
     if summary.get("roi_balanced_accuracy") is not None:
         lines.append("")
         lines.append(
-            f"ROI balanced accuracy (%): {_fmt_pct(summary['roi_balanced_accuracy'])}"
+            f"ROI balanced accuracy (%): {_fmt(summary['roi_balanced_accuracy'], 100, 1)}"
         )
     lines.append("")
     lines.append(f"Videos failing to score: {summary.get('failed_videos_total', 0)}")

@@ -32,8 +32,6 @@ __all__ = [
     "compute_its",
     "ORGAN_SLUGS",
     "STATION_SLUGS",
-    "ORGAN_DISPLAY",
-    "STATION_DISPLAY",
 ]
 
 
@@ -92,26 +90,6 @@ ORGAN_SLUGS = tuple(o.slug for o in OrganClass)
 STATION_SLUGS = tuple(s.slug for s in Station)
 
 FRAME_SAMPLING_INTERVAL = 5.0  # seconds between the ROI frames of a synthetic video
-
-ORGAN_DISPLAY = {
-    OrganClass.DIAPHRAGM: "Diaphragm",
-    OrganClass.LIVER: "Liver",
-    OrganClass.STOMACH: "Stomach",
-    OrganClass.SPLEEN: "Spleen",
-    OrganClass.LESSER_OMENTUM: "Lesser Omentum",
-    OrganClass.GREATER_OMENTUM: "Greater Omentum",
-    OrganClass.PARIETAL_PERITONEUM: "Parietal peritoneum",
-    OrganClass.BOWEL: "Bowel",
-}
-
-STATION_DISPLAY = {
-    Station.DIAPHRAGM: "Diaphragm",
-    Station.LIVER: "Liver",
-    Station.STOMACH_SPLEEN_LESSER_OMENTUM: "Stomach, Spleen, Lesser Omentum",
-    Station.GREATER_OMENTUM: "Greater Omentum",
-    Station.PARIETAL_PERITONEUM: "Parietal peritoneum",
-    Station.BOWEL: "Bowel",
-}
 
 
 def _is_int(value) -> bool:

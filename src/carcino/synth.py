@@ -31,6 +31,7 @@ from .cohort import (
     _RUN_METRICS,
     _collect,
     _evaluate_run,
+    _fmt,
     _nested_map,
     _pool_map,
     _require_a_scored_run,
@@ -729,12 +730,6 @@ def render_sweep_csv(report: dict) -> str:
 
 def render_sweep_text(report: dict) -> str:
     """Plain-text table of the sweep: one row per noise level."""
-
-    def fmt(summary: dict | None) -> str:
-        if summary is None:
-            return "n/a"
-        return f"{summary['mean']:.4f} ± {summary['std']:.4f}"
-
     lines = [
         f"Noise sweep over {report['param']} "
         f"({report['replicates']} replicate(s) per level)",
@@ -744,7 +739,8 @@ def render_sweep_text(report: dict) -> str:
     for entry in report["levels"]:
         summary = entry["summary"]
         lines.append(
-            f"{entry['level']:>10.4g}  {fmt(summary['fs_rmse_normalized']):>20}  "
-            f"{fmt(summary['station_f1_average']):>20}  {fmt(summary['its_f1_average']):>20}"
+            f"{entry['level']:>10.4g}  {_fmt(summary['fs_rmse_normalized'], digits=4):>20}  "
+            f"{_fmt(summary['station_f1_average'], digits=4):>20}  "
+            f"{_fmt(summary['its_f1_average'], digits=4):>20}"
         )
     return "\n".join(lines) + "\n"

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -540,6 +542,28 @@ def test_evaluate_missing_ground_truth_exits_2(tmp_path, capsys):
     assert "v0001" in err
 
 
+def test_missing_ground_truth_error_names_the_first_video_in_cohort_order(tmp_path):
+    """With several videos lacking ground truth, the video named used to
+    be the first of a set, so it changed with PYTHONHASHSEED."""
+    index = _mini_cohort(tmp_path, n_videos=6)
+    for video in load_cohort(index).videos[1::2]:  # v0001, v0003, v0005
+        data = json.loads(video.manifest_path.read_text())
+        del data["ground_truth"]
+        video.manifest_path.write_text(json.dumps(data))
+    src = str(Path(synth.__file__).resolve().parents[1])
+    errors = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "carcino.cli", "evaluate", str(index), "--independent"],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        errors.add(done.stderr)
+    assert errors == {"error: video 'v0001' has no ground truth\n"}
+
+
 def test_evaluate_rejects_missing_folds_file(tmp_path):
     index = _mini_cohort(tmp_path, n_videos=2)
     assert main(["evaluate", str(index), "--folds", str(tmp_path / "nope.json")]) == 4
@@ -1059,6 +1083,20 @@ def test_report_renders_saved_evaluation(tmp_path, capsys):
     assert "ItS Average" in out
 
 
+def test_report_renders_saved_sweep(tmp_path, capsys):
+    """report --format text of a saved sweep prints the text simulate
+    printed when it ran the sweep."""
+    spec_path = _sweep_spec(tmp_path)
+    out_json = tmp_path / "sweep.json"
+    capsys.readouterr()
+    assert main(["simulate", str(spec_path), "--sweep", "miss_rate", "--levels", "0,0.5",
+                 "--replicates", "2", "--out-json", str(out_json), "--format", "text"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["report", str(out_json), "--format", "text"]) == 0
+    assert capsys.readouterr().out == printed
+    assert printed.startswith("Noise sweep over miss_rate")
+
+
 def test_report_rejects_unknown_kind(tmp_path):
     path = tmp_path / "weird.json"
     path.write_text(json.dumps({"kind": "mystery"}))
@@ -1080,6 +1118,27 @@ def test_report_renders_a_run_free_evaluation(tmp_path, capsys):
     assert "Videos failing to score: 0" in capsys.readouterr().out
 
 
+_SWEEP_LEVEL = {"level": 0, "summary": dict.fromkeys(
+    ("fs_rmse_normalized", "station_f1_average", "its_f1_average"), {"mean": 0.5, "std": 0.0}
+)}
+
+
+def _sweep_text(without=(), **changes) -> str:
+    """A renderable monte_carlo_sweep report of one level, changed as
+    given and without the keys named."""
+    report = {"kind": "monte_carlo_sweep", "param": "miss_rate", "replicates": 1,
+              "levels": [_SWEEP_LEVEL], **changes}
+    return json.dumps({key: value for key, value in report.items() if key not in without})
+
+
+def test_report_renders_a_one_level_sweep(tmp_path, capsys):
+    """The base of the malformed sweep cases below renders."""
+    path = tmp_path / "sweep.json"
+    path.write_text(_sweep_text())
+    assert main(["report", str(path), "--format", "text"]) == 0
+    assert "0.5000 ± 0.0000" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "text, fmt",
     [
@@ -1092,10 +1151,16 @@ def test_report_renders_a_run_free_evaluation(tmp_path, capsys):
         (_evaluation_text(runs=[{}]), "text"),
         (_evaluation_text(summary={**_summarize_report([]), "stations": [1, 2]}), "text"),
         (_evaluation_text(cohort="c\ud800"), "text"),
+        (_sweep_text(without=("param",)), "text"),
+        (_sweep_text(levels=[{"level": 0}]), "text"),
+        (_sweep_text(levels=[{**_SWEEP_LEVEL, "summary": {
+            **_SWEEP_LEVEL["summary"], "its_f1_average": {"mean": "high", "std": 0.0}}}]), "text"),
+        (_sweep_text(param="miss_rate\ud800"), "text"),
     ],
     ids=[
         "nan", "overflow", "list", "no-summary", "empty-summary", "empty-run", "stations-list",
-        "lone-surrogate",
+        "lone-surrogate", "sweep-no-param", "sweep-level-without-summary",
+        "sweep-non-numeric-mean", "sweep-lone-surrogate",
     ],
 )
 def test_report_malformed_file_exits_2(tmp_path, capsys, text, fmt):

@@ -573,12 +573,18 @@ def test_fold_file_rejects_fold_index_outside_range(k, index):
         FoldAssignment.from_dict(data)
 
 
-@pytest.mark.parametrize("fold", [5, -1, True], ids=["past-k", "negative", "bool"])
-def test_fold_assignment_checks_itself(fold):
+@pytest.mark.parametrize(
+    "assignment",
+    [{"a": 0, "b": 1, "c": 5}, {"a": 0, "b": 1, "c": -1}, {"a": 0, "b": 1, "c": True},
+     {1: -1, "a": -1}, {1: 0, "a": 0}],
+    ids=["past-k", "negative", "bool", "int-key-outside", "int-key"],
+)
+def test_fold_assignment_checks_itself(assignment):
     """Built in memory, a fold outside [0, k) used to drop its video from
-    every run, and a bool fold filed it under fold int(fold)."""
-    with pytest.raises(CarcinoError):
-        FoldAssignment(k=2, seed=0, assignment={"a": 0, "b": 1, "c": fold})
+    every run, and a bool fold filed it under fold int(fold); a video id
+    that is not a string used to pass, or fail sorting with a TypeError."""
+    with pytest.raises(CarcinoError, match="outside|must map video ids"):
+        FoldAssignment(k=2, seed=0, assignment=assignment)
 
 
 @pytest.mark.parametrize(

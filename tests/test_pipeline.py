@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from carcino import maskio, pipeline, synth
 from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
-from carcino.core import _ORGANS_OF, Indication, OrganClass, ScoringConstants, Station
+from carcino.core import _ORGANS_OF, _STATION_OF, Indication, OrganClass, ScoringConstants, Station
 from carcino.errors import (
     CarcinoError,
     ChannelCountMismatchError,
@@ -1201,3 +1201,62 @@ def test_a_frame_below_the_roi_threshold_changes_no_byte(frames, data, want_dice
         return video.to_json(), dice, roi
 
     assert outcome([*frames[:at], added, *frames[at:]]) == outcome(frames)
+
+
+def _scored_at(frames, **constants):
+    """score_frames' assessment of frames at these constants, or None
+    where it raises (no ROI frame, or frames of two sizes)."""
+    try:
+        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, ScoringConstants(**constants))
+    except CarcinoError:
+        return None
+    return video
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=st.one_of(_stacked_videos(), _videos()),
+    levels=st.lists(st.integers(1, 6), min_size=2, max_size=2).map(sorted),
+)
+def test_raising_min_nodule_pixels_never_turns_a_station_on(frames, levels):
+    """At the higher min_nodule_pixels no station turns on, in any frame or
+    in the video, and the nodule table is the lower level's nodules of at
+    least that many pixels, whose organs' stations are the flags."""
+    low, high = (_scored_at(frames, min_nodule_pixels=m) for m in levels)
+    if low is None:
+        assert high is None
+        return
+    assert not (high.frame_stations & ~low.frame_stations).any()
+    assert all(h <= l for h, l in zip(high.station_positive, low.station_positive))
+    kept = low.nodules.take(low.nodules.size >= levels[1])
+    for column in ("frame", "id", "size", "organ", "counts"):
+        assert getattr(high.nodules, column).tolist() == getattr(kept, column).tolist()
+    flags = np.zeros_like(low.frame_stations)
+    for frame, organ in zip(kept.frame.tolist(), kept.organ.tolist()):
+        if organ >= 0:
+            flags[frame, _STATION_OF[organ]] = True
+    assert high.frame_stations.tolist() == flags.tolist()
+
+
+_PC_THRESHOLDS = st.sampled_from([0.5, 0.69, 0.7, 0.89, 0.9, 0.95, 1.0]) | st.floats(0.01, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=st.one_of(_stacked_videos(), _videos()),
+    thresholds=st.lists(_PC_THRESHOLDS, min_size=2, max_size=2).map(sorted),
+)
+def test_raising_pc_confidence_threshold_never_adds_a_nodule_pixel(frames, thresholds):
+    """At min_nodule_pixels 1 every thresholded pixel lies in a nodule;
+    at the higher pc_confidence_threshold no frame holds more of them."""
+    low, high = (_scored_at(frames, pc_confidence_threshold=t) for t in thresholds)
+    if low is None:
+        assert high is None
+        return
+
+    def pixels(video):
+        return np.bincount(video.nodules.frame, weights=video.nodules.size,
+                           minlength=video.frames_used)
+
+    assert high.frames_used == low.frames_used
+    assert (pixels(high) <= pixels(low)).all()
