@@ -83,9 +83,9 @@ class NoduleTable:
     min_nodule_pixels drops any, so a filtered table's ids have gaps;
     size (n,); organ (n,), the organ code assign_nodules gave it, -1 for
     none and before assignment; counts (n, 8), its pixel overlap per
-    organ; pixel_rank (size.sum(),), the rank of each of its pixels
-    among the mask's true pixels in row-major order, nodule by nodule
-    and within a nodule in row-major order.
+    organ. One more int64 column runs over the mask's P true pixels in
+    row-major order: pixel_nodule (P,), the table row of each pixel's
+    nodule, -1 for a pixel whose nodule take dropped.
     """
 
     frame: np.ndarray
@@ -93,7 +93,7 @@ class NoduleTable:
     size: np.ndarray
     organ: np.ndarray
     counts: np.ndarray
-    pixel_rank: np.ndarray
+    pixel_nodule: np.ndarray
 
     def __len__(self) -> int:
         return self.size.size
@@ -101,8 +101,8 @@ class NoduleTable:
     def take(self, keep: np.ndarray) -> "NoduleTable":
         """The nodules where the bool array keep is true, in table order."""
         columns = (self.frame, self.id, self.size, self.organ, self.counts)
-        pixel_rank = self.pixel_rank[np.repeat(keep, self.size)]
-        return NoduleTable(*(column[keep] for column in columns), pixel_rank)
+        row = np.append(np.where(keep, np.cumsum(keep) - 1, -1), -1)  # row[-1]: -1 stays -1
+        return NoduleTable(*(column[keep] for column in columns), row[self.pixel_nodule])
 
 
 @dataclass(eq=False)
@@ -246,10 +246,9 @@ def connected_components(mask: np.ndarray | RowRuns, connectivity: int = 8) -> N
     component.
 
     Components are ordered by their first pixel in row-major order, the
-    order of those lowest run indices. Their pixel ranks are grouped by
-    a stable sort on the run labels, so each nodule's pixels stay in
-    row-major order. Connectivity is 8 (default, diagonal neighbours
-    connect) or 4.
+    order of those lowest run indices, and each run's component is
+    repeated over its pixels for pixel_nodule. Connectivity is 8
+    (default, diagonal neighbours connect) or 4.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
@@ -295,17 +294,13 @@ def connected_components(mask: np.ndarray | RowRuns, connectivity: int = 8) -> N
 
     is_root = labels == np.arange(n_runs)
     component = (np.cumsum(is_root) - 1)[labels]
-    order = np.argsort(component, kind="stable")
     lengths = ends - starts
-    run_rank = np.cumsum(lengths) - lengths  # rank of each run's first pixel
-    sorted_lengths = lengths[order]
-    offsets = np.cumsum(sorted_lengths) - sorted_lengths
-    pixel_rank = np.arange(lengths.sum()) + np.repeat(run_rank[order] - offsets, sorted_lengths)
     size = np.bincount(component, weights=lengths).astype(np.int64)
     frame = rows[is_root] // frame_rows  # a root is its component's first run
     ids = np.arange(size.size) - np.searchsorted(frame, frame)  # restart in every frame
     empty = np.zeros((size.size, 8), dtype=np.int64)
-    return NoduleTable(frame, ids, size, np.full(size.size, -1), empty, pixel_rank)
+    pixel_nodule = np.repeat(component, lengths)
+    return NoduleTable(frame, ids, size, np.full(size.size, -1), empty, pixel_nodule)
 
 
 def assign_nodules(
@@ -322,28 +317,30 @@ def assign_nodules(
     lowest organ code. Nodules overlapping no organ stay unassigned
     (organ -1) and contribute to no station.
 
-    All nodules are scored at once: the confidences are gathered in
-    nodule order by pixel rank and thresholded, then one
-    ``np.bincount`` over ``8 * nodule + organ`` gives the overlap counts
-    and a second one, weighted by the confidences, gives their float64
-    sums. The winner is picked with array operations under the rules
-    above. The sums add in each nodule's row-major pixel order, and the
-    order cannot decide a tie: float32 confidences in [2**e, 1] sum
-    exactly in float64 over fewer than 2**(30 + e) pixels, e.g. any
-    nodule under 2**23 pixels thresholded at 1/128 or more.
+    All nodules are scored at once: the confidences are thresholded as
+    given, then one ``np.bincount`` over ``8 * pixel_nodule[pixel] +
+    organ + 8`` gives the overlap counts, and a second one, weighted by
+    the confidences, their float64 sums; the 8 leading bins, of the
+    pixels of dropped nodules (-1), are cut off. The winner is picked
+    with array operations under the rules above. Each bin adds its
+    pixels in the nodule's row-major order, whatever the threshold. A
+    pixel label outside [-1, n), or a pixel count other than
+    pixel_conf's, raises DimensionMismatchError.
     """
     if pixel_conf.ndim != 2 or pixel_conf.shape[0] != 8:
         raise ChannelCountMismatchError(f"expected 8 organ channels, got shape {pixel_conf.shape}")
     n = len(nodules)
-    outside = (nodules.pixel_rank < 0) | (nodules.pixel_rank >= pixel_conf.shape[1])
-    if outside.any():
-        first = int(np.searchsorted(np.cumsum(nodules.size), np.argmax(outside), side="right"))
-        raise DimensionMismatchError(f"nodule {nodules.id[first]} has pixels beyond pixel_conf")
-    conf = pixel_conf[:, nodules.pixel_rank]
-    organ, pixel = np.nonzero(_organ_hits(conf, constants))
-    key = np.repeat(np.arange(n) * 8, nodules.size)[pixel] + organ
-    counts = np.bincount(key, minlength=8 * n).reshape(n, 8)
-    conf_sums = np.bincount(key, weights=conf[organ, pixel], minlength=8 * n).reshape(n, 8)
+    label = nodules.pixel_nodule
+    in_range = not label.size or -1 <= label.min() and label.max() < n
+    if label.shape != pixel_conf.shape[1:] or not in_range:
+        raise DimensionMismatchError(
+            f"pixel_nodule {label.shape} must give a row in [-1, {n}) for each "
+            f"pixel of pixel_conf {pixel_conf.shape}"
+        )
+    organ, pixel = np.nonzero(_organ_hits(pixel_conf, constants))
+    key = 8 * label[pixel] + organ + 8
+    counts = np.bincount(key, minlength=8 * n + 8)[8:].reshape(n, 8)
+    conf_sums = np.bincount(key, pixel_conf[organ, pixel], minlength=8 * n + 8)[8:].reshape(n, 8)
     most = counts.max(axis=1)
     top = counts == most[:, None]
     top_sums = np.where(top, conf_sums, -np.inf)
@@ -369,9 +366,9 @@ def classify_frame(
     (F = 1 for one frame) and the nodule table.
     """
     nodules = connected_components(pc_mask)
-    if pixel_conf.shape[1:] != nodules.pixel_rank.shape:
+    if pixel_conf.shape[1:] != nodules.pixel_nodule.shape:
         raise DimensionMismatchError(
-            f"pc_mask has {nodules.pixel_rank.size} true pixels, pixel_conf {pixel_conf.shape}"
+            f"pc_mask has {nodules.pixel_nodule.size} true pixels, pixel_conf {pixel_conf.shape}"
         )
     nodules = nodules.take(nodules.size >= constants.min_nodule_pixels)
     assign_nodules(nodules, pixel_conf, constants)
@@ -397,14 +394,15 @@ def score_frames(
     returns the record's ConfidenceFrame, which need stay valid only
     until the next load call, and is called only for frames the pass
     needs: those whose relevance score reaches the ROI threshold (>=
-    semantics) feed the station chain, and with want_dice those
-    carrying a ground-truth raster, unless flagged non-ROI, feed
-    per-label Dice. A record that feeds no Dice reaches load with its
-    gt_labels and gt_pc cleared, so its ground-truth rasters are never
-    read. Each ConfidenceFrame checked its own planes when it was
-    built, so a malformed frame fails in load (or where the caller
-    built it); the frames of one video must also share one raster size
-    (no silent resampling). Each ROI frame is thresholded into the next
+    semantics) feed the station chain, and with want_dice those carrying
+    a ground-truth raster, unless flagged non-ROI, feed per-label Dice.
+    A FrameRecord that feeds no Dice reaches load with its gt_labels and
+    gt_pc paths cleared, so its ground-truth rasters are never read; a
+    ConfidenceFrame, whose rasters are already in memory, reaches it as
+    it is. Each ConfidenceFrame checked its own planes when it was
+    built, so a malformed frame fails in load (or where the caller built
+    it); the frames of one video must also share one raster size (no
+    silent resampling). Each ROI frame is thresholded into the next
     block of a stack, whose row runs are read once ``_RUN_BLOCK_PIXELS``
     pixels (at least one frame) are in it, and its organ confidences are
     gathered at its mask's pixels before the next load; one
@@ -438,7 +436,7 @@ def score_frames(
         need_dice = want_dice and has_gt_raster and record.gt_roi is not False
         if not roi_pass and not need_dice:
             continue
-        if has_gt_raster and not need_dice:
+        if has_gt_raster and not need_dice and not isinstance(record, ConfidenceFrame):
             record = replace(record, gt_labels=None, gt_pc=None)
         frame = load(record)
         shape = shape or (frame.height, frame.width)

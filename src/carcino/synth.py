@@ -237,14 +237,16 @@ def _organ_cell(organ: int, width: int, height: int) -> tuple[int, int, int, int
 
 class _OrganShape(NamedTuple):
     """One organ drawn as one shape in a frame of a given size: its inset
-    cell (r0, r1, c0, c1), the organ's mask on that cell, and where a
-    nodule may be centred in it, as a disc radius and int32 flat frame
-    indices in row-major order (a frame of 2**31 pixels would need 64 GiB
-    for its organ planes alone). The arrays are read-only, since every
-    frame of that size shares them."""
+    cell (r0, r1, c0, c1), the organ's mask and uint8 labels (organ code
+    + 1 on the organ, 0 elsewhere) on that cell, and where a nodule may
+    be centred in it, as a disc radius and int32 flat frame indices in
+    row-major order (a frame of 2**31 pixels would need 64 GiB for its
+    organ planes alone). The arrays are read-only, since every frame of
+    that size shares them."""
 
     bounds: tuple[int, int, int, int]
     cell: np.ndarray
+    labels: np.ndarray
     radius: int
     candidates: np.ndarray
 
@@ -282,9 +284,10 @@ def _organ_shape(organ: int, ellipse: bool, width: int, height: int) -> _OrganSh
         if rr.size:  # always true for the cell, which holds an organ pixel
             break
     candidates = ((rr + r0) * width + (cc + c0)).astype(np.int32)
-    cell.flags.writeable = False
-    candidates.flags.writeable = False
-    return _OrganShape((r0, r1, c0, c1), cell, radius, candidates)
+    labels = cell * np.uint8(organ + 1)
+    for array in (cell, labels, candidates):
+        array.flags.writeable = False
+    return _OrganShape((r0, r1, c0, c1), cell, labels, radius, candidates)
 
 
 def _organ_layout(
@@ -292,17 +295,16 @@ def _organ_layout(
 ) -> tuple[np.ndarray, np.ndarray, list[_OrganShape]]:
     """True masks for all 8 organs, (8, H, W) bool, pairwise disjoint;
     the ground-truth label raster, (H, W) uint8 with organ code + 1 on
-    each organ; and each organ's shape. Each organ draws its shape with
-    one rng.integers(0, 2); the ninth cell stays background."""
+    each organ, copied cell by cell; and each organ's shape, the 8 drawn
+    with one rng.integers(0, 2, size=8). The ninth cell stays background."""
     masks = np.zeros((8, height, width), dtype=bool)
     labels = np.zeros((height, width), dtype=np.uint8)
-    shapes = []
-    for organ in range(8):
-        shape = _organ_shape(organ, bool(rng.integers(0, 2)), width, height)
+    flags = rng.integers(0, 2, size=8).tolist()
+    shapes = [_organ_shape(organ, bool(flag), width, height) for organ, flag in enumerate(flags)]
+    for organ, shape in enumerate(shapes):
         r0, r1, c0, c1 = shape.bounds
         masks[organ, r0:r1, c0:c1] = shape.cell
-        labels[r0:r1, c0:c1][shape.cell] = organ + 1
-        shapes.append(shape)
+        labels[r0:r1, c0:c1] = shape.labels
     return masks, labels, shapes
 
 
@@ -387,8 +389,15 @@ def _generate_frame(
 ) -> ConfidenceFrame:
     """Truth and prediction rasters for one frame.
 
-    Draw order from the frame generator is fixed: layout, planting,
-    prediction noise. The noise is drawn plane by plane into scratch, a
+    The frame generator draws in this order, each step only where the
+    frame or its noise fields call for it: (1) the 8 layout flags, in
+    one call; (2) per involved station of an ROI frame, its nodule
+    count, then an organ and a site per nodule for the three-organ
+    station, or one batch of sites for the others; (3) organ morph;
+    (4) organ planes; (5) misses; (6) PC morph; (7) blobs; (8) PC plane;
+    (9) ROI. A batched draw takes the values, and leaves the generator
+    in the state, of the scalar draws it replaces, as its range is
+    fixed beforehand. The noise is drawn plane by plane into scratch, a
     float64 (H, W) array, and the confidence maps are written into
     organ_conf, (8, H, W), and pc_conf, (H, W), both float32. Returns
     those maps and the relevance score with the ground-truth rasters and
@@ -408,6 +417,11 @@ def _generate_frame(
                 continue
             count = int(rng.integers(lo_n, hi_n + 1))
             organs = _ORGANS_OF[station]
+            if len(organs) == 1:  # integers(0, 1) draws nothing: the sites in one call
+                shape = shapes[organs[0]]
+                sites = shape.candidates[rng.integers(0, shape.candidates.size, size=count)]
+                planted += [(shape.radius, *divmod(p, width), organs[0]) for p in sites.tolist()]
+                continue
             for _ in range(count):
                 # the candidate's range depends on the organ just drawn
                 organ = organs[int(rng.integers(0, len(organs)))]
@@ -421,9 +435,7 @@ def _generate_frame(
     gt_pc = np.zeros((height, width), dtype=np.uint8)
     gt_pc[rows, cols] = 1
 
-    # prediction rasters, derived from truth through the noise model; a
-    # batched draw takes the values and leaves the generator in the state
-    # of the scalar draws it replaces, as every range is fixed beforehand
+    # prediction rasters, derived from truth through the noise model
     pred_organ_masks = organ_masks
     if noise.boundary_morph > 0:
         pred_organ_masks = np.stack(

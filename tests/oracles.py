@@ -64,15 +64,12 @@ def nodule_list(nodules: pipeline.NoduleTable, mask) -> list[Nodule]:
     (row, col) int32 pixels in row-major order (rows count within the
     nodule's frame for a stacked mask), organ and overlap counts."""
     mask = np.asarray(mask, dtype=bool)
-    rows, cols = np.divmod(np.flatnonzero(mask)[nodules.pixel_rank], mask.shape[-1])
+    rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[-1])
     pixels = np.stack([rows % mask.shape[-2], cols], axis=1).astype(np.int32)
     return [
-        Nodule(i, px, OrganClass(organ) if organ >= 0 else None, counts)
-        for i, px, organ, counts in zip(
-            nodules.id.tolist(),
-            np.split(pixels, np.cumsum(nodules.size)[:-1]),
-            nodules.organ.tolist(),
-            nodules.counts,
+        Nodule(i, pixels[nodules.pixel_nodule == row], OrganClass(organ) if organ >= 0 else None, n)
+        for row, (i, organ, n) in enumerate(
+            zip(nodules.id.tolist(), nodules.organ.tolist(), nodules.counts)
         )
     ]
 

@@ -159,14 +159,20 @@ def test_connected_components_match_flood_fill(height, width, density, connectiv
 
 
 def test_connected_components_pixels_are_row_major_sorted():
+    """pixel_nodule labels every true pixel, in row-major order, with its
+    nodule's row; the rows first appear in table order, and each row
+    labels as many pixels as its nodule's size."""
     rng = np.random.default_rng(5)
     mask = rng.random((10, 10)) < 0.6
     table = pipeline.connected_components(mask)
-    ranks = np.split(table.pixel_rank, np.cumsum(table.size)[:-1])
-    for nodule, nodule_ranks in zip(nodule_list(table, mask), ranks):
+    assert table.pixel_nodule.shape == (int(mask.sum()),)
+    rows, first = np.unique(table.pixel_nodule, return_index=True)
+    assert rows.tolist() == list(range(len(table)))
+    assert np.all(np.diff(first) > 0)
+    assert np.bincount(table.pixel_nodule).tolist() == table.size.tolist()
+    for nodule in nodule_list(table, mask):
         flat = nodule.pixels[:, 0] * 10 + nodule.pixels[:, 1]
         assert np.all(np.diff(flat) > 0)
-        assert np.all(np.diff(nodule_ranks) > 0)
 
 
 def _comb(n):
@@ -222,7 +228,7 @@ def test_connected_components_structured_masks_match_flood_fill(make_mask, conne
     assert [pixel_set(n) for n in nodules] == flood_components(mask, connectivity=connectivity)
     for field in fields(table):
         assert getattr(table, field.name).dtype == np.int64
-    assert table.pixel_rank.shape == (int(mask.sum()),)
+    assert table.pixel_nodule.shape == (int(mask.sum()),)
     for nodule in nodules:
         flat = nodule.pixels[:, 0].astype(np.int64) * 64 + nodule.pixels[:, 1]
         assert np.all(np.diff(flat) > 0)
@@ -353,16 +359,27 @@ def test_assign_checks_the_channel_count_without_nodules():
 
 
 def test_assign_rejects_pixels_outside_frame():
-    """A pixel rank outside the given confidences names its nodule."""
+    """A pixel label outside [-1, len(table)), or a pixel count other than
+    pixel_conf's, raises DimensionMismatchError, not a bare ValueError
+    from np.bincount; a pixel labelled -1, of a dropped nodule, counts
+    for no nodule."""
     mask = np.zeros((4, 4), dtype=bool)
     mask[0, 0] = mask[2, 2] = True
-    pixel_conf = np.zeros((8, 2), np.float32)
-    for bad in (2, 16, -1):
+    pixel_conf = np.ones((8, 2), np.float32)
+    for bad in (2, 16, -2):
         table = pipeline.connected_components(mask)
-        table.id[1] = 7
-        table.pixel_rank[1] = bad
-        with pytest.raises(DimensionMismatchError, match="nodule 7"):
+        table.pixel_nodule[1] = bad
+        with pytest.raises(DimensionMismatchError, match=r"\[-1, 2\)"):
             pipeline.assign_nodules(table, pixel_conf, CONSTANTS)
+    for columns in (1, 3):
+        table = pipeline.connected_components(mask)
+        with pytest.raises(DimensionMismatchError, match="pixel_conf"):
+            pipeline.assign_nodules(table, np.ones((8, columns), np.float32), CONSTANTS)
+    table = pipeline.connected_components(mask)
+    table.pixel_nodule[1] = -1
+    pipeline.assign_nodules(table, pixel_conf, CONSTANTS)
+    assert table.counts.sum(axis=1).tolist() == [8, 0]
+    assert table.organ.tolist() == [0, -1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1260,3 +1277,76 @@ def test_raising_pc_confidence_threshold_never_adds_a_nodule_pixel(frames, thres
 
     assert high.frames_used == low.frames_used
     assert (pixels(high) <= pixels(low)).all()
+
+
+@st.composite
+def _generated_roi_frames(draw):
+    """The ROI frames of one generated video, 3-8 frames of 16x16 to
+    24x24 under blob, miss, morph and jitter noise, each frame's rasters
+    copied out of the generator's shared arrays."""
+    spec = synth.SynthSpec(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_videos=1,
+        frame_size=(draw(st.integers(16, 24)), draw(st.integers(16, 24))),
+        frames_per_video=draw(st.integers(3, 8)),
+        station_prevalence=(0.7,) * 6,
+        noise=synth.NoiseSpec(
+            confidence_jitter=draw(st.sampled_from([0.0, 0.05])),
+            boundary_morph=draw(st.integers(0, 1)),
+            false_blob_rate=draw(st.sampled_from([0.0, 2.0, 6.0])),
+            miss_rate=draw(st.sampled_from([0.0, 0.3])),
+        ),
+    )
+    frames = synth._video_frames(spec, 0, synth._planted_stations(spec, 0))
+    return [
+        replace(frame, organ_conf=frame.organ_conf.copy(), pc_conf=frame.pc_conf.copy())
+        for frame in frames
+    ]
+
+
+def _frame_groups(table):
+    """Each frame's (id, size, organ, counts) rows of a nodule table, in
+    table order, after checking that the frames come in order."""
+    assert (np.diff(table.frame) >= 0).all()
+    rows = list(
+        zip(table.id.tolist(), table.size.tolist(), table.organ.tolist(), table.counts.tolist())
+    )
+    groups = {}
+    for frame, row in zip(table.frame.tolist(), rows):
+        groups.setdefault(frame, []).append(row)
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=_generated_roi_frames(),
+    min_pixels=st.integers(1, 6),
+    frames_per_block=st.integers(1, 2),
+    data=st.data(),
+)
+def test_reordering_the_roi_frames_moves_their_nodules_with_them(
+    frames, min_pixels, frames_per_block, data
+):
+    """Reversing, then shuffling, the ROI frames of a generated video,
+    with the stack's row runs read in blocks of one or two frames so
+    that it crosses block edges, moves each frame's group of nodule
+    rows with its frame and leaves the rows of every frame (id, size,
+    organ, overlap counts), the station flags, FS and ItS unchanged."""
+    constants = ScoringConstants(min_nodule_pixels=min_pixels)
+    height, width = frames[0].pc_conf.shape
+    shuffled = data.draw(st.permutations(range(len(frames))), label="shuffled")
+    with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", frames_per_block * (height + 1) * width):
+        base, _, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
+        base_groups = _frame_groups(base.nodules)
+        for order in (list(range(len(frames)))[::-1], shuffled):
+            moved, _, _ = pipeline.score_frames(
+                "v", [frames[k] for k in order], lambda f: f, constants
+            )
+            assert moved.frame_index == tuple(base.frame_index[k] for k in order)
+            groups = _frame_groups(moved.nodules)
+            assert [groups.get(i, []) for i in range(len(order))] == [
+                base_groups.get(k, []) for k in order
+            ]
+            assert moved.frame_stations.tolist() == base.frame_stations[order].tolist()
+            assert moved.station_positive == base.station_positive
+            assert (moved.fs, moved.its) == (base.fs, base.its)

@@ -497,14 +497,18 @@ def test_ellipse_lies_inside_its_inset_cell(width, height):
 
 class _ShapeDraws:
     """Stands in for the frame generator of an organ layout: each
-    integers(0, 2) call returns the next of the given shape flags."""
+    integers(0, 2) call returns the next of the given shape flags, and
+    each integers(0, 2, size=k) call the next k of them as an array."""
 
     def __init__(self, flags):
         self.left = list(flags)
 
-    def integers(self, low, high):
+    def integers(self, low, high, size=None):
         assert (low, high) == (0, 2)
-        return self.left.pop(0)
+        if size is None:
+            return self.left.pop(0)
+        taken, self.left = self.left[:size], self.left[size:]
+        return np.array(taken)
 
 
 @settings(max_examples=60, deadline=None)
@@ -576,6 +580,25 @@ def test_batched_draws_equal_scalar_draws(seed, lead, count, height, width):
     assert _state(batched) == _state(scalar)
     assert batched.random(count).tolist() == [scalar.random() for _ in range(count)]
     assert _state(batched) == _state(scalar)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 13])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 997, 2**32 - 1, 2**32, 2**40])
+def test_batched_bounded_integers_equal_scalar_draws(n, k):
+    """The contract the batched layout and site draws rest on, which a
+    numpy release may break (NEP 19 leaves Generator methods free to
+    change): integers(0, n, size=k) gives the k scalar integers(0, n)
+    draws and leaves the bit generator in their state, after a scalar
+    draw that leaves half of a 64-bit word buffered. n = 1 draws
+    nothing."""
+    for seed in range(20):
+        batched, scalar = synth._rng(seed, 2, 0, 0), synth._rng(seed, 2, 0, 0)
+        for rng in (batched, scalar):
+            rng.integers(0, 2)
+        assert batched.integers(0, n, size=k).tolist() == [
+            int(scalar.integers(0, n)) for _ in range(k)
+        ]
+        assert _state(batched) == _state(scalar)
 
 
 @settings(max_examples=80, deadline=None)
