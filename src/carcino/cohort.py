@@ -417,31 +417,20 @@ def _start_on(n: int, cpus: list[int]) -> None:
 
 class _Scored(NamedTuple):
     """One graded video: its station flags, or the error that failed it,
-    plus the frame-level data evaluation reads (Dice lists, ROI counts).
-    Its score and indication follow from the flags and the constants in
-    use. Workers return it: the per-frame nodules stay behind, so no
-    pixel arrays cross a process pool."""
+    plus its Dice lists when evaluation asks for them. Its score and
+    indication follow from the flags and the constants in use. Workers
+    return it: the per-frame nodules stay behind, so no pixel arrays
+    cross a process pool."""
 
     stations: tuple[bool, ...] | None
     error: str | None = None
     dice: dict[str, list] | None = None
-    roi: ConfusionCounts | None = None
-
-
-def _scored(
-    video: pipeline.VideoAssessment,
-    dice: dict[str, list] | None = None,
-    roi: ConfusionCounts | None = None,
-) -> _Scored:
-    """The graded record of a pipeline.score_frames result."""
-    return _Scored(video.station_positive, None, dice, roi)
 
 
 def _assess_video(
     manifest_path: str,
     constants: ScoringConstants,
     want_dice: bool,
-    want_roi: bool,
     video_id: str,
     frames: tuple[maskio.FrameRecord, ...],
 ) -> _Scored:
@@ -449,20 +438,20 @@ def _assess_video(
     the manifest at manifest_path, their rasters read from the manifest's
     directory. Any per-video error is recorded, not raised, so one broken
     video cannot sink a run."""
+    load = maskio.frame_loader(Path(manifest_path).parent)
     try:
-        return _scored(
-            *pipeline.score_frames(
-                video_id,
-                frames,
-                maskio.frame_loader(Path(manifest_path).parent),
-                constants,
-                want_dice,
-                want_roi,
-            )
-        )
+        video, dice = pipeline.score_frames(video_id, frames, load, constants, want_dice)
     except (CarcinoError, OSError) as exc:
         # all-or-nothing per video: a broken raster voids its frame metrics
         return _Scored(None, str(exc))
+    return _Scored(video.station_positive, None, dice)
+
+
+def _relevance_counts(frames: Iterable, constants: ScoringConstants) -> ConfusionCounts:
+    """Relevance (ROI) confusion counts of one video's frame records, over
+    those with a gt_roi flag; they need no raster."""
+    pairs = ((pipeline._is_relevant(record, constants), record.gt_roi) for record in frames)
+    return metrics._confusion(pair for pair in pairs if pair[1] is not None)
 
 
 def _aggregate_dice(per_video: list[dict[str, list] | None], average: str) -> dict | None:
@@ -506,7 +495,9 @@ def _evaluate_run(
     ground_truth: dict[str, VideoGroundTruth],
     constants: ScoringConstants,
     dice_average: str,
+    roi: dict[str, ConfusionCounts] | None = None,
 ) -> dict:
+    """The entry of one run; roi maps each video id to its relevance counts."""
     ok_ids = [vid for vid in run.video_ids if scored[vid].error is None]
     failed = {vid: scored[vid].error for vid in run.video_ids if scored[vid].error is not None}
     entry: dict = {
@@ -538,8 +529,8 @@ def _evaluate_run(
 
     entry["dice"] = _aggregate_dice([scored[vid].dice for vid in ok_ids], dice_average)
 
-    roi = [scored[vid].roi for vid in ok_ids if scored[vid].roi is not None]
-    entry["roi_balanced_accuracy"] = metrics.balanced_accuracy(sum(roi, ConfusionCounts()))
+    relevance = [roi[vid] for vid in ok_ids] if roi else []
+    entry["roi_balanced_accuracy"] = metrics.balanced_accuracy(sum(relevance, ConfusionCounts()))
 
     entry["videos"] = {
         vid: {
@@ -652,6 +643,7 @@ def evaluate_cohort(
             raise MissingGroundTruthError(f"video {vid!r} has no ground truth")
 
     ground_truth = {vid: by_id[vid].ground_truth for vid in unique_ids}
+    roi = None
     if predictor == "oracle":
         scored = {vid: _Scored(ground_truth[vid].stations) for vid in unique_ids}
     else:
@@ -661,14 +653,16 @@ def evaluate_cohort(
             [str(by_id[vid].manifest_path) for vid in unique_ids],
             repeat(constants),
             repeat(compute_dice),
-            repeat(compute_roi),
             unique_ids,
             [by_id[vid].manifest.frames for vid in unique_ids],
         )
         scored = dict(zip(unique_ids, assessed))
+        if compute_roi:
+            roi = {v: _relevance_counts(by_id[v].manifest.frames, constants) for v in unique_ids}
 
     run_entries = [
-        _evaluate_run(run, scored, ground_truth, constants, dice_average) for run in run_list
+        _evaluate_run(run, scored, ground_truth, constants, dice_average, roi)
+        for run in run_list
     ]
     _require_a_scored_run(run_entries)
 

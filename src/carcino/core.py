@@ -143,7 +143,8 @@ class ScoringConstants:
 
     organ_confidence_threshold / pc_confidence_threshold: minimum model
         confidence for a pixel to enter an organ / carcinomatosis mask
-        (inclusive, >= semantics).
+        (inclusive, >= semantics, at float32 precision); in (0, 1], and
+        above 0 at float32, so a pixel of confidence 0 never enters.
     points_per_positive_station: score contribution of an involved
         station, and so the score step the normalized RMSE divides by.
     its_cutoff: total score at or above which surgery is contraindicated.
@@ -161,10 +162,12 @@ class ScoringConstants:
 
     def __post_init__(self) -> None:
         _check_scalar_fields(self, CarcinoError)
-        if not 0.0 < self.organ_confidence_threshold <= 1.0:
-            raise CarcinoError("organ_confidence_threshold must lie in (0, 1]")
-        if not 0.0 < self.pc_confidence_threshold <= 1.0:
-            raise CarcinoError("pc_confidence_threshold must lie in (0, 1]")
+        for name in ("organ_confidence_threshold", "pc_confidence_threshold"):
+            value = getattr(self, name)
+            if not 0.0 < value <= 1.0:
+                raise CarcinoError(f"{name} must lie in (0, 1]")
+            if np.float32(value) == 0.0:  # pixels are compared at float32: 0.0 would pass
+                raise CarcinoError(f"{name} {value!r} is 0 at float32 precision")
         if not 0.0 <= self.roi_threshold <= 1.0:
             raise CarcinoError("roi_threshold must lie in [0, 1]")
         if self.points_per_positive_station <= 0:

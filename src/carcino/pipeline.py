@@ -9,10 +9,11 @@ sits on it, OR the station vectors over all frames, and convert the
 positive-station count into the total score and the surgery indication.
 
 score_frames runs that chain once per video for every caller: score_video
-over a manifest, cohort evaluation over a manifest with frame-level Dice
-and ROI counts, and the Monte Carlo sweep over generated frames. The
-video's ROI masks are stacked with a blank row after each, so one
-classify_frame call scores every nodule of the video, in one NoduleTable.
+over a manifest, cohort evaluation over a manifest with frame-level Dice,
+and the Monte Carlo sweep over generated frames; evaluation counts ROI
+accuracy by _is_relevant from the manifest alone. The video's ROI masks
+are stacked with a blank row after each, so one classify_frame call
+scores every nodule of the video, in one NoduleTable.
 
 All thresholds use >= semantics. Thresholds are compared at float32
 precision, matching the raster payload, so a pixel stored as the
@@ -35,7 +36,6 @@ from .core import (
 )
 from .errors import ChannelCountMismatchError, DimensionMismatchError, NoAssessableFramesError
 from .maskio import ConfidenceFrame, VideoManifest
-from .metrics import ConfusionCounts
 
 __all__ = [
     "NoduleTable",
@@ -379,23 +379,27 @@ def classify_frame(
     return stations, nodules
 
 
+def _is_relevant(record, constants: ScoringConstants) -> bool:
+    """The ROI rule: a frame is assessed iff its relevance score reaches the ROI threshold."""
+    return record.roi_score >= constants.roi_threshold
+
+
 def score_frames(
     video_id: str,
     records: Iterable,
     load: Callable[[object], ConfidenceFrame],
     constants: ScoringConstants,
     want_dice: bool = False,
-    want_roi: bool = False,
-) -> tuple[VideoAssessment, dict[str, list] | None, ConfusionCounts | None]:
+) -> tuple[VideoAssessment, dict[str, list] | None]:
     """Run the full chain over one video's frames in a single pass.
 
     records are manifest FrameRecords or ConfidenceFrames; both carry
     frame_index, roi_score, gt_roi, gt_labels and gt_pc. load(record)
     returns the record's ConfidenceFrame, which need stay valid only
     until the next load call, and is called only for frames the pass
-    needs: those whose relevance score reaches the ROI threshold (>=
-    semantics) feed the station chain, and with want_dice those carrying
-    a ground-truth raster, unless flagged non-ROI, feed per-label Dice.
+    needs: those _is_relevant accepts feed the station chain, and with
+    want_dice those carrying a ground-truth raster, unless flagged
+    non-ROI, feed per-label Dice.
     A FrameRecord that feeds no Dice reaches load with its gt_labels and
     gt_pc paths cleared, so its ground-truth rasters are never read; a
     ConfidenceFrame, whose rasters are already in memory, reaches it as
@@ -408,15 +412,11 @@ def score_frames(
     gathered at its mask's pixels before the next load; one
     classify_frame call then scores the RowRuns of the whole stack.
 
-    Returns the assessment, the Dice lists (want_dice: one list per
-    organ slug and PC_DICE_KEY, in record order) and the ROI confusion
-    counts over the records carrying a relevance flag (want_roi; None
-    when no record carries one). Raises NoAssessableFramesError when no
-    frame reaches the ROI threshold.
+    Returns the assessment and the Dice lists (want_dice: one list per
+    organ slug and PC_DICE_KEY, in record order; otherwise None). Raises
+    NoAssessableFramesError when no frame reaches the ROI threshold.
     """
     dice_lists = {key: [] for key in (*ORGAN_SLUGS, PC_DICE_KEY)} if want_dice else None
-    roi_counts = [0, 0, 0, 0]  # tp, fp, tn, fn
-    saw_roi_flag = False
     frames: list[tuple[int, float]] = []  # frame_index and time_s of ROI frame k
     pixel_conf: list[np.ndarray] = []  # (8, P_k) organ confidences at ROI frame k's PC pixels
     runs: list[tuple] = []  # row runs of the ROI frames stacked so far
@@ -428,10 +428,7 @@ def score_frames(
         runs.append((rows + (len(frames) - count) * (shape[0] + 1), starts, ends))
 
     for record in records:
-        roi_pass = record.roi_score >= constants.roi_threshold
-        if want_roi and record.gt_roi is not None:
-            saw_roi_flag = True
-            roi_counts[2 * (not roi_pass) + (roi_pass != record.gt_roi)] += 1
+        roi_pass = _is_relevant(record, constants)
         has_gt_raster = record.gt_labels is not None or record.gt_pc is not None
         need_dice = want_dice and has_gt_raster and record.gt_roi is not False
         if not roi_pass and not need_dice:
@@ -477,8 +474,7 @@ def score_frames(
     video = VideoAssessment(
         video_id, stations, fs, its, frame_index, time_s, frame_stations, nodules
     )
-    roi = ConfusionCounts(*roi_counts) if want_roi and saw_roi_flag else None
-    return video, dice_lists, roi
+    return video, dice_lists
 
 
 def score_video(
@@ -488,7 +484,7 @@ def score_video(
     manifest's base_dir. Deterministic for fixed inputs and constants."""
     if manifest.base_dir is None:
         raise ValueError("manifest has no base_dir to read its rasters from")
-    video, _, _ = score_frames(
+    video, _ = score_frames(
         manifest.video_id,
         manifest.frames,
         maskio.frame_loader(manifest.base_dir),

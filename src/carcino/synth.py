@@ -35,7 +35,6 @@ from .cohort import (
     _nested_map,
     _pool_map,
     _require_a_scored_run,
-    _scored,
     _Scored,
     _summary_value,
     evaluate_cohort,  # noqa: F401  unused here; perfbench's tracer self-test probes this binding
@@ -614,9 +613,10 @@ def _sweep_video(task: tuple[SynthSpec, int, ScoringConstants]) -> _Scored:
     video_id = _video_id(video_index)
     frames = _video_frames(spec, video_index, _planted_stations(spec, video_index))
     try:
-        return _scored(*score_frames(video_id, frames, _checked_frame, constants))
+        video, _ = score_frames(video_id, frames, _checked_frame, constants)
     except NoAssessableFramesError as exc:
         return _Scored(None, str(exc))
+    return _Scored(video.station_positive)
 
 
 # sweep key -> run-entry path of each metric a sweep level reports, taken

@@ -589,15 +589,20 @@ def test_evaluate_rejects_out_of_range_fold_index(small_cohort_index, tmp_path, 
         {"k": 2, "seed": 0, "assignment": []},
         {"k": 2, "seed": "0", "assignment": {}},
         {"k": 2, "seed": 0, "assignment": {"v0000": 1.5}},
+        {"seed": 0, "assignment": {}},
+        {"k": 2, "assignment": {}},
+        {"k": 2, "seed": 0},
     ],
 )
 def test_evaluate_malformed_fold_file_exits_2(tmp_path, capsys, folds):
-    """Each of these used to escape main with ValueError or AttributeError."""
+    """The first four used to escape main with ValueError or
+    AttributeError; the others lack a field."""
     index = _mini_cohort(tmp_path, n_videos=2)
     folds_path = tmp_path / "folds.json"
     folds_path.write_text(json.dumps(folds))
     assert main(["evaluate", str(index), "--folds", str(folds_path)]) == 2
-    assert "fold file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fold file" in err
 
 
 def test_evaluate_rejects_a_fold_without_videos(tmp_path, capsys):
@@ -656,16 +661,19 @@ def test_unnamed_cohort_from_a_relative_index_path_takes_its_directory_name(
         '{"roi_threshold": Infinity}',
         '{"min_nodule_pixels": 1.5}',
         '{"its_cutoff": true}',
+        '[0.5]',
     ],
 )
 def test_score_malformed_config_exits_2(tmp_path, capsys, config):
     """A string threshold used to raise TypeError; an infinite float field
-    used to pass validation and crash in the JSON writer."""
+    used to pass validation and crash in the JSON writer. A config that
+    is not an object is rejected as such."""
     video = load_cohort(_mini_cohort(tmp_path, n_videos=1)).videos[0]
     config_path = tmp_path / "config.json"
     config_path.write_text(config)
     assert main(["score", str(video.manifest_path), "--config", str(config_path)]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("config", ['{"fs_step": 2}', '{"frame_sampling_interval": 5.0}'])
@@ -684,6 +692,24 @@ def test_config_naming_a_derived_constant_exits_2(tmp_path, capsys, config):
         assert main([*argv, "--config", str(config_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and field in captured.err
+
+
+@pytest.mark.parametrize("field", ["organ_confidence_threshold", "pc_confidence_threshold"])
+def test_config_threshold_zero_at_float32_exits_2(tmp_path, capsys, field):
+    """A confidence threshold of 1e-320 lies in (0, 1] but is 0.0 at the
+    float32 precision pixels are compared at, so pixels of confidence 0
+    would enter the masks; every command reading a config rejects it."""
+    index = _mini_cohort(tmp_path, n_videos=2)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(f'{{"{field}": 1e-320}}')
+    for argv in (
+        ["score", str(load_cohort(index).videos[0].manifest_path)],
+        ["evaluate", str(index), "--independent"],
+        ["simulate", str(_sweep_spec(tmp_path)), "--sweep", "miss_rate", "--levels", "0"],
+    ):
+        assert main([*argv, "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err and "error:" in captured.err
 
 
 def test_evaluate_normalizes_rmse_by_points_per_station(tmp_path):
@@ -984,6 +1010,31 @@ def test_simulate_sweep_bytes_identical_across_jobs_and_writes_nothing(tmp_path)
     ]
 
 
+def test_simulate_sweep_prints_the_out_json_bytes(tmp_path, capsys):
+    """Without --out-json a sweep prints its report to stdout, the bytes
+    it writes to --out-json."""
+    argv = ["simulate", str(_sweep_spec(tmp_path)), "--sweep", "miss_rate", "--levels", "0,0.5"]
+    out_json = tmp_path / "sweep.json"
+    assert main([*argv, "--out-json", str(out_json)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out_json.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--sweep", "miss_rate"], "--sweep requires --levels"),
+     ([], "simulate needs --out DIR to write the cohort")],
+    ids=["sweep-without-levels", "no-out"],
+)
+def test_simulate_usage_error_exits_2(tmp_path, capsys, argv, message):
+    spec_path = _sweep_spec(tmp_path)
+    assert main(["simulate", str(spec_path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
 def test_simulate_sweep_fractional_int_level_exits_2(tmp_path, capsys):
     spec_path = _sweep_spec(tmp_path)
     code = main(["simulate", str(spec_path), "--sweep", "boundary_morph", "--levels", "0,1.7"])
@@ -1056,11 +1107,19 @@ def test_simulate_invalid_spec_exits_2(tmp_path, capsys):
         {"seed": 1, "noise": {"boundary_morph": 1.5}},
         {"seed": 1, "noise": {"boundary_morph": 10**20}},
         {"seed": 1, "noise": {"false_blob_rate": 1e300}},
+        {"seed": 1, "noise": {"boundary_morph": -1}},
+        {"seed": 1, "noise": {"false_blob_rate": -0.5}},
+        {"seed": 1, "n_videos": 0},
+        {"seed": 1, "frames_per_video": 0},
+        {"seed": 1, "nonroi_frames_per_video": -1},
+        {"n_videos": 2},
+        [{"seed": 1}],
     ],
 )
 def test_simulate_malformed_spec_field_exits_2_before_writing(tmp_path, capsys, spec):
-    """Each of these used to exit 1 with a traceback, some only after
-    creating --out."""
+    """The first twelve used to exit 1 with a traceback, some only after
+    creating --out; the others are out of range, lack the seed or are not
+    an object."""
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out_dir = tmp_path / "x"
@@ -1095,6 +1154,20 @@ def test_report_renders_saved_sweep(tmp_path, capsys):
     assert main(["report", str(out_json), "--format", "text"]) == 0
     assert capsys.readouterr().out == printed
     assert printed.startswith("Noise sweep over miss_rate")
+
+
+@pytest.mark.parametrize("kind", ["evaluation", "sweep"])
+def test_report_format_json_prints_the_saved_bytes(tmp_path, capsys, kind):
+    """report --format json of a saved report prints the file's bytes."""
+    if kind == "evaluation":
+        argv = ["evaluate", str(_mini_cohort(tmp_path, n_videos=2)), "--independent"]
+    else:
+        argv = ["simulate", str(_sweep_spec(tmp_path)), "--sweep", "miss_rate", "--levels", "0"]
+    out_json = tmp_path / "report.json"
+    assert main([*argv, "--out-json", str(out_json)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out_json), "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out_json.read_bytes()
 
 
 def test_report_rejects_unknown_kind(tmp_path):

@@ -262,6 +262,9 @@ def test_pipeline_zero_noise_matches_oracle_run(small_cohort_index):
     # frame-level metrics exist and are perfect in the zero-noise cohort
     assert via_pipeline["runs"][0]["dice"]["anatomical_structures_average"] == 1.0
     assert via_pipeline["runs"][0]["roi_balanced_accuracy"] == 1.0
+    # the oracle feeds back stations only: it predicts no frame relevance
+    assert via_oracle["runs"][0]["roi_balanced_accuracy"] is None
+    assert via_oracle["summary"]["roi_balanced_accuracy"] is None
 
 
 def test_cross_validation_mode_summary(small_cohort_index):
@@ -335,6 +338,30 @@ def test_dice_and_roi_can_be_disabled(small_cohort_index):
     assert report["summary"]["dice"] is None
 
 
+def test_roi_counts_leave_out_failed_videos(tmp_path):
+    """A video that fails to score adds none of its flagged frames to the
+    run's relevance counts: here its one frame, a relevant frame the ROI
+    rule misses, would bring balanced accuracy from 1.0 to 0.75."""
+    from conftest import blank_organ_conf, write_video
+
+    def frame(roi_score, gt_roi):
+        pc = np.zeros((2, 2), dtype=np.float32)
+        return {"organ_conf": blank_organ_conf((2, 2)), "pc_conf": pc,
+                "roi_score": roi_score, "gt_roi": gt_roi}
+
+    gt = maskio.VideoGroundTruth((False,) * 6)
+    write_video(tmp_path, "ok", [frame(0.9, True), frame(0.1, False)], ground_truth=gt)
+    write_video(tmp_path, "fails", [frame(0.1, True)], ground_truth=gt)  # no ROI frame
+    entries = [("ok", "ok/manifest.json"), ("fails", "fails/manifest.json")]
+    cm.save_cohort_index("roicase", entries, tmp_path / "index.json")
+    cohort = load_cohort(tmp_path / "index.json")
+    run = evaluate_cohort(cohort, independent_runs(cohort))["runs"][0]
+    assert list(run["failed"]) == ["fails"]
+    assert run["roi_balanced_accuracy"] == 1.0
+    counts = [cm._relevance_counts(v.manifest.frames, ScoringConstants()) for v in cohort.videos]
+    assert cm.metrics.balanced_accuracy(sum(counts, cm.ConfusionCounts())) == 0.75
+
+
 def test_four_fold_run_gives_four_values_plus_summary(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
     folds = stratified_kfold(cohort, k=4, seed=2)
@@ -382,6 +409,20 @@ def test_evaluate_rejects_a_callable_predictor(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
     with pytest.raises(CarcinoError, match="unknown predictor"):
         evaluate_cohort(cohort, independent_runs(cohort), predictor=lambda video: None)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"dice_average": "median"}, "dice_average must be 'frame' or 'video'"),
+        ({"runs": []}, "no runs to evaluate"),
+    ],
+    ids=["unknown-dice-average", "no-runs"],
+)
+def test_evaluate_rejects_bad_options(small_cohort_index, options, message):
+    cohort = load_cohort(small_cohort_index)
+    with pytest.raises(CarcinoError, match=message):
+        evaluate_cohort(cohort, **{"runs": independent_runs(cohort), **options})
 
 
 def test_evaluate_deterministic_across_jobs(small_cohort_index):
@@ -548,6 +589,9 @@ def test_runs_from_folds_validates_coverage(small_cohort_index):
     )
     with pytest.raises(CarcinoError):
         runs_from_folds(cohort, partial)
+    extra = FoldAssignment(k=2, seed=0, assignment={**folds.assignment, "ghost": 0})
+    with pytest.raises(CarcinoError, match=r"names unknown video\(s\): \['ghost'\]"):
+        runs_from_folds(cohort, extra)
 
 
 def test_runs_from_folds_names_a_few_empty_folds_of_a_huge_k(small_cohort_index):

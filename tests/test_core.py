@@ -124,6 +124,8 @@ def test_constants_are_overridable():
         ("roi_threshold", True),
         ("min_nodule_pixels", 1.5),
         ("its_cutoff", None),
+        ("organ_confidence_threshold", 1e-320),  # 0.0 at float32, where pixels are compared
+        ("pc_confidence_threshold", 2.0**-150),
     ],
 )
 def test_constants_reject_out_of_range(field, value):

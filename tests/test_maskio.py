@@ -157,6 +157,10 @@ def test_invalid_rasters_rejected_nothing_written(tmp_path):
         maskio.write_raster(np.zeros((1, 2, 2), dtype=np.float64), path)
     with pytest.raises(ConfidenceOutOfRangeError):
         maskio.write_raster(np.full((1, 2, 2), 1.5, dtype=np.float32), path)
+    with pytest.raises(RasterInvariantError, match="dimensions must all be >= 1"):
+        maskio.write_raster(np.zeros((1, 0, 2), dtype=np.uint8), path)
+    with pytest.raises(RasterInvariantError, match="channel count must fit in uint8"):
+        maskio.write_raster(np.zeros((256, 1, 1), dtype=np.uint8), path)
     assert not path.exists()
 
 
@@ -525,6 +529,30 @@ def test_manifest_rejects_unordered_frames(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ManifestError):
         maskio.load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["ground_truth"]["stations"].update(spleen=True),
+         "unknown station key(s) ['spleen']"),
+        (lambda d: d["ground_truth"]["stations"].update(liver=1),
+         "station 'liver' must be a boolean"),
+        (lambda d: d["frames"][0].update(gt_roi="yes"), "'gt_roi' must be a boolean"),
+        (lambda d: d.update(video_id=""), "'video_id' must be a non-empty string"),
+        (lambda d: d.update(frames={}), "'frames' must be a list"),
+        (lambda d: d.update(frames=[7]), "frame 0 must be an object"),
+        (lambda d: d.update(roi_segments=[[5.0, 1.0]]), "ROI segment ends before it starts"),
+    ],
+    ids=["unknown-station", "int-station-flag", "string-gt-roi", "empty-video-id",
+         "frames-not-a-list", "frame-not-an-object", "reversed-roi-segment"],
+)
+def test_manifest_rejects_malformed_field(edit, message):
+    data = _minimal_manifest(_gt_dict([False] * 6, 0, "SurgeryIndicated"))
+    edit(data)
+    with pytest.raises(ManifestError) as info:
+        maskio.manifest_from_dict(data)
+    assert message in str(info.value)
 
 
 def test_manifest_rejects_roi_score_out_of_range(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carcino import maskio, pipeline, synth
+from carcino import cohort, maskio, pipeline, synth
 from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
 from carcino.core import _ORGANS_OF, _STATION_OF, Indication, OrganClass, ScoringConstants, Station
 from carcino.errors import (
@@ -543,7 +543,7 @@ def _fa(stations):
 
 
 def _video_stations(frames) -> tuple[bool, ...]:
-    video, _, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
+    video, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
     assert video.frame_stations.tolist() == [
         classify(frame, CONSTANTS)[0][0].tolist() for frame in frames
     ]
@@ -722,7 +722,7 @@ def test_to_json_writes_canonical_json_of_the_record(
         for k, time_s in enumerate(times)
     ]
     constants = ScoringConstants(min_nodule_pixels=min_pixels)
-    video, _, _ = pipeline.score_frames(video_id, frames, lambda f: f, constants)
+    video, _ = pipeline.score_frames(video_id, frames, lambda f: f, constants)
     assert video.to_json() == maskio.canonical_json(oracles.assessment_dict(video))
     for bad in (math.inf, math.nan):
         broken = replace(video, time_s=(*video.time_s[:-1], bad))
@@ -742,7 +742,7 @@ def test_score_frames_keeps_frames_at_or_above_roi_threshold():
     ]
     for threshold, kept in ((0.5, [0, 2]), (0.0, [0, 1, 2])):  # 0.5 kept: >= semantics
         constants = ScoringConstants(roi_threshold=threshold)
-        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
+        video, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
         assert list(video.frame_index) == kept
         assert video.frames_used == len(kept)
 
@@ -761,11 +761,11 @@ def test_score_frames_reads_runs_block_by_block():
         )
         for i in range(21)
     ]
-    whole, _, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
+    whole, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
     assert whole.frames_used == 21 and len(whole.nodules) > 21
     for block_pixels in (1, 100):  # a stacked frame is 6x6: one frame a block, then two
         with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", block_pixels):
-            video, _, _ = pipeline.score_frames("v", iter(frames), lambda f: f, CONSTANTS)
+            video, _ = pipeline.score_frames("v", iter(frames), lambda f: f, CONSTANTS)
         assert video.to_json() == whole.to_json()
         assert video.frame_stations.tolist() == whole.frame_stations.tolist()
 
@@ -773,7 +773,7 @@ def test_score_frames_reads_runs_block_by_block():
 def test_score_frames_scores_frames_without_pixels_all_negative():
     for shape in ((3, 0), (0, 3)):
         frames = [make_frame(blank_organ_conf(shape), np.zeros(shape))] * 3
-        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
+        video, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
         assert video.station_positive == (False,) * 6 and len(video.nodules) == 0
         assert video.frames_used == 3
 
@@ -933,7 +933,7 @@ def test_video_path_matches_per_frame_reference(frames, min_pixels, block_pixels
             with pytest.raises(NoAssessableFramesError):
                 pipeline.score_frames("v", frames, lambda f: f, constants)
             return
-        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
+        video, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
     reference = [oracles.classify_frame(frame, constants) for frame in roi_frames]
     assert video.frame_index == tuple(fa.frame_index for fa in reference)
     assert video.time_s == tuple(fa.time_s for fa in reference)
@@ -988,6 +988,20 @@ def _videos(draw):
     return frames
 
 
+def _relevance(records):
+    """The relevance counts evaluation takes from records, as the [tp, fp,
+    tn, fn] list of assess_frames, or None where no record has a flag."""
+    counts = cohort._relevance_counts(records, CONSTANTS)
+    return [counts.tp, counts.fp, counts.tn, counts.fn] if counts.total else None
+
+
+def _oracle_relevance(records):
+    """assess_frames' ROI counts over records, one blank frame standing
+    in for every raster it reads."""
+    blank = make_frame(blank_organ_conf((1, 1)), np.zeros((1, 1)))
+    return assess_frames(records, lambda record: blank, CONSTANTS, False, True)["roi"]
+
+
 def _outcome(run):
     """(loaded frame indices, result or (error class, message))."""
     loaded = []
@@ -999,30 +1013,29 @@ def _outcome(run):
 
 
 @settings(max_examples=200, deadline=None)
-@given(frames=_videos(), want_dice=st.booleans(), want_roi=st.booleans())
-def test_score_frames_matches_former_evaluation_loop(frames, want_dice, want_roi):
+@given(frames=_videos(), want_dice=st.booleans())
+def test_score_frames_matches_former_evaluation_loop(frames, want_dice):
     """The merged loop loads the same frames and yields the same
-    prediction, Dice lists (values and order) and ROI counts as the
-    former evaluation loop; its two failures keep their messages and
+    prediction and Dice lists (values and order) as the former
+    evaluation loop, and the relevance counts taken from the records
+    equal its ROI counts; its two failures keep their messages and
     become NoAssessableFramesError and DimensionMismatchError."""
 
     def merged(load):
-        video, dice, roi = pipeline.score_frames(
-            "v", frames, load, CONSTANTS, want_dice, want_roi
-        )
+        video, dice = pipeline.score_frames("v", frames, load, CONSTANTS, want_dice)
         prediction = {
             "stations": list(video.station_positive),
             "fs": video.fs,
             "its": video.its.value,
             "frames_used": video.frames_used,
         }
-        roi = None if roi is None else [roi.tp, roi.fp, roi.tn, roi.fn]
-        return {"prediction": prediction, "dice": dice, "roi": roi}
+        return {"prediction": prediction, "dice": dice, "roi": _relevance(frames)}
 
     loaded, got = _outcome(merged)
     want_loaded, want = _outcome(
-        lambda load: assess_frames(frames, load, CONSTANTS, want_dice, want_roi)
+        lambda load: assess_frames(frames, load, CONSTANTS, want_dice, True)
     )
+    assert _relevance(frames) == _oracle_relevance(frames)
     assert loaded == want_loaded
     if isinstance(want, tuple):  # the size check
         assert got == (DimensionMismatchError, want[1])
@@ -1077,11 +1090,13 @@ def _damage(manifest, damage) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(video=_disk_videos(), want_dice=st.booleans(), want_roi=st.booleans())
-def test_frame_loader_scores_as_fresh_loads(video, want_dice, want_roi):
+@given(video=_disk_videos(), want_dice=st.booleans())
+def test_frame_loader_scores_as_fresh_loads(video, want_dice):
     """score_frames over a video read through one frame_loader returns the
-    assessment, Dice lists and ROI counts that a fresh load_frame per
-    record gives, or fails with the same error class and message."""
+    assessment and Dice lists that a fresh load_frame per record gives,
+    or fails with the same error class and message. The relevance counts
+    of the manifest, whatever its rasters' damage, equal the former
+    loop's ROI counts."""
     frames, damage = video
     with tempfile.TemporaryDirectory() as tmp:
         manifest = write_video(Path(tmp), "v", frames)
@@ -1089,15 +1104,16 @@ def test_frame_loader_scores_as_fresh_loads(video, want_dice, want_roi):
 
         def outcome(load):
             try:
-                assessment, dice, roi = pipeline.score_frames(
-                    "v", manifest.frames, load, CONSTANTS, want_dice, want_roi
+                assessment, dice = pipeline.score_frames(
+                    "v", manifest.frames, load, CONSTANTS, want_dice
                 )
             except (CarcinoError, OSError) as exc:
                 return type(exc), str(exc)
-            return assessment.to_json(), dice, roi
+            return assessment.to_json(), dice
 
         fresh = outcome(lambda record: maskio.load_frame(record, manifest.base_dir))
         assert outcome(maskio.frame_loader(manifest.base_dir)) == fresh
+        assert _relevance(manifest.frames) == _oracle_relevance(manifest.frames)
 
 
 # --- metamorphic relations ---------------------------------------------------
@@ -1132,7 +1148,7 @@ def _scored_shape(frames):
     """The station flags, score, indication and per-frame (size, organ)
     multisets score_frames gives, or the error class it raises."""
     try:
-        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
+        video, _ = pipeline.score_frames("v", frames, lambda f: f, CONSTANTS)
     except NoAssessableFramesError:
         return NoAssessableFramesError
     return (
@@ -1184,12 +1200,12 @@ def test_transposing_or_flipping_every_raster_changes_no_outcome(frames, name, b
     frames=st.one_of(_stacked_videos(), _videos()),
     data=st.data(),
     want_dice=st.booleans(),
-    want_roi=st.booleans(),
 )
-def test_a_frame_below_the_roi_threshold_changes_no_byte(frames, data, want_dice, want_roi):
+def test_a_frame_below_the_roi_threshold_changes_no_byte(frames, data, want_dice):
     """A frame inserted anywhere in a video, below the ROI threshold, with
     no ground-truth rasters and no relevance flag, changes no byte of the
-    assessment, nor the Dice lists, the ROI counts or the error raised."""
+    assessment, nor the Dice lists, the relevance counts or the error
+    raised."""
     frames = [  # odd indices, so that the new frame takes an even one between them
         replace(frame, frame_index=2 * i + 1, time_s=2.5 * (2 * i + 1))
         for i, frame in enumerate(frames)
@@ -1209,13 +1225,14 @@ def test_a_frame_below_the_roi_threshold_changes_no_byte(frames, data, want_dice
     )
 
     def outcome(video_frames):
+        relevance = _relevance(video_frames)
         try:
-            video, dice, roi = pipeline.score_frames(
-                "v", video_frames, lambda f: f, CONSTANTS, want_dice, want_roi
+            video, dice = pipeline.score_frames(
+                "v", video_frames, lambda f: f, CONSTANTS, want_dice
             )
         except CarcinoError as exc:
-            return type(exc), str(exc)
-        return video.to_json(), dice, roi
+            return type(exc), str(exc), relevance
+        return video.to_json(), dice, relevance
 
     assert outcome([*frames[:at], added, *frames[at:]]) == outcome(frames)
 
@@ -1224,7 +1241,7 @@ def _scored_at(frames, **constants):
     """score_frames' assessment of frames at these constants, or None
     where it raises (no ROI frame, or frames of two sizes)."""
     try:
-        video, _, _ = pipeline.score_frames("v", frames, lambda f: f, ScoringConstants(**constants))
+        video, _ = pipeline.score_frames("v", frames, lambda f: f, ScoringConstants(**constants))
     except CarcinoError:
         return None
     return video
@@ -1336,10 +1353,10 @@ def test_reordering_the_roi_frames_moves_their_nodules_with_them(
     height, width = frames[0].pc_conf.shape
     shuffled = data.draw(st.permutations(range(len(frames))), label="shuffled")
     with mock.patch.object(pipeline, "_RUN_BLOCK_PIXELS", frames_per_block * (height + 1) * width):
-        base, _, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
+        base, _ = pipeline.score_frames("v", frames, lambda f: f, constants)
         base_groups = _frame_groups(base.nodules)
         for order in (list(range(len(frames)))[::-1], shuffled):
-            moved, _, _ = pipeline.score_frames(
+            moved, _ = pipeline.score_frames(
                 "v", [frames[k] for k in order], lambda f: f, constants
             )
             assert moved.frame_index == tuple(base.frame_index[k] for k in order)
