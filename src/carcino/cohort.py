@@ -35,13 +35,7 @@ from .core import (
     compute_fs,
     compute_its,
 )
-from .errors import (
-    CarcinoError,
-    EmptyCohortError,
-    ManifestError,
-    MissingGroundTruthError,
-    TooFewVideosError,
-)
+from .errors import CarcinoError, ManifestError
 from .maskio import VideoGroundTruth, VideoManifest, canonical_json
 from .metrics import ConfusionCounts
 from .pipeline import PC_DICE_KEY
@@ -232,14 +226,14 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int = 0) -> FoldAssignment:
     fixed (cohort, k, seed).
     """
     if k < 1:
-        raise TooFewVideosError(f"fold count must be >= 1, got {k}")
+        raise CarcinoError(f"fold count must be >= 1, got {k}")
     if len(cohort.videos) < k:
-        raise TooFewVideosError(
+        raise CarcinoError(
             f"cohort has {len(cohort.videos)} videos, cannot make {k} folds"
         )
     for v in cohort.videos:
         if v.ground_truth is None:
-            raise MissingGroundTruthError(
+            raise CarcinoError(
                 f"video {v.video_id!r} has no ground truth; cannot stratify"
             )
     ordered = sorted(cohort.videos, key=lambda v: (v.ground_truth.fs, v.video_id))
@@ -587,9 +581,9 @@ def _summarize_report(run_entries: list[dict]) -> dict:
 
 
 def _require_a_scored_run(run_entries: list[dict]) -> None:
-    """EmptyCohortError unless some run scored a video."""
+    """CarcinoError unless some run scored a video."""
     if all(entry["error"] is not None for entry in run_entries):
-        raise EmptyCohortError("every run failed: no video could be scored")
+        raise CarcinoError("every run failed: no video could be scored")
 
 
 def evaluate_cohort(
@@ -626,11 +620,13 @@ def evaluate_cohort(
         run_list = list(runs)
         mode = mode or "custom"
     if not run_list:
-        raise EmptyCohortError("no runs to evaluate")
+        raise CarcinoError("no runs to evaluate")
 
     by_id = {v.video_id: v for v in cohort.videos}
     seen = set()
     for run in run_list:
+        if not run.video_ids:
+            raise CarcinoError(f"run {run.label!r} has no videos")
         for vid in run.video_ids:
             if vid not in by_id:
                 raise CarcinoError(f"run {run.label!r} references unknown video {vid!r}")
@@ -640,7 +636,7 @@ def evaluate_cohort(
     unique_ids = [v.video_id for v in cohort.videos if v.video_id in seen]
     for vid in unique_ids:
         if by_id[vid].ground_truth is None:
-            raise MissingGroundTruthError(f"video {vid!r} has no ground truth")
+            raise CarcinoError(f"video {vid!r} has no ground truth")
 
     ground_truth = {vid: by_id[vid].ground_truth for vid in unique_ids}
     roi = None

@@ -40,21 +40,7 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 from .core import Indication, ScoringConstants, STATION_SLUGS, _read_json, compute_fs, compute_its
-from .errors import (
-    BadMagicError,
-    ChannelCountMismatchError,
-    ConfidenceOutOfRangeError,
-    DimensionMismatchError,
-    GroundTruthInconsistentError,
-    LabelOutOfRangeError,
-    ManifestError,
-    ManifestSyntaxError,
-    MaskFormatError,
-    MissingFieldError,
-    RasterInvariantError,
-    TruncatedPayloadError,
-    UnknownDtypeError,
-)
+from .errors import CarcinoError, ManifestError, MaskFormatError
 
 __all__ = [
     "MAGIC",
@@ -101,7 +87,7 @@ def _dtype_code_of(arr: np.ndarray) -> int:
         return DTYPE_LABEL
     if arr.dtype == np.float32:
         return DTYPE_CONFIDENCE
-    raise RasterInvariantError(
+    raise CarcinoError(
         f"raster dtype must be uint8 (labels) or float32 (confidence), got {arr.dtype}"
     )
 
@@ -117,20 +103,20 @@ def _validate_values(arr: np.ndarray, dtype_code: int, context: str = "") -> Non
         bits = arr.view(arr.dtype.byteorder + "u4")
         if bits.max() > _ONE_BITS and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             if not np.isfinite(arr).all():
-                raise ConfidenceOutOfRangeError(f"non-finite confidence value{where}")
-            raise ConfidenceOutOfRangeError(f"confidence value outside [0, 1]{where}")
+                raise MaskFormatError(f"non-finite confidence value{where}")
+            raise MaskFormatError(f"confidence value outside [0, 1]{where}")
     elif arr.max() > MAX_LABEL:
-        raise LabelOutOfRangeError(f"label value above {MAX_LABEL}{where}")
+        raise MaskFormatError(f"label value above {MAX_LABEL}{where}")
 
 
 def _validate_array(arr: np.ndarray) -> int:
     if not isinstance(arr, np.ndarray) or arr.ndim != 3:
-        raise RasterInvariantError("raster must be a (channels, height, width) array")
+        raise CarcinoError("raster must be a (channels, height, width) array")
     channels, height, width = arr.shape
     if channels < 1 or height < 1 or width < 1:
-        raise RasterInvariantError("raster dimensions must all be >= 1")
+        raise CarcinoError("raster dimensions must all be >= 1")
     if channels > 255:
-        raise RasterInvariantError("raster channel count must fit in uint8")
+        raise CarcinoError("raster channel count must fit in uint8")
     code = _dtype_code_of(arr)
     _validate_values(arr, code)
     return code
@@ -168,19 +154,19 @@ def _check_header(
     height, width). Every header check lives here, for the same messages.
     """
     if len(header) < HEADER_SIZE:
-        raise TruncatedPayloadError(f"file shorter than the {HEADER_SIZE}-byte header{where}")
+        raise MaskFormatError(f"file shorter than the {HEADER_SIZE}-byte header{where}")
     magic, width, height, channels, code = _HEADER.unpack_from(header)
     if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}{where}")
+        raise MaskFormatError(f"bad magic {magic!r}{where}")
     if code not in _NUMPY_DTYPES:
-        raise UnknownDtypeError(f"unknown dtype code {code}{where}")
+        raise MaskFormatError(f"unknown dtype code {code}{where}")
     if width < 1 or height < 1 or channels < 1:
         raise MaskFormatError(f"zero-sized raster dimension{where}")
     if size is not None:
         expected = width * height * channels * _NUMPY_DTYPES[code].itemsize
         payload = size - HEADER_SIZE
         if payload < expected:
-            raise TruncatedPayloadError(f"payload is {payload} bytes, expected {expected}{where}")
+            raise MaskFormatError(f"payload is {payload} bytes, expected {expected}{where}")
         if payload > expected:
             raise MaskFormatError(f"{payload - expected} trailing bytes after payload{where}")
     return code, (channels, height, width)
@@ -228,7 +214,7 @@ def _read_file(path: str, into: np.ndarray | None = None) -> np.ndarray:
         while filled < view.nbytes:
             n = fh.readinto(view[filled:])
             if not n:  # the file shrank after fstat
-                raise TruncatedPayloadError(
+                raise MaskFormatError(
                     f"payload is {filled} bytes, expected {view.nbytes}{where}"
                 )
             filled += n
@@ -302,15 +288,15 @@ class ConfidenceFrame:
                 continue  # ground truth is optional
             if not isinstance(plane, np.ndarray) or plane.dtype != _NUMPY_DTYPES[code]:
                 got = getattr(plane, "dtype", type(plane).__name__)
-                raise RasterInvariantError(
+                raise CarcinoError(
                     f"frame {self.frame_index}: {name} is {got}, not {_NUMPY_DTYPES[code]}"
                 )
             if channels > 1 and (plane.ndim != 3 or plane.shape[0] != channels):
-                raise ChannelCountMismatchError(
+                raise CarcinoError(
                     f"frame {self.frame_index}: {name} is {plane.shape}, not ({channels}, H, W)"
                 )
             if channels == 1 and plane.shape != self.organ_conf.shape[1:]:
-                raise DimensionMismatchError(
+                raise CarcinoError(
                     f"frame {self.frame_index}: {name} is {plane.shape}, "
                     f"the organ planes are {self.organ_conf.shape[1:]}"
                 )
@@ -349,7 +335,7 @@ class VideoGroundTruth:
 
     def __post_init__(self) -> None:
         if len(self.stations) != 6:
-            raise GroundTruthInconsistentError("ground truth needs exactly 6 station flags")
+            raise ManifestError("ground truth needs exactly 6 station flags")
 
     @property
     def fs(self) -> int:
@@ -371,7 +357,7 @@ class VideoManifest:
 
 def _require(mapping: dict, field: str, context: str):
     if field not in mapping:
-        raise MissingFieldError(f"{context}: missing field {field!r}")
+        raise ManifestError(f"{context}: missing field {field!r}")
     return mapping[field]
 
 
@@ -441,9 +427,9 @@ def _parse_ground_truth(data: dict, context: str) -> VideoGroundTruth:
         raise ManifestError(f"{context}: unknown indication {its_raw!r}") from None
     truth = VideoGroundTruth(tuple(flags))
     if fs != truth.fs:
-        raise GroundTruthInconsistentError(f"fs is {fs} but {truth.fs} station points are flagged")
+        raise ManifestError(f"fs is {fs} but {truth.fs} station points are flagged")
     if its is not truth.its:
-        raise GroundTruthInconsistentError(
+        raise ManifestError(
             f"its is {its.value} but fs {fs} implies {truth.its.value}"
         )
     return truth
@@ -556,7 +542,7 @@ def canonical_json(data) -> str:
 
 def load_manifest(path: str | Path) -> VideoManifest:
     path = Path(path)
-    return manifest_from_dict(_read_json(path, ManifestSyntaxError), base_dir=path.parent)
+    return manifest_from_dict(_read_json(path, ManifestError), base_dir=path.parent)
 
 
 def save_manifest(manifest: VideoManifest, path: str | Path) -> None:
@@ -570,9 +556,9 @@ def _read_frame_raster(path: str, lent: np.ndarray | None, code: int, channels: 
     single = channels == 1
     raster = _read_file(path, lent[np.newaxis] if single and lent is not None else lent)
     if raster.dtype != _NUMPY_DTYPES[code]:
-        raise RasterInvariantError(f"{path}: raster is {raster.dtype}, not {_NUMPY_DTYPES[code]}")
+        raise CarcinoError(f"{path}: raster is {raster.dtype}, not {_NUMPY_DTYPES[code]}")
     if raster.shape[0] != channels:
-        raise ChannelCountMismatchError(f"{path}: {raster.shape[0]} channels, not {channels}")
+        raise CarcinoError(f"{path}: {raster.shape[0]} channels, not {channels}")
     return raster[0] if single else raster
 
 
@@ -599,7 +585,7 @@ def load_frame(
             lent = None if into is None else getattr(into, name)
             fields[name] = _read_frame_raster(os.path.join(base, rel), lent, code, channels)
     if "gt_pc" in fields and (fields["gt_pc"] > 1).any():
-        raise LabelOutOfRangeError(
+        raise MaskFormatError(
             f"{os.path.join(base, record.gt_pc)}: binary ground truth must hold only 0/1"
         )
     return ConfidenceFrame(

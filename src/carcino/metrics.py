@@ -24,12 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Indication, ScoringConstants
-from .errors import (
-    DimensionMismatchError,
-    EmptyCohortError,
-    LengthMismatchError,
-    MissingGroundTruthError,
-)
+from .errors import CarcinoError
 
 __all__ = [
     "ConfusionCounts",
@@ -93,7 +88,7 @@ def dice(gt: np.ndarray, pred: np.ndarray) -> float | None:
     gt = np.asarray(gt, dtype=bool)
     pred = np.asarray(pred, dtype=bool)
     if gt.shape != pred.shape:
-        raise DimensionMismatchError(f"mask shapes differ: {gt.shape} vs {pred.shape}")
+        raise CarcinoError(f"mask shapes differ: {gt.shape} vs {pred.shape}")
     denom = int(np.count_nonzero(gt)) + int(np.count_nonzero(pred))
     if denom == 0:
         return None
@@ -135,14 +130,14 @@ def station_confusions(
     """Per-station confusion counts over videos; the positive class is
     "station involved"."""
     if len(predictions) != len(ground_truth):
-        raise LengthMismatchError(
+        raise CarcinoError(
             f"{len(predictions)} predictions vs {len(ground_truth)} ground truths"
         )
     for i, (pred, gt) in enumerate(zip(predictions, ground_truth)):
         if gt is None:
-            raise MissingGroundTruthError(f"video index {i} has no ground truth")
+            raise CarcinoError(f"video index {i} has no ground truth")
         if len(pred) != 6 or len(gt) != 6:
-            raise LengthMismatchError("station vectors must have 6 entries")
+            raise CarcinoError("station vectors must have 6 entries")
     return [
         _confusion((bool(pred[s]), bool(gt[s])) for pred, gt in zip(predictions, ground_truth))
         for s in range(6)
@@ -152,9 +147,9 @@ def station_confusions(
 def fs_rmse(pred_fs: Sequence[float], gt_fs: Sequence[float]) -> float:
     """Root mean square error between predicted and reference scores."""
     if len(pred_fs) != len(gt_fs):
-        raise LengthMismatchError(f"{len(pred_fs)} predictions vs {len(gt_fs)} references")
+        raise CarcinoError(f"{len(pred_fs)} predictions vs {len(gt_fs)} references")
     if not pred_fs:
-        raise EmptyCohortError("RMSE over an empty cohort is undefined")
+        raise CarcinoError("RMSE over an empty cohort is undefined")
     total = 0.0
     for p, g in zip(pred_fs, gt_fs):
         total += (float(p) - float(g)) ** 2
@@ -187,7 +182,7 @@ def its_confusions(
     """One confusion per indication class, each treating that class as
     positive (two report rows: score below the cutoff, and at/above)."""
     if len(pred_its) != len(gt_its):
-        raise LengthMismatchError(f"{len(pred_its)} predictions vs {len(gt_its)} references")
+        raise CarcinoError(f"{len(pred_its)} predictions vs {len(gt_its)} references")
     return {
         cls: _confusion((p is cls, g is cls) for p, g in zip(pred_its, gt_its))
         for cls in Indication

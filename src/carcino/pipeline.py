@@ -34,7 +34,7 @@ from .core import (
     _STATION_OF, ORGAN_SLUGS, STATION_SLUGS, Indication, OrganClass, ScoringConstants, Station,
     compute_fs, compute_its,
 )
-from .errors import ChannelCountMismatchError, DimensionMismatchError, NoAssessableFramesError
+from .errors import CarcinoError, NoAssessableFramesError
 from .maskio import ConfidenceFrame, VideoManifest
 
 __all__ = [
@@ -325,15 +325,15 @@ def assign_nodules(
     with array operations under the rules above. Each bin adds its
     pixels in the nodule's row-major order, whatever the threshold. A
     pixel label outside [-1, n), or a pixel count other than
-    pixel_conf's, raises DimensionMismatchError.
+    pixel_conf's, raises CarcinoError.
     """
     if pixel_conf.ndim != 2 or pixel_conf.shape[0] != 8:
-        raise ChannelCountMismatchError(f"expected 8 organ channels, got shape {pixel_conf.shape}")
+        raise CarcinoError(f"expected 8 organ channels, got shape {pixel_conf.shape}")
     n = len(nodules)
     label = nodules.pixel_nodule
     in_range = not label.size or -1 <= label.min() and label.max() < n
     if label.shape != pixel_conf.shape[1:] or not in_range:
-        raise DimensionMismatchError(
+        raise CarcinoError(
             f"pixel_nodule {label.shape} must give a row in [-1, {n}) for each "
             f"pixel of pixel_conf {pixel_conf.shape}"
         )
@@ -367,7 +367,7 @@ def classify_frame(
     """
     nodules = connected_components(pc_mask)
     if pixel_conf.shape[1:] != nodules.pixel_nodule.shape:
-        raise DimensionMismatchError(
+        raise CarcinoError(
             f"pc_mask has {nodules.pixel_nodule.size} true pixels, pixel_conf {pixel_conf.shape}"
         )
     nodules = nodules.take(nodules.size >= constants.min_nodule_pixels)
@@ -438,7 +438,7 @@ def score_frames(
         frame = load(record)
         shape = shape or (frame.height, frame.width)
         if (frame.height, frame.width) != shape:
-            raise DimensionMismatchError(
+            raise CarcinoError(
                 f"frame {record.frame_index}: raster size "
                 f"{(frame.height, frame.width)} differs from {shape}"
             )

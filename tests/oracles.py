@@ -40,17 +40,7 @@ from carcino.cohort import EvalRun, FoldAssignment, evaluate_cohort, load_cohort
 from carcino.core import (
     _ORGANS_OF, _STATION_OF, ORGAN_SLUGS, STATION_SLUGS, OrganClass, Station,
 )
-from carcino.errors import (
-    BadMagicError,
-    CarcinoError,
-    ConfidenceOutOfRangeError,
-    DimensionMismatchError,
-    InvalidSpecError,
-    MaskFormatError,
-    NoAssessableFramesError,
-    TruncatedPayloadError,
-    UnknownDtypeError,
-)
+from carcino.errors import CarcinoError, InvalidSpecError, MaskFormatError, NoAssessableFramesError
 from carcino.synth import generate_cohort
 
 
@@ -113,20 +103,20 @@ def bytes_decode_raster(blob: bytes, context: str = "") -> np.ndarray:
     payload off the whole blob, view it, copy the view."""
     where = f" in {context}" if context else ""
     if len(blob) < maskio.HEADER_SIZE:
-        raise TruncatedPayloadError(
+        raise MaskFormatError(
             f"file shorter than the {maskio.HEADER_SIZE}-byte header{where}"
         )
     magic, width, height, channels, code = maskio._HEADER.unpack_from(blob)
     if magic != maskio.MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}{where}")
+        raise MaskFormatError(f"bad magic {magic!r}{where}")
     if code not in maskio._NUMPY_DTYPES:
-        raise UnknownDtypeError(f"unknown dtype code {code}{where}")
+        raise MaskFormatError(f"unknown dtype code {code}{where}")
     if width < 1 or height < 1 or channels < 1:
         raise MaskFormatError(f"zero-sized raster dimension{where}")
     expected = width * height * channels * maskio._NUMPY_DTYPES[code].itemsize
     payload = blob[maskio.HEADER_SIZE :]
     if len(payload) < expected:
-        raise TruncatedPayloadError(
+        raise MaskFormatError(
             f"payload is {len(payload)} bytes, expected {expected}{where}"
         )
     if len(payload) > expected:
@@ -151,8 +141,8 @@ def float_check_confidences(arr: np.ndarray, context: str = "") -> None:
     where = f" in {context}" if context else ""
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         if not np.isfinite(arr).all():
-            raise ConfidenceOutOfRangeError(f"non-finite confidence value{where}")
-        raise ConfidenceOutOfRangeError(f"confidence value outside [0, 1]{where}")
+            raise MaskFormatError(f"non-finite confidence value{where}")
+        raise MaskFormatError(f"confidence value outside [0, 1]{where}")
 
 
 def sum_dice(gt, pred) -> float | None:
@@ -160,7 +150,7 @@ def sum_dice(gt, pred) -> float | None:
     gt = np.asarray(gt, dtype=bool)
     pred = np.asarray(pred, dtype=bool)
     if gt.shape != pred.shape:
-        raise DimensionMismatchError(f"mask shapes differ: {gt.shape} vs {pred.shape}")
+        raise CarcinoError(f"mask shapes differ: {gt.shape} vs {pred.shape}")
     denom = int(gt.sum()) + int(pred.sum())
     if denom == 0:
         return None
@@ -605,7 +595,7 @@ def naive_station_vector(frame, constants) -> tuple[bool, ...]:
 def disk_sweep_run(spec, constants) -> dict:
     """Reference sweep replicate: write the cohort of spec, read it back
     and evaluate all its videos as one run, with Dice and ROI accuracy
-    off; returns the run entry (EmptyCohortError when every video
+    off; returns the run entry (CarcinoError when every video
     fails)."""
     with tempfile.TemporaryDirectory() as workdir:
         cohort = load_cohort(generate_cohort(spec, workdir))

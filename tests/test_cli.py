@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -376,42 +377,97 @@ def _fuzz_video(root: Path) -> Path:
     return manifest
 
 
+def _byte_edits(files):
+    """1-4 edits of the named files, each (file, offset, kind, value)."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(files),
+            st.integers(0, 2**20),  # taken modulo the file size
+            st.sampled_from(["flip", "set"]),
+            st.integers(0, 255),  # the bit to flip (modulo 8) or the byte to write
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def _edit_bytes(directory: Path, edits) -> None:
+    for name, offset, kind, value in edits:
+        path = directory / name
+        data = bytearray(path.read_bytes())
+        offset %= len(data)
+        data[offset] = data[offset] ^ (1 << value % 8) if kind == "flip" else value
+        path.write_bytes(bytes(data))
+
+
 _FUZZ_FILES = (
     "manifest.json", "frames/f000.organ.msk", "frames/f000.pc.msk",
     "frames/f001.organ.msk", "frames/f001.pc.msk",
 )
-_BYTE_EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(_FUZZ_FILES),
-        st.integers(0, 2**20),  # taken modulo the file size
-        st.sampled_from(["flip", "set"]),
-        st.integers(0, 255),  # the bit to flip (modulo 8) or the byte to write
-    ),
-    min_size=1,
-    max_size=4,
-)
 
 
 @settings(max_examples=120, deadline=None)
-@given(edits=_BYTE_EDITS)
+@given(edits=_byte_edits(_FUZZ_FILES))
 def test_score_survives_byte_edits(edits):
     """Byte edits to a small video's manifest and rasters make score exit
     0, 2, 3 or 4, never raise; what it writes on 0 is canonical JSON,
     also when an edit reaches the video id."""
     with tempfile.TemporaryDirectory() as tmp:
         manifest = _fuzz_video(Path(tmp))
-        for name, offset, kind, value in edits:
-            path = manifest.parent / name
-            data = bytearray(path.read_bytes())
-            offset %= len(data)
-            data[offset] = data[offset] ^ (1 << value % 8) if kind == "flip" else value
-            path.write_bytes(bytes(data))
+        _edit_bytes(manifest.parent, edits)
         out = Path(tmp) / "score.json"
         code = main(["score", str(manifest), "--out", str(out)])
         assert code in (0, 2, 3, 4)
         if code == 0:
             text = out.read_text(encoding="utf-8")
             assert text == maskio.canonical_json(json.loads(text))
+
+
+@pytest.fixture(scope="module")
+def edit_cohort(tmp_path_factory):
+    """A 3-video 16x16 cohort and its unedited independent report."""
+    root = tmp_path_factory.mktemp("edit-cohort")
+    spec = SynthSpec(seed=3, n_videos=3, frame_size=(16, 16), frames_per_video=2)
+    index = synth.generate_cohort(spec, root / "cohort")
+    out = root / "report.json"
+    assert main(["evaluate", str(index), "--independent", "--out-json", str(out)]) == 0
+    return index.parent, json.loads(out.read_text())
+
+
+_EDIT_COHORT_FILES = (
+    "manifest.json",
+    *(f"frames/f{f:04d}.{plane}.msk" for f in range(2) for plane in ("organ", "pc", "gtlab", "gtpc")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(video=st.integers(0, 2), edits=_byte_edits(_EDIT_COHORT_FILES))
+def test_evaluate_survives_byte_edits(edit_cohort, video, edits):
+    """Byte edits to one video's manifest and rasters make evaluate exit
+    0, 2, 3 or 4 alike at --jobs 1 and 2. On 0 the two reports are equal,
+    every other video scores as in the unedited report, and only the
+    edited video may be listed as failed."""
+    source, clean = edit_cohort
+    vid = f"v{video:04d}"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(source, Path(tmp) / "cohort")
+        _edit_bytes(root / "videos" / vid, edits)
+        codes, reports = [], []
+        for jobs in (1, 2):
+            out = Path(tmp) / f"report-{jobs}.json"
+            argv = ["evaluate", str(root / "index.json"), "--independent",
+                    "--jobs", str(jobs), "--out-json", str(out)]
+            codes.append(main(argv))
+            reports.append(out.read_bytes() if out.exists() else None)
+    assert codes[0] in (0, 2, 3, 4)
+    assert codes[0] == codes[1]
+    if codes[0] == 0:
+        assert reports[0] == reports[1]
+        run, clean_run = json.loads(reports[0])["runs"][0], clean["runs"][0]
+        for other, entry in clean_run["videos"].items():
+            if other != vid:
+                assert run["videos"][other] == entry
+        assert set(run["failed"]) <= {vid}
 
 
 # --- split -------------------------------------------------------------------
@@ -540,6 +596,15 @@ def test_evaluate_missing_ground_truth_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "v0001" in err
+
+
+def test_evaluate_an_index_without_videos_exits_2(tmp_path, capsys):
+    """An index of no videos makes an empty run, which is invalid input,
+    not a run in which every video failed."""
+    index = tmp_path / "index.json"
+    save_cohort_index("empty", [], index)
+    assert main(["evaluate", str(index), "--independent"]) == 2
+    assert capsys.readouterr().err == "error: run 'model0' has no videos\n"
 
 
 def test_missing_ground_truth_error_names_the_first_video_in_cohort_order(tmp_path):
@@ -727,6 +792,64 @@ def test_evaluate_normalizes_rmse_by_points_per_station(tmp_path):
     assert any(run["fs_rmse"] > 0 for run in report["runs"])
     for run in report["runs"]:
         assert run["fs_rmse_normalized"] == run["fs_rmse"] / 3
+
+
+def _leaves(value, path=()):
+    """(path, leaf) pairs of a JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path, value
+
+
+@pytest.fixture(scope="module")
+def shuffle_cohort(tmp_path_factory):
+    """A noisy 12-video 32x32 cohort, its 3-fold file and its report at
+    each Dice average, in the generated index order."""
+    root = tmp_path_factory.mktemp("shuffle-cohort")
+    noise = NoiseSpec(confidence_jitter=0.1, boundary_morph=1, false_blob_rate=0.5, miss_rate=0.2)
+    spec = SynthSpec(seed=0, n_videos=12, frame_size=(32, 32), frames_per_video=3, noise=noise)
+    index = synth.generate_cohort(spec, root / "cohort")
+    folds = root / "folds.json"
+    assert main(["split", str(index), "--k", "3", "--out", str(folds)]) == 0
+    reports = {}
+    for average in ("frame", "video"):
+        out = root / f"report-{average}.json"
+        argv = ["evaluate", str(index), "--folds", str(folds), "--dice-average", average]
+        assert main([*argv, "--out-json", str(out)]) == 0
+        reports[average] = json.loads(out.read_text())
+    return index, folds, reports
+
+
+@pytest.mark.parametrize("average", ["frame", "video"])
+@settings(max_examples=5, deadline=None)
+@given(order=st.permutations(range(12)))
+def test_reordering_the_cohort_index_leaves_the_report_unchanged(shuffle_cohort, average, order):
+    """The videos of the index in any order, with the same fold file,
+    give the same report: every leaf equal, but the Dice leaves, which
+    are means summed in index order and may differ in the last bits.
+    With a correctly rounded sum (math.fsum) in metrics these leaves
+    would be exact too, and the tolerance could go; abs_tol covers a
+    Dice std of exactly 0 on one side."""
+    index, folds, reports = shuffle_cohort
+    data = json.loads(index.read_text())
+    shuffled = index.with_name("shuffled.json")  # beside index.json, for its relative paths
+    shuffled.write_text(json.dumps({**data, "videos": [data["videos"][i] for i in order]}))
+    out = index.with_name("shuffled-report.json")
+    argv = ["evaluate", str(shuffled), "--folds", str(folds), "--dice-average", average]
+    assert main([*argv, "--out-json", str(out)]) == 0
+    got = dict(_leaves(json.loads(out.read_text())))
+    want = dict(_leaves(reports[average]))
+    assert list(got) == list(want)
+    for path, value in want.items():
+        if "dice" in path and value is not None and got[path] is not None:
+            assert math.isclose(got[path], value, rel_tol=1e-12, abs_tol=1e-12), path
+        else:
+            assert got[path] == value, path
 
 
 @pytest.mark.parametrize(

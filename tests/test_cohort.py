@@ -21,12 +21,7 @@ from carcino.cohort import (
     stratified_kfold,
 )
 from carcino.core import ScoringConstants
-from carcino.errors import (
-    CarcinoError,
-    ManifestError,
-    MissingGroundTruthError,
-    TooFewVideosError,
-)
+from carcino.errors import CarcinoError, ManifestError
 from conftest import cohort_video
 from oracles import fold_ids
 
@@ -72,16 +67,16 @@ def test_k1_single_fold():
 
 def test_too_few_videos():
     cohort = _cohort_with_fs([0, 2, 4, 6])
-    with pytest.raises(TooFewVideosError):
+    with pytest.raises(CarcinoError, match="cohort has 4 videos, cannot make 5 folds"):
         stratified_kfold(cohort, k=5, seed=0)
-    with pytest.raises(TooFewVideosError):
+    with pytest.raises(CarcinoError, match="fold count must be >= 1, got 0"):
         stratified_kfold(cohort, k=0, seed=0)
 
 
 def test_missing_ground_truth_rejected():
     video = cohort_video("x", None)
     cohort = cm.Cohort(name="t", videos=(video,))
-    with pytest.raises(MissingGroundTruthError):
+    with pytest.raises(CarcinoError, match="has no ground truth"):
         stratified_kfold(cohort, k=1, seed=0)
 
 
@@ -383,7 +378,7 @@ def test_evaluate_requires_ground_truth(small_cohort_index):
             for v in cohort.videos
         ),
     )
-    with pytest.raises(MissingGroundTruthError) as excinfo:
+    with pytest.raises(CarcinoError, match="has no ground truth") as excinfo:
         evaluate_cohort(stripped, independent_runs(stripped), predictor="oracle")
     assert "v00" in str(excinfo.value)
 
@@ -416,8 +411,10 @@ def test_evaluate_rejects_a_callable_predictor(small_cohort_index):
     [
         ({"dice_average": "median"}, "dice_average must be 'frame' or 'video'"),
         ({"runs": []}, "no runs to evaluate"),
+        # a run of no videos, which used to be reported as a run whose videos all failed
+        ({"runs": [EvalRun("empty", ()), EvalRun("one", ("v00",))]}, "^run 'empty' has no videos$"),
     ],
-    ids=["unknown-dice-average", "no-runs"],
+    ids=["unknown-dice-average", "no-runs", "run-without-videos"],
 )
 def test_evaluate_rejects_bad_options(small_cohort_index, options, message):
     cohort = load_cohort(small_cohort_index)

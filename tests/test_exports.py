@@ -46,3 +46,30 @@ def test_package_imports_only_listed_names():
         exports = _exports(importlib.import_module(f"carcino.{node.module}"))
         unlisted = [alias.name for alias in node.names if alias.name not in exports]
         assert unlisted == [], f"carcino imports {unlisted}, not exported by {node.module}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names an import statement of source binds that no Name node of
+    source reads (an attribute base is a Name too). from __future__
+    imports, and lines marked ``# noqa: F401``, are not counted."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    """No module imports a name it does not use; the package's own
+    __init__.py imports to re-export, and is checked above instead."""
+    path = Path(carcino.__file__).with_name(f"{name}.py")
+    unused = _unused_imports(path.read_text(encoding="utf-8"))
+    assert unused == [], f"carcino.{name} imports unused {unused}"

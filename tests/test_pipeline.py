@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 from carcino import cohort, maskio, pipeline, synth
 from carcino.cohort import EvalRun, evaluate_cohort, load_cohort
 from carcino.core import _ORGANS_OF, _STATION_OF, Indication, OrganClass, ScoringConstants, Station
-from carcino.errors import (
-    CarcinoError,
-    ChannelCountMismatchError,
-    DimensionMismatchError,
-    NoAssessableFramesError,
-)
+from carcino.errors import CarcinoError, NoAssessableFramesError
 
 import oracles
 from conftest import blank_organ_conf, classify, make_frame, write_video
@@ -62,7 +57,7 @@ def test_threshold_organ_masks_channel_count():
     ever sees one."""
     frame = make_frame(blank_organ_conf((2, 2)), np.zeros((2, 2)))
     assert pipeline.threshold_organ_masks(frame, CONSTANTS).shape == (8, 2, 2)
-    with pytest.raises(ChannelCountMismatchError):
+    with pytest.raises(CarcinoError, match=r"organ_conf is \(7, 2, 2\), not \(8, H, W\)"):
         maskio.ConfidenceFrame(
             frame_index=0,
             time_s=0.0,
@@ -353,14 +348,14 @@ def test_assign_checks_the_channel_count_without_nodules():
     first."""
     empty = pipeline.connected_components(np.zeros((4, 4), dtype=bool))
     for bad in (np.zeros((7, 0), np.float32), np.zeros(0, np.float32)):
-        with pytest.raises(ChannelCountMismatchError):
+        with pytest.raises(CarcinoError, match="expected 8 organ channels"):
             pipeline.assign_nodules(empty, bad, CONSTANTS)
     assert len(pipeline.assign_nodules(empty, np.zeros((8, 0), np.float32), CONSTANTS)) == 0
 
 
 def test_assign_rejects_pixels_outside_frame():
     """A pixel label outside [-1, len(table)), or a pixel count other than
-    pixel_conf's, raises DimensionMismatchError, not a bare ValueError
+    pixel_conf's, raises CarcinoError, not a bare ValueError
     from np.bincount; a pixel labelled -1, of a dropped nodule, counts
     for no nodule."""
     mask = np.zeros((4, 4), dtype=bool)
@@ -369,11 +364,11 @@ def test_assign_rejects_pixels_outside_frame():
     for bad in (2, 16, -2):
         table = pipeline.connected_components(mask)
         table.pixel_nodule[1] = bad
-        with pytest.raises(DimensionMismatchError, match=r"\[-1, 2\)"):
+        with pytest.raises(CarcinoError, match=r"\[-1, 2\)"):
             pipeline.assign_nodules(table, pixel_conf, CONSTANTS)
     for columns in (1, 3):
         table = pipeline.connected_components(mask)
-        with pytest.raises(DimensionMismatchError, match="pixel_conf"):
+        with pytest.raises(CarcinoError, match="pixel_conf"):
             pipeline.assign_nodules(table, np.ones((8, columns), np.float32), CONSTANTS)
     table = pipeline.connected_components(mask)
     table.pixel_nodule[1] = -1
@@ -655,7 +650,7 @@ def test_score_video_rejects_mixed_dimensions(tmp_path):
         {"organ_conf": blank_organ_conf((5, 5), 0.95), "pc_conf": np.zeros((5, 5))},
     ]
     manifest = write_video(tmp_path, "mixed", frames)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(CarcinoError, match=r"raster size \(5, 5\) differs from \(4, 4\)"):
         pipeline.score_video(manifest)
 
 
@@ -830,18 +825,18 @@ def test_a_frame_without_eight_organ_planes_fails_on_every_path(tmp_path):
     """A frame of 7 organ planes, or of one 2-D organ plane, cannot be
     built in memory; read from disk, a ROI frame without nodules and a
     non-ROI frame that feeds only the carcinomatosis Dice each raise
-    ChannelCountMismatchError, though neither thresholds full organ
-    masks."""
+    CarcinoError on the channel count, though neither thresholds full
+    organ masks."""
     seven, pc = np.zeros((7, 2, 2), np.float32), np.zeros((2, 2))
     for organ_conf in (seven, np.zeros((2, 2), np.float32)):
-        with pytest.raises(ChannelCountMismatchError):
+        with pytest.raises(CarcinoError, match=r"organ_conf is \(.*\), not \(8, H, W\)"):
             make_frame(organ_conf, pc)
     roi_frame = {"organ_conf": seven, "pc_conf": pc, "roi_score": 0.9}
     dice_frame = {**roi_frame, "roi_score": 0.1, "gt_roi": True, "gt_pc": np.zeros((2, 2))}
     manifest = write_video(tmp_path, "v", [roi_frame, dice_frame])
     for record, want_dice in zip(manifest.frames, (False, True)):
         load = maskio.frame_loader(manifest.base_dir)
-        with pytest.raises(ChannelCountMismatchError):
+        with pytest.raises(CarcinoError, match="7 channels, not 8"):
             pipeline.score_frames("v", [record], load, CONSTANTS, want_dice)
 
 
@@ -851,7 +846,7 @@ def test_classify_frame_checks_the_size_of_a_given_pc_mask():
     mask = np.zeros((4, 4), dtype=bool)
     mask[1, 1] = True
     for bad in (np.zeros((8, 2), np.float32), np.zeros((8, 4, 4), np.float32)):
-        with pytest.raises(DimensionMismatchError, match="pc_mask has 1 true pixels"):
+        with pytest.raises(CarcinoError, match="pc_mask has 1 true pixels"):
             pipeline.classify_frame(mask, bad, CONSTANTS)
 
 
@@ -1019,7 +1014,7 @@ def test_score_frames_matches_former_evaluation_loop(frames, want_dice):
     prediction and Dice lists (values and order) as the former
     evaluation loop, and the relevance counts taken from the records
     equal its ROI counts; its two failures keep their messages and
-    become NoAssessableFramesError and DimensionMismatchError."""
+    become NoAssessableFramesError and CarcinoError."""
 
     def merged(load):
         video, dice = pipeline.score_frames("v", frames, load, CONSTANTS, want_dice)
@@ -1038,7 +1033,7 @@ def test_score_frames_matches_former_evaluation_loop(frames, want_dice):
     assert _relevance(frames) == _oracle_relevance(frames)
     assert loaded == want_loaded
     if isinstance(want, tuple):  # the size check
-        assert got == (DimensionMismatchError, want[1])
+        assert got == (CarcinoError, want[1])
     elif "error" in want["prediction"]:
         assert got == (NoAssessableFramesError, want["prediction"]["error"])
     else:

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from carcino import maskio, pipeline, synth
 from carcino.cohort import load_cohort
 from carcino.core import Indication, ScoringConstants
-from carcino.errors import EmptyCohortError, InvalidSpecError
+from carcino.errors import CarcinoError, InvalidSpecError
 from carcino.synth import NoiseSpec, SynthSpec, generate_cohort, monte_carlo_sweep
 
 from oracles import (
@@ -381,7 +381,7 @@ _sweep_specs = st.builds(
 def _run_or_error(make_run):
     try:
         return make_run()
-    except EmptyCohortError as exc:
+    except CarcinoError as exc:
         return type(exc), str(exc)
 
 
