@@ -74,4 +74,4 @@ from .synth import (
     render_sweep_text,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -129,7 +129,14 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_SWEEP_FLAGS = ("--levels", "--replicates", "--out-json", "--out-csv", "--config")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if not args.sweep:
+        given = [f for f in _SWEEP_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
+        if given:
+            raise CarcinoError(f"only a --sweep reads {', '.join(given)}")
     spec = synth.SynthSpec.from_json_file(args.spec)
     if args.seed is not None:
         spec = synth.SynthSpec.from_dict({**spec.to_dict(), "seed": args.seed})
@@ -142,9 +149,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError:
             raise CarcinoError(f"--levels must be comma-separated numbers, got {args.levels!r}") from None
         constants = _resolve_constants(args)
-        report = synth.monte_carlo_sweep(
-            spec, args.sweep, levels, args.replicates, constants, jobs=jobs
-        )
+        replicates = 1 if args.replicates is None else args.replicates
+        report = synth.monte_carlo_sweep(spec, args.sweep, levels, replicates, constants, jobs=jobs)
         if args.out_json:
             Path(args.out_json).write_text(maskio.canonical_json(report), encoding="utf-8")
         if args.out_csv:
@@ -179,9 +185,7 @@ def _reject_constant(name: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = _read_json(
-        args.report, CarcinoError, parse_float=_finite_float, parse_constant=_reject_constant
-    )
+    report = _read_json(args.report, parse_float=_finite_float, parse_constant=_reject_constant)
     if not isinstance(report, dict):
         raise CarcinoError(f"{args.report}: expected a JSON object")
     if args.format == "json":
@@ -241,7 +245,7 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--sweep", metavar="PARAM", help="noise parameter to sweep (e.g. miss_rate)")
     p.add_argument("--levels", metavar="X,Y,...", help="comma-separated sweep levels")
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--replicates", type=int, help="replicates per level (default 1)")
     p.add_argument("--out-json", metavar="FILE", help="write the sweep report here")
     p.add_argument("--out-csv", metavar="FILE", help="write a per-replicate CSV table")
     _add_common_flags(p, "--config", "--seed", "--jobs", "--format")

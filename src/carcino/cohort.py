@@ -35,7 +35,7 @@ from .core import (
     compute_fs,
     compute_its,
 )
-from .errors import CarcinoError, ManifestError
+from .errors import CarcinoError
 from .maskio import VideoGroundTruth, VideoManifest, canonical_json
 from .metrics import ConfusionCounts
 from .pipeline import PC_DICE_KEY
@@ -130,15 +130,15 @@ def load_cohort(index_path: str | Path) -> Cohort:
     directory. Ground-truth consistency is validated per manifest.
     """
     index_path = Path(index_path)
-    data = _read_json(index_path, ManifestError)
+    data = _read_json(index_path)
     if not isinstance(data, dict) or not isinstance(data.get("videos"), list):
-        raise ManifestError(f"{index_path}: expected an object with a 'videos' list")
+        raise CarcinoError(f"{index_path}: expected an object with a 'videos' list")
     # an unnamed cohort takes the name of the index's directory; the path is
     # made absolute and normalised first, so that a bare "index.json" or a
     # "../index.json" names a directory, not "" or ".."
     name = data.get("name", Path(os.path.abspath(index_path)).parent.name)
     if not isinstance(name, str):
-        raise ManifestError(f"{index_path}: 'name' must be a string, got {name!r}")
+        raise CarcinoError(f"{index_path}: 'name' must be a string, got {name!r}")
     if "name" in data:  # a directory's name is taken as the OS gives it
         maskio._encoded(name, f"{index_path}: 'name'")
     videos = []
@@ -148,14 +148,14 @@ def load_cohort(index_path: str | Path) -> Cohort:
             and isinstance(entry.get("video_id"), str)
             and isinstance(entry.get("manifest"), str)
         ):
-            raise ManifestError(
+            raise CarcinoError(
                 f"{index_path}: videos[{i}] needs string 'video_id' and 'manifest'"
             )
         maskio._check_path(entry["manifest"], f"{index_path}: videos[{i}] 'manifest'")
         manifest_path = index_path.parent / entry["manifest"]
         manifest = maskio.load_manifest(manifest_path)
         if manifest.video_id != entry["video_id"]:
-            raise ManifestError(
+            raise CarcinoError(
                 f"{index_path}: videos[{i}] id {entry['video_id']!r} does not match "
                 f"manifest id {manifest.video_id!r}"
             )
@@ -251,7 +251,7 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int = 0) -> FoldAssignment:
 
 
 def load_folds(path: str | Path) -> FoldAssignment:
-    return FoldAssignment.from_dict(_read_json(path, CarcinoError))
+    return FoldAssignment.from_dict(_read_json(path))
 
 
 # --- evaluation -----------------------------------------------------------

@@ -97,39 +97,37 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _read_json(
-    path: str | Path, error: type[CarcinoError], where: str | None = None, **loads_kwargs
-):
+def _read_json(path: str | Path, where: str | None = None, **loads_kwargs):
     """The JSON value in the UTF-8 file at path, read with json.loads and
     loads_kwargs. Text that does not decode or parse, nests too deeply, or
-    fails a loads_kwargs hook raises error(f"{where or path}: invalid JSON
-    (...)"); a file that cannot be read raises OSError."""
+    fails a loads_kwargs hook raises CarcinoError(f"{where or path}:
+    invalid JSON (...)"); a file that cannot be read raises OSError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), **loads_kwargs)
     except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
-        raise error(f"{where or path}: invalid JSON ({exc})") from exc
+        raise CarcinoError(f"{where or path}: invalid JSON ({exc})") from exc
 
 
-def _check_scalar_fields(obj, error: type[CarcinoError]) -> None:
-    """Raise ``error`` unless every dataclass field of obj declared ``int``
+def _check_scalar_fields(obj) -> None:
+    """CarcinoError unless every dataclass field of obj declared ``int``
     holds an int and every field declared ``float`` holds a finite int
     or float; bools are neither. Fields of other types are not checked."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in ("int", int) and not _is_int(value):
-            raise error(f"{f.name} must be an integer, got {value!r}")
+            raise CarcinoError(f"{f.name} must be an integer, got {value!r}")
         if f.type in ("float", float) and not (
             _is_int(value) or (isinstance(value, float) and math.isfinite(value))
         ):
-            raise error(f"{f.name} must be a finite number, got {value!r}")
+            raise CarcinoError(f"{f.name} must be a finite number, got {value!r}")
 
 
-def _known_fields(cls, data: dict, error: type[CarcinoError], what: str) -> dict:
+def _known_fields(cls, data: dict, what: str) -> dict:
     """data, once each of its keys names a field of the dataclass cls;
-    error(f"unknown {what} field(s): [...]") if some key does not."""
+    CarcinoError(f"unknown {what} field(s): [...]") if some key does not."""
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise error(f"unknown {what} field(s): {sorted(unknown)}")
+        raise CarcinoError(f"unknown {what} field(s): {sorted(unknown)}")
     return data
 
 
@@ -146,7 +144,9 @@ class ScoringConstants:
         (inclusive, >= semantics, at float32 precision); in (0, 1], and
         above 0 at float32, so a pixel of confidence 0 never enters.
     points_per_positive_station: score contribution of an involved
-        station, and so the score step the normalized RMSE divides by.
+        station, and so the score step the normalized RMSE divides by;
+        at most 2**53 // 6, so every score (up to six times it) is an
+        exact float and no squared score error overflows.
     its_cutoff: total score at or above which surgery is contraindicated.
     roi_threshold: minimum relevance score for a frame to be assessed.
     min_nodule_pixels: speck suppression; nodules smaller than this are
@@ -161,7 +161,7 @@ class ScoringConstants:
     min_nodule_pixels: int = 1
 
     def __post_init__(self) -> None:
-        _check_scalar_fields(self, CarcinoError)
+        _check_scalar_fields(self)
         for name in ("organ_confidence_threshold", "pc_confidence_threshold"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -172,6 +172,8 @@ class ScoringConstants:
             raise CarcinoError("roi_threshold must lie in [0, 1]")
         if self.points_per_positive_station <= 0:
             raise CarcinoError("points_per_positive_station must be positive")
+        if 6 * self.points_per_positive_station > 2**53:
+            raise CarcinoError(f"points_per_positive_station must be at most {2**53 // 6}")
         if self.its_cutoff <= 0:
             raise CarcinoError("its_cutoff must be positive")
         if self.min_nodule_pixels < 1:
@@ -189,12 +191,12 @@ class ScoringConstants:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoringConstants":
-        return cls(**_known_fields(cls, data, CarcinoError, "constants"))
+        return cls(**_known_fields(cls, data, "constants"))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScoringConstants":
         """Load overrides from a JSON object; absent fields keep defaults."""
-        data = _read_json(path, CarcinoError, f"constants file {path}")
+        data = _read_json(path, f"constants file {path}")
         if not isinstance(data, dict):
             raise CarcinoError(f"constants file {path}: expected a JSON object")
         return cls.from_dict(data)

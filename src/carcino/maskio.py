@@ -40,7 +40,7 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 from .core import Indication, ScoringConstants, STATION_SLUGS, _read_json, compute_fs, compute_its
-from .errors import CarcinoError, ManifestError, MaskFormatError
+from .errors import CarcinoError, MaskFormatError
 
 __all__ = [
     "MAGIC",
@@ -335,7 +335,7 @@ class VideoGroundTruth:
 
     def __post_init__(self) -> None:
         if len(self.stations) != 6:
-            raise ManifestError("ground truth needs exactly 6 station flags")
+            raise CarcinoError("ground truth needs exactly 6 station flags")
 
     @property
     def fs(self) -> int:
@@ -357,79 +357,79 @@ class VideoManifest:
 
 def _require(mapping: dict, field: str, context: str):
     if field not in mapping:
-        raise ManifestError(f"{context}: missing field {field!r}")
+        raise CarcinoError(f"{context}: missing field {field!r}")
     return mapping[field]
 
 
 def _as_number(value, field: str, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ManifestError(f"{context}: field {field!r} must be a number")
+        raise CarcinoError(f"{context}: field {field!r} must be a number")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ManifestError(f"{context}: field {field!r} must be a finite number")
+        raise CarcinoError(f"{context}: field {field!r} must be a finite number")
     return number
 
 
 def _encoded(value: str, where: str, encode: Callable[[str], bytes] = str.encode) -> bytes:
-    """encode(value), UTF-8 by default, as text output needs; ManifestError
+    """encode(value), UTF-8 by default, as text output needs; CarcinoError
     naming where if it fails, as it does for the lone surrogate that a
     JSON escape such as "\\ud800" parses into."""
     try:
         return encode(value)
     except UnicodeEncodeError as exc:
-        raise ManifestError(f"{where} must not contain {value[exc.start]!r}") from None
+        raise CarcinoError(f"{where} must not contain {value[exc.start]!r}") from None
 
 
 def _check_path(value: str, where: str) -> None:
-    """ManifestError unless value can name a file: os.fsencode takes it,
+    """CarcinoError unless value can name a file: os.fsencode takes it,
     a surrogate escape of a file-name byte (U+DC80-U+DCFF on a UTF-8 file
     system) standing for that byte, and it holds no NUL."""
     if b"\x00" in _encoded(value, where, os.fsencode):
-        raise ManifestError(f"{where} must not contain a NUL character")
+        raise CarcinoError(f"{where} must not contain a NUL character")
 
 
 def _check_frame_scalars(frame_index, time_s, roi_score, context: str) -> tuple[int, float, float]:
     """A frame's index (an integer), time (a finite number) and relevance
-    score (a number in [0, 1]), with the numbers as floats; ManifestError
+    score (a number in [0, 1]), with the numbers as floats; CarcinoError
     for any other value."""
     if isinstance(frame_index, bool) or not isinstance(frame_index, int):
-        raise ManifestError(f"{context}: 'frame_index' must be an integer")
+        raise CarcinoError(f"{context}: 'frame_index' must be an integer")
     time_s = _as_number(time_s, "time_s", context)
     roi_score = _as_number(roi_score, "roi_score", context)
     if not 0.0 <= roi_score <= 1.0:
-        raise ManifestError(f"{context}: roi_score {roi_score} outside [0, 1]")
+        raise CarcinoError(f"{context}: roi_score {roi_score} outside [0, 1]")
     return frame_index, time_s, roi_score
 
 
 def _parse_ground_truth(data: dict, context: str) -> VideoGroundTruth:
     stations_map = _require(data, "stations", context)
     if not isinstance(stations_map, dict):
-        raise ManifestError(f"{context}: 'stations' must be an object")
+        raise CarcinoError(f"{context}: 'stations' must be an object")
     extra = set(stations_map) - set(STATION_SLUGS)
     if extra:
-        raise ManifestError(f"{context}: unknown station key(s) {sorted(extra)}")
+        raise CarcinoError(f"{context}: unknown station key(s) {sorted(extra)}")
     flags = []
     for slug in STATION_SLUGS:
         value = _require(stations_map, slug, f"{context}.stations")
         if not isinstance(value, bool):
-            raise ManifestError(f"{context}: station {slug!r} must be a boolean")
+            raise CarcinoError(f"{context}: station {slug!r} must be a boolean")
         flags.append(value)
     fs = _require(data, "fs", context)
     if isinstance(fs, bool) or not isinstance(fs, int):
-        raise ManifestError(f"{context}: 'fs' must be an integer")
+        raise CarcinoError(f"{context}: 'fs' must be an integer")
     its_raw = _require(data, "its", context)
     try:
         its = Indication(its_raw)
     except ValueError:
-        raise ManifestError(f"{context}: unknown indication {its_raw!r}") from None
+        raise CarcinoError(f"{context}: unknown indication {its_raw!r}") from None
     truth = VideoGroundTruth(tuple(flags))
     if fs != truth.fs:
-        raise ManifestError(f"fs is {fs} but {truth.fs} station points are flagged")
+        raise CarcinoError(f"fs is {fs} but {truth.fs} station points are flagged")
     if its is not truth.its:
-        raise ManifestError(
+        raise CarcinoError(
             f"its is {its.value} but fs {fs} implies {truth.its.value}"
         )
     return truth
@@ -447,11 +447,11 @@ def _parse_frame(data: dict, context: str) -> FrameRecord:
     )
     for name, value in paths.items():
         if not isinstance(value, str):
-            raise ManifestError(f"{context}: {name!r} must be a path string")
+            raise CarcinoError(f"{context}: {name!r} must be a path string")
         _check_path(value, f"{context}: {name!r}")
     gt_roi = data.get("gt_roi")
     if gt_roi is not None and not isinstance(gt_roi, bool):
-        raise ManifestError(f"{context}: 'gt_roi' must be a boolean")
+        raise CarcinoError(f"{context}: 'gt_roi' must be a boolean")
     return FrameRecord(
         frame_index=frame_index, time_s=time_s, roi_score=roi_score, gt_roi=gt_roi, **paths
     )
@@ -459,28 +459,28 @@ def _parse_frame(data: dict, context: str) -> FrameRecord:
 
 def manifest_from_dict(data: dict, base_dir: Path | None = None) -> VideoManifest:
     if not isinstance(data, dict):
-        raise ManifestError("manifest must be a JSON object")
+        raise CarcinoError("manifest must be a JSON object")
     video_id = _require(data, "video_id", "manifest")
     if not isinstance(video_id, str) or not video_id:
-        raise ManifestError("manifest: 'video_id' must be a non-empty string")
+        raise CarcinoError("manifest: 'video_id' must be a non-empty string")
     _encoded(video_id, "manifest: 'video_id'")
     context = f"manifest {video_id!r}"
     frames_raw = _require(data, "frames", context)
     if not isinstance(frames_raw, list):
-        raise ManifestError(f"{context}: 'frames' must be a list")
+        raise CarcinoError(f"{context}: 'frames' must be a list")
     frames = []
     for i, frame_data in enumerate(frames_raw):
         if not isinstance(frame_data, dict):
-            raise ManifestError(f"{context}: frame {i} must be an object")
+            raise CarcinoError(f"{context}: frame {i} must be an object")
         frames.append(_parse_frame(frame_data, f"{context} frame {i}"))
     for prev, cur in zip(frames, frames[1:]):
         if cur.frame_index <= prev.frame_index:
-            raise ManifestError(
+            raise CarcinoError(
                 f"{context}: frame_index must be strictly increasing "
                 f"({prev.frame_index} then {cur.frame_index})"
             )
         if cur.time_s < prev.time_s:
-            raise ManifestError(
+            raise CarcinoError(
                 f"{context}: time_s must be non-decreasing "
                 f"({prev.time_s} then {cur.time_s})"
             )
@@ -488,21 +488,21 @@ def manifest_from_dict(data: dict, base_dir: Path | None = None) -> VideoManifes
     if data.get("ground_truth") is not None:
         gt_raw = data["ground_truth"]
         if not isinstance(gt_raw, dict):
-            raise ManifestError(f"{context}: 'ground_truth' must be an object")
+            raise CarcinoError(f"{context}: 'ground_truth' must be an object")
         ground_truth = _parse_ground_truth(gt_raw, f"{context} ground_truth")
     roi_segments = None
     if data.get("roi_segments") is not None:
         segments_raw = data["roi_segments"]
         if not isinstance(segments_raw, list):
-            raise ManifestError(f"{context}: 'roi_segments' must be a list")
+            raise CarcinoError(f"{context}: 'roi_segments' must be a list")
         segments = []
         for seg in segments_raw:
             if not isinstance(seg, (list, tuple)) or len(seg) != 2:
-                raise ManifestError(f"{context}: each ROI segment must be [start_s, end_s]")
+                raise CarcinoError(f"{context}: each ROI segment must be [start_s, end_s]")
             start_s = _as_number(seg[0], "roi_segments", context)
             end_s = _as_number(seg[1], "roi_segments", context)
             if end_s < start_s:
-                raise ManifestError(f"{context}: ROI segment ends before it starts")
+                raise CarcinoError(f"{context}: ROI segment ends before it starts")
             segments.append((start_s, end_s))
         roi_segments = tuple(segments)
     return VideoManifest(
@@ -542,7 +542,7 @@ def canonical_json(data) -> str:
 
 def load_manifest(path: str | Path) -> VideoManifest:
     path = Path(path)
-    return manifest_from_dict(_read_json(path, ManifestError), base_dir=path.parent)
+    return manifest_from_dict(_read_json(path), base_dir=path.parent)
 
 
 def save_manifest(manifest: VideoManifest, path: str | Path) -> None:

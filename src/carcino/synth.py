@@ -52,7 +52,7 @@ from .core import (
     _read_json,
     _rng,
 )
-from .errors import InvalidSpecError, NoAssessableFramesError
+from .errors import CarcinoError, NoAssessableFramesError
 from .maskio import (
     ConfidenceFrame,
     FrameRecord,
@@ -100,15 +100,15 @@ class NoiseSpec:
     miss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_scalar_fields(self, InvalidSpecError)
+        _check_scalar_fields(self)
         if self.confidence_jitter < 0:
-            raise InvalidSpecError("confidence_jitter must be >= 0")
+            raise CarcinoError("confidence_jitter must be >= 0")
         if self.boundary_morph < 0:
-            raise InvalidSpecError("boundary_morph must be >= 0")
+            raise CarcinoError("boundary_morph must be >= 0")
         if self.false_blob_rate < 0:
-            raise InvalidSpecError("false_blob_rate must be >= 0")
+            raise CarcinoError("false_blob_rate must be >= 0")
         if not 0.0 <= self.miss_rate <= 1.0:
-            raise InvalidSpecError("miss_rate must lie in [0, 1]")
+            raise CarcinoError("miss_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -125,41 +125,41 @@ class SynthSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self) -> None:
-        _check_scalar_fields(self, InvalidSpecError)
+        _check_scalar_fields(self)
         for name in ("frame_size", "nodules_per_positive_station"):
             value = getattr(self, name)
             if not (isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))):
-                raise InvalidSpecError(f"{name} must be two integers, got {value!r}")
+                raise CarcinoError(f"{name} must be two integers, got {value!r}")
         if not isinstance(self.station_prevalence, tuple) or any(
             isinstance(p, bool) or not isinstance(p, (int, float))
             for p in self.station_prevalence
         ):
-            raise InvalidSpecError("station_prevalence must be a list of numbers")
+            raise CarcinoError("station_prevalence must be a list of numbers")
         if not isinstance(self.noise, NoiseSpec):
-            raise InvalidSpecError("noise must be an object of noise parameters")
+            raise CarcinoError("noise must be an object of noise parameters")
         if self.n_videos < 1:
-            raise InvalidSpecError("n_videos must be >= 1")
+            raise CarcinoError("n_videos must be >= 1")
         width, height = self.frame_size
         if width < 16 or height < 16:
-            raise InvalidSpecError("frame_size must be at least 16x16")
+            raise CarcinoError("frame_size must be at least 16x16")
         if self.frames_per_video < 1:
-            raise InvalidSpecError("frames_per_video must be >= 1")
+            raise CarcinoError("frames_per_video must be >= 1")
         if len(self.station_prevalence) != 6:
-            raise InvalidSpecError("station_prevalence needs 6 entries")
+            raise CarcinoError("station_prevalence needs 6 entries")
         if any(not 0.0 <= p <= 1.0 for p in self.station_prevalence):
-            raise InvalidSpecError("station prevalences must lie in [0, 1]")
+            raise CarcinoError("station prevalences must lie in [0, 1]")
         lo, hi = self.nodules_per_positive_station
         if not 1 <= lo <= hi:
-            raise InvalidSpecError("nodules_per_positive_station must satisfy 1 <= lo <= hi")
+            raise CarcinoError("nodules_per_positive_station must satisfy 1 <= lo <= hi")
         if self.nonroi_frames_per_video < 0:
-            raise InvalidSpecError("nonroi_frames_per_video must be >= 0")
+            raise CarcinoError("nonroi_frames_per_video must be >= 0")
         for name, value, what, bound in (
             ("boundary_morph", self.noise.boundary_morph, "size", max(width, height)),
             ("false_blob_rate", self.noise.false_blob_rate, "area", width * height),
             ("nodules_per_positive_station", hi, "area", width * height),
         ):
             if value > bound:
-                raise InvalidSpecError(
+                raise CarcinoError(
                     f"{name} must be at most the frame {what} {bound}, got {value}"
                 )
 
@@ -172,23 +172,23 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
-        kwargs = dict(_known_fields(cls, data, InvalidSpecError, "spec"))
+        kwargs = dict(_known_fields(cls, data, "spec"))
         if "seed" not in kwargs:
-            raise InvalidSpecError("spec needs a 'seed'")
+            raise CarcinoError("spec needs a 'seed'")
         for name in ("frame_size", "station_prevalence", "nodules_per_positive_station"):
             if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         if isinstance(kwargs.get("noise"), dict):
             kwargs["noise"] = NoiseSpec(
-                **_known_fields(NoiseSpec, kwargs["noise"], InvalidSpecError, "noise")
+                **_known_fields(NoiseSpec, kwargs["noise"], "noise")
             )
         return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "SynthSpec":
-        data = _read_json(path, InvalidSpecError)
+        data = _read_json(path)
         if not isinstance(data, dict):
-            raise InvalidSpecError(f"{path}: expected a JSON object")
+            raise CarcinoError(f"{path}: expected a JSON object")
         return cls.from_dict(data)
 
 
@@ -592,7 +592,7 @@ def _noise_level(param: str, level: float) -> int | float:
     declared = next(f.type for f in fields(NoiseSpec) if f.name == param)
     if declared in ("int", int):
         if not float(level).is_integer():
-            raise InvalidSpecError(f"{param} takes whole-number levels, got {level}")
+            raise CarcinoError(f"{param} takes whole-number levels, got {level}")
         return int(level)
     return float(level)
 
@@ -671,11 +671,11 @@ def monte_carlo_sweep(
     """
     noise_fields = {f.name for f in fields(NoiseSpec)}
     if param not in noise_fields:
-        raise InvalidSpecError(f"unknown noise parameter {param!r}; one of {sorted(noise_fields)}")
+        raise CarcinoError(f"unknown noise parameter {param!r}; one of {sorted(noise_fields)}")
     if replicates < 1:
-        raise InvalidSpecError("replicates must be >= 1")
+        raise CarcinoError("replicates must be >= 1")
     if not levels:
-        raise InvalidSpecError("need at least one noise level")
+        raise CarcinoError("need at least one noise level")
     constants = constants or ScoringConstants()
     specs = [
         [

@@ -40,7 +40,7 @@ from carcino.cohort import EvalRun, FoldAssignment, evaluate_cohort, load_cohort
 from carcino.core import (
     _ORGANS_OF, _STATION_OF, ORGAN_SLUGS, STATION_SLUGS, OrganClass, Station,
 )
-from carcino.errors import CarcinoError, InvalidSpecError, MaskFormatError, NoAssessableFramesError
+from carcino.errors import CarcinoError, MaskFormatError, NoAssessableFramesError
 from carcino.synth import generate_cohort
 
 
@@ -362,7 +362,7 @@ def oracle_stations(video) -> tuple[bool, ...]:
     straight from the generation log."""
     gt = video.ground_truth
     if gt is None:
-        raise InvalidSpecError("video carries no planted ground truth")
+        raise CarcinoError("video carries no planted ground truth")
     return gt.stations
 
 
@@ -374,7 +374,7 @@ def oracle_fs(video) -> int:
     fs = 2 * sum(bool(s) for s in stations)
     stored = video.ground_truth.fs
     if fs != stored:
-        raise InvalidSpecError(f"stored fs {stored} disagrees with planted stations ({fs})")
+        raise CarcinoError(f"stored fs {stored} disagrees with planted stations ({fs})")
     return fs
 
 

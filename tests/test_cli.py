@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carcino import maskio, synth
+from carcino import cli, errors, maskio, synth
 from carcino.cli import build_parser, main
 from carcino.cohort import _summarize_report, load_cohort, save_cohort_index
 from carcino.synth import NoiseSpec, SynthSpec
@@ -155,6 +156,30 @@ def test_main_adds_only_the_chosen_subcommands_arguments(monkeypatch, tmp_path):
     main(["score", str(tmp_path / "missing.json")])
     # carcino's -h, then score's -h and its own four arguments
     assert added == ["-h", "-h", "manifest", "--out", "--config", "--format"]
+
+
+_EXIT_CODES = {"CarcinoError": 2, "MaskFormatError": 4, "NoAssessableFramesError": 3}
+
+
+def test_errors_define_one_class_per_exit_code(monkeypatch, capsys):
+    """carcino.errors defines exactly one class per exit code, and main
+    maps each onto its code with the message alone on stderr."""
+    classes = {
+        name: value
+        for name, value in vars(errors).items()
+        if inspect.isclass(value) and value.__module__ == errors.__name__
+    }
+    assert set(classes) == set(_EXIT_CODES)
+    help_line, _, add_arguments = cli._SUBCOMMANDS["report"]
+    for name, error in classes.items():
+
+        def fail(args, error=error):
+            raise error(f"a {name}")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "report", (help_line, fail, add_arguments))
+        assert main(["report", "r.json"]) == _EXIT_CODES[name]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: a {name}\n"
 
 
 # --- score -------------------------------------------------------------------
@@ -777,6 +802,46 @@ def test_config_threshold_zero_at_float32_exits_2(tmp_path, capsys, field):
         assert captured.out == "" and field in captured.err and "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "points", [2**53 // 6 + 1, 10**155, 10**308], ids=["2**53//6+1", "1e155", "1e308"]
+)
+def test_config_points_per_station_beyond_exact_floats_exits_2(tmp_path, capsys, points):
+    """Above 2**53 // 6 a score of six stations is no longer an exact
+    float; 10**155 overflowed squaring a score error in fs_rmse, and
+    10**308 converting the score to a float, each a traceback from
+    evaluate and simulate --sweep. Every command reading a config now
+    rejects such a value, naming the field."""
+    index = _mini_cohort(tmp_path, n_videos=6, noise=NoiseSpec(miss_rate=0.7, false_blob_rate=1.0))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(f'{{"points_per_positive_station": {points}}}')
+    for argv in (
+        ["score", str(load_cohort(index).videos[0].manifest_path)],
+        ["evaluate", str(index), "--independent"],
+        ["simulate", str(_sweep_spec(tmp_path)), "--sweep", "miss_rate", "--levels", "0"],
+    ):
+        assert main([*argv, "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: points_per_positive_station must be at most {2**53 // 6}\n"
+
+
+def test_points_per_station_at_the_bound_evaluates_exactly(tmp_path):
+    """At the largest accepted value every score is still exact: the
+    normalized RMSE, which divides the score step out, is the one the
+    default 2 points give."""
+    index = _mini_cohort(tmp_path, n_videos=6, noise=NoiseSpec(miss_rate=0.7, false_blob_rate=1.0))
+    config_path, out_json = tmp_path / "config.json", tmp_path / "report.json"
+    normalized = []
+    for points in (2, 2**53 // 6):
+        config_path.write_text(f'{{"points_per_positive_station": {points}}}')
+        argv = ["evaluate", str(index), "--independent", "--config", str(config_path)]
+        assert main([*argv, "--out-json", str(out_json)]) == 0
+        (run,) = json.loads(out_json.read_text())["runs"]
+        normalized.append(run["fs_rmse_normalized"])
+    assert normalized[0] > 0
+    assert math.isclose(normalized[0], normalized[1], rel_tol=1e-15)
+
+
 def test_evaluate_normalizes_rmse_by_points_per_station(tmp_path):
     """The normalized RMSE used to divide by a separate fs_step, which
     stayed 2 when a config made each station score 3 points."""
@@ -1155,6 +1220,31 @@ def test_simulate_usage_error_exits_2(tmp_path, capsys, argv, message):
     assert main(["simulate", str(spec_path), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_simulate_without_sweep_rejects_the_sweep_flags(tmp_path, capsys):
+    """Without --sweep, simulate used to accept the sweep's flags and
+    --config and ignore them: it wrote the cohort and exited 0, but neither
+    the report nor the table, and never opened the missing config."""
+    spec_path = _sweep_spec(tmp_path)
+    flags = [
+        "--levels", "1,2",
+        "--replicates", "3",
+        "--out-json", str(tmp_path / "x.json"),
+        "--out-csv", str(tmp_path / "y.csv"),
+        "--config", str(tmp_path / "nope.json"),
+    ]
+    argv = ["simulate", str(spec_path), "--out", str(tmp_path / "d")]
+    assert main([*argv, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: only a --sweep reads --levels, --replicates, --out-json, --out-csv, --config\n"
+    )
+    for flag, value in zip(flags[::2], flags[1::2]):
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: only a --sweep reads {flag}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 

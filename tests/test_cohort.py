@@ -21,7 +21,7 @@ from carcino.cohort import (
     stratified_kfold,
 )
 from carcino.core import ScoringConstants
-from carcino.errors import CarcinoError, ManifestError
+from carcino.errors import CarcinoError
 from conftest import cohort_video
 from oracles import fold_ids
 
@@ -200,7 +200,7 @@ def test_load_cohort_rejects_malformed_index(tmp_path, index):
     TypeError."""
     path = tmp_path / "index.json"
     path.write_text(json.dumps(index))
-    with pytest.raises(ManifestError, match=str(path)):
+    with pytest.raises(CarcinoError, match=str(path)):
         load_cohort(path)
 
 

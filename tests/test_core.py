@@ -126,6 +126,8 @@ def test_constants_are_overridable():
         ("its_cutoff", None),
         ("organ_confidence_threshold", 1e-320),  # 0.0 at float32, where pixels are compared
         ("pc_confidence_threshold", 2.0**-150),
+        ("points_per_positive_station", 2**53 // 6 + 1),  # six stations' score not an exact float
+        pytest.param("points_per_positive_station", 10**308, id="points_per_positive_station-1e308"),
     ],
 )
 def test_constants_reject_out_of_range(field, value):

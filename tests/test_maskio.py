@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import re
 import threading
 import tracemalloc
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from carcino import maskio
 from carcino.core import STATION_SLUGS, Indication, ScoringConstants, compute_fs, compute_its
-from carcino.errors import CarcinoError, ManifestError, MaskFormatError
+from carcino.errors import CarcinoError, MaskFormatError
 
 from conftest import write_video
 from oracles import bytes_decode_raster, bytes_read_raster, float_check_confidences
@@ -442,7 +443,7 @@ def test_manifest_rejects_fs_station_mismatch(tmp_path):
     gt = _gt_dict([True, False, False, False, False, False], 4, "SurgeryIndicated")
     path = tmp_path / "m.json"
     path.write_text(json.dumps(_minimal_manifest(gt)))
-    with pytest.raises(ManifestError, match="fs is 4 but 2 station points are flagged"):
+    with pytest.raises(CarcinoError, match="fs is 4 but 2 station points are flagged"):
         maskio.load_manifest(path)
 
 
@@ -450,7 +451,7 @@ def test_manifest_rejects_its_fs_mismatch(tmp_path):
     gt = _gt_dict([True, True, True, True, False, False], 8, "SurgeryIndicated")
     path = tmp_path / "m.json"
     path.write_text(json.dumps(_minimal_manifest(gt)))
-    with pytest.raises(ManifestError, match="its is SurgeryIndicated but fs 8 implies"):
+    with pytest.raises(CarcinoError, match="its is SurgeryIndicated but fs 8 implies"):
         maskio.load_manifest(path)
 
 
@@ -462,7 +463,7 @@ def test_ground_truth_scores_its_flags_by_the_default_rules():
         truth = maskio.VideoGroundTruth(stations)
         assert truth.fs == compute_fs(stations, defaults)
         assert truth.its is compute_its(truth.fs, defaults)
-    with pytest.raises(ManifestError, match="needs exactly 6 station flags"):
+    with pytest.raises(CarcinoError, match="needs exactly 6 station flags"):
         maskio.VideoGroundTruth((True,) * 5)
 
 
@@ -477,14 +478,14 @@ def test_ground_truth_scores_its_flags_by_the_default_rules():
 def test_manifest_ground_truth_mismatch_messages(tmp_path, fs, its, message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(_minimal_manifest(_gt_dict([True] + [False] * 5, fs, its))))
-    with pytest.raises(ManifestError, match=message):
+    with pytest.raises(CarcinoError, match=message):
         maskio.load_manifest(path)
 
 
 def test_manifest_rejects_bad_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{not json")
-    with pytest.raises(ManifestError, match="invalid JSON"):
+    with pytest.raises(CarcinoError, match="invalid JSON"):
         maskio.load_manifest(path)
 
 
@@ -493,10 +494,10 @@ def test_manifest_rejects_missing_fields(tmp_path):
     del data["frames"][0]["pc_conf"]
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ManifestError, match="missing field 'pc_conf'"):
+    with pytest.raises(CarcinoError, match="missing field 'pc_conf'"):
         maskio.load_manifest(path)
     path.write_text(json.dumps({"frames": []}))
-    with pytest.raises(ManifestError, match="missing field 'video_id'"):
+    with pytest.raises(CarcinoError, match="missing field 'video_id'"):
         maskio.load_manifest(path)
 
 
@@ -507,12 +508,12 @@ def test_manifest_rejects_unordered_frames(tmp_path):
     data["frames"].append(second)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ManifestError):
+    with pytest.raises(CarcinoError, match=r"frame_index must be strictly increasing \(0 then 0\)"):
         maskio.load_manifest(path)
     data["frames"][1]["frame_index"] = 1
     data["frames"][1]["time_s"] = -1.0  # time goes backwards
     path.write_text(json.dumps(data))
-    with pytest.raises(ManifestError):
+    with pytest.raises(CarcinoError, match=r"time_s must be non-decreasing \(0.0 then -1.0\)"):
         maskio.load_manifest(path)
 
 
@@ -535,7 +536,7 @@ def test_manifest_rejects_unordered_frames(tmp_path):
 def test_manifest_rejects_malformed_field(edit, message):
     data = _minimal_manifest(_gt_dict([False] * 6, 0, "SurgeryIndicated"))
     edit(data)
-    with pytest.raises(ManifestError) as info:
+    with pytest.raises(CarcinoError, match=re.escape(message)) as info:
         maskio.manifest_from_dict(data)
     assert message in str(info.value)
 
@@ -545,7 +546,7 @@ def test_manifest_rejects_roi_score_out_of_range(tmp_path):
     data["frames"][0]["roi_score"] = 1.5
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ManifestError):
+    with pytest.raises(CarcinoError, match=r"roi_score 1.5 outside \[0, 1\]"):
         maskio.load_manifest(path)
 
 
@@ -560,7 +561,7 @@ def test_manifest_rejects_non_finite_numbers(field, value):
         data["roi_segments"] = [[0.0, value]]
     else:
         data["frames"][0][field] = value
-    with pytest.raises(ManifestError):
+    with pytest.raises(CarcinoError, match=f"field '{field}' must be a finite number"):
         maskio.manifest_from_dict(data)
 
 
@@ -634,11 +635,11 @@ def test_confidence_frame_checks_its_scalars_as_a_manifest_does(field, value):
     fails as the manifest does, with the same error and message, instead
     of being scored (roi_score NaN or -3.0 read as non-ROI, 7.0 as ROI)."""
     scalars = {"frame_index": 3, "time_s": 0.0, "roi_score": 1.0, field: value}
-    with pytest.raises(ManifestError) as in_memory:
+    with pytest.raises(CarcinoError) as in_memory:
         maskio.ConfidenceFrame(**scalars, **_planes())
     data = _minimal_manifest()
     data["frames"][0][field] = value
-    with pytest.raises(ManifestError) as from_manifest:
+    with pytest.raises(CarcinoError) as from_manifest:
         maskio.manifest_from_dict(data)
     context, message = str(in_memory.value).split(": ", 1)
     assert context == f"frame {scalars['frame_index']!r}"

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from carcino import maskio, pipeline, synth
 from carcino.cohort import load_cohort
 from carcino.core import Indication, ScoringConstants
-from carcino.errors import CarcinoError, InvalidSpecError
+from carcino.errors import CarcinoError
 from carcino.synth import NoiseSpec, SynthSpec, generate_cohort, monte_carlo_sweep
 
 from oracles import (
@@ -39,17 +39,17 @@ def _tree_bytes(root: Path) -> dict:
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match="frame_size must be at least 16x16"):
         SynthSpec(seed=1, frame_size=(8, 8))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match="station_prevalence needs 6 entries"):
         SynthSpec(seed=1, station_prevalence=(0.5,) * 5)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match=r"station prevalences must lie in \[0, 1\]"):
         SynthSpec(seed=1, station_prevalence=(1.5,) * 6)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match="must satisfy 1 <= lo <= hi"):
         SynthSpec(seed=1, nodules_per_positive_station=(0, 2))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match="confidence_jitter must be >= 0"):
         SynthSpec(seed=1, noise=NoiseSpec(confidence_jitter=-0.1))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match=r"miss_rate must lie in \[0, 1\]"):
         SynthSpec(seed=1, noise=NoiseSpec(miss_rate=1.5))
 
 
@@ -61,10 +61,10 @@ def test_spec_bounds_counts_by_the_frame_area():
     SynthSpec(seed=1, frame_size=(16, 20), nodules_per_positive_station=(1, area))
     SynthSpec(seed=1, frame_size=(16, 20), noise=NoiseSpec(false_blob_rate=float(area)))
     for hi in (area + 1, 2**63 - 1):
-        with pytest.raises(InvalidSpecError, match="frame area 320"):
+        with pytest.raises(CarcinoError, match="frame area 320"):
             SynthSpec(seed=1, frame_size=(16, 20), nodules_per_positive_station=(1, hi))
     for rate in (area + 0.5, 1e300):
-        with pytest.raises(InvalidSpecError, match="false_blob_rate must be at most"):
+        with pytest.raises(CarcinoError, match="false_blob_rate must be at most"):
             SynthSpec(seed=1, frame_size=(16, 20), noise=NoiseSpec(false_blob_rate=rate))
 
 
@@ -75,18 +75,18 @@ def test_spec_dict_roundtrip(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(maskio.canonical_json(spec.to_dict()))
     assert SynthSpec.from_json_file(path) == spec
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match=r"^unknown spec field\(s\): \['bogus'\]$"):
         SynthSpec.from_dict({"seed": 1, "bogus": 2})
 
 
 def test_unknown_noise_field_is_rejected_by_name(tmp_path):
     """It used to raise a bare TypeError from the NoiseSpec constructor."""
     data = {"seed": 1, "noise": {"miss_rate": 0.1, "bogus": 1}}
-    with pytest.raises(InvalidSpecError, match=r"^unknown noise field\(s\): \['bogus'\]$"):
+    with pytest.raises(CarcinoError, match=r"^unknown noise field\(s\): \['bogus'\]$"):
         SynthSpec.from_dict(data)
     path = tmp_path / "spec.json"
     path.write_text(maskio.canonical_json(data))
-    with pytest.raises(InvalidSpecError, match="unknown noise field"):
+    with pytest.raises(CarcinoError, match="unknown noise field"):
         SynthSpec.from_json_file(path)
 
 
@@ -329,11 +329,11 @@ def test_sweep_csv_rendering():
 
 def test_sweep_rejects_bad_arguments():
     spec = SynthSpec(seed=1, n_videos=2, frames_per_video=1)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match="unknown noise parameter 'not_a_knob'"):
         monte_carlo_sweep(spec, "not_a_knob", [0.0], 1)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match="need at least one noise level"):
         monte_carlo_sweep(spec, "miss_rate", [], 1)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(CarcinoError, match="replicates must be >= 1"):
         monte_carlo_sweep(spec, "miss_rate", [0.0], 0)
 
 
@@ -354,7 +354,7 @@ def test_sweep_level_takes_the_declared_field_type():
 
 def test_sweep_rejects_fractional_level_of_int_field():
     spec = SynthSpec(seed=1, n_videos=2, frame_size=(32, 32), frames_per_video=1)
-    with pytest.raises(InvalidSpecError, match="whole-number"):
+    with pytest.raises(CarcinoError, match="whole-number"):
         monte_carlo_sweep(spec, "boundary_morph", [1.0, 1.7], 1)
 
 
