@@ -33,9 +33,16 @@ _COMMON_FLAGS = {
     "--jobs": {
         "type": int,
         "default": None,
-        "help": "worker count (default: CARCINO_JOBS or 1); results do not depend on it",
+        "help": (
+            "worker count (default: CARCINO_JOBS, else the CPUs this process may run on; "
+            "CARCINO_JOBS=1 runs serially); results do not depend on it"
+        ),
     },
-    "--format": {"choices": ("json", "text"), "default": "json", "help": "stdout format"},
+    "--format": {
+        "choices": ("json", "text"),
+        "default": None,  # json; None lets simulate without --sweep tell that it was given
+        "help": "stdout format (default: json)",
+    },
 }
 
 
@@ -47,15 +54,25 @@ def _add_common_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _resolve_jobs(args: argparse.Namespace) -> int:
+    """--jobs, else CARCINO_JOBS, else the number of CPUs this process may
+    run on. The library functions keep jobs=1 as their default: the pool
+    forks, which only a caller that runs no other thread may do, and main
+    is such a caller."""
     if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("CARCINO_JOBS")
-    if env:
+        name, jobs = "--jobs", args.jobs
+    else:
+        env = os.environ.get("CARCINO_JOBS")
+        if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            name, jobs = "CARCINO_JOBS", int(env)
         except ValueError:
             raise CarcinoError(f"CARCINO_JOBS must be an integer, got {env!r}") from None
-    return 1
+    if jobs < 1:
+        raise CarcinoError(f"{name} must be at least 1, got {jobs}")
+    return jobs
 
 
 def _resolve_constants(args: argparse.Namespace) -> ScoringConstants:
@@ -129,7 +146,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SWEEP_FLAGS = ("--levels", "--replicates", "--out-json", "--out-csv", "--config")
+_SWEEP_FLAGS = ("--levels", "--replicates", "--out-json", "--out-csv", "--config", "--format")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -188,7 +205,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = _read_json(args.report, parse_float=_finite_float, parse_constant=_reject_constant)
     if not isinstance(report, dict):
         raise CarcinoError(f"{args.report}: expected a JSON object")
-    if args.format == "json":
+    if args.format != "text":
         sys.stdout.write(maskio.canonical_json(report))
         return EXIT_OK
     kind = report.get("kind")

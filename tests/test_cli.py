@@ -610,6 +610,81 @@ def test_jobs_env_var_fallback(tmp_path, monkeypatch):
     assert main(["evaluate", str(index), "--independent"]) == 2
 
 
+def test_jobs_default_to_the_cpus_this_process_may_run_on(monkeypatch):
+    """Without --jobs or CARCINO_JOBS the worker count is the size of the
+    affinity mask, else os.cpu_count(), else 1; CARCINO_JOBS=1 is serial."""
+    monkeypatch.delenv("CARCINO_JOBS", raising=False)
+    unset = argparse.Namespace(jobs=None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert cli._resolve_jobs(unset) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._resolve_jobs(unset) == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert cli._resolve_jobs(unset) == 7
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._resolve_jobs(unset) == 1
+    monkeypatch.setenv("CARCINO_JOBS", "1")
+    assert cli._resolve_jobs(unset) == 1
+    assert cli._resolve_jobs(argparse.Namespace(jobs=2)) == 2
+
+
+@pytest.mark.parametrize(
+    "jobs, env, message",
+    [
+        ("0", None, "--jobs must be at least 1, got 0"),
+        ("-3", None, "--jobs must be at least 1, got -3"),
+        ("0", "4", "--jobs must be at least 1, got 0"),
+        (None, "0", "CARCINO_JOBS must be at least 1, got 0"),
+        (None, "-2", "CARCINO_JOBS must be at least 1, got -2"),
+    ],
+)
+def test_jobs_below_one_exit_2_naming_their_source(
+    tmp_path, capsys, monkeypatch, jobs, env, message
+):
+    """A worker count below 1 used to run as one worker; it now exits 2
+    before evaluate or simulate reads or writes anything."""
+    if env is None:
+        monkeypatch.delenv("CARCINO_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("CARCINO_JOBS", env)
+    flag = [] if jobs is None else ["--jobs", jobs]
+    spec_path = _sweep_spec(tmp_path)
+    for argv in (
+        ["evaluate", str(tmp_path / "missing.json"), "--independent", *flag],
+        ["simulate", str(spec_path), "--out", str(tmp_path / "d"), *flag],
+        ["simulate", str(spec_path), "--sweep", "miss_rate", "--levels", "0", *flag],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_default_jobs_write_the_bytes_of_jobs_1(tmp_path, monkeypatch, capsys):
+    """Without --jobs, simulate, evaluate and a sweep spread their videos
+    over every CPU this process may run on (two workers on a 2-CPU
+    machine) and write what --jobs 1 writes."""
+    monkeypatch.delenv("CARCINO_JOBS", raising=False)
+    spec_path = _sweep_spec(
+        tmp_path, n_videos=5, noise={"confidence_jitter": 0.1, "false_blob_rate": 0.5}
+    )
+    spec = str(spec_path)
+    sweep = ["--sweep", "miss_rate", "--levels", "0,0.5", "--replicates", "2"]
+    index = str(tmp_path / "cohort-serial" / "index.json")  # a report names its cohort's directory
+    outputs = {}
+    for label, jobs in (("serial", ["--jobs", "1"]), ("default", [])):
+        cohort = tmp_path / f"cohort-{label}"
+        report, sweep_report = tmp_path / f"report-{label}.json", tmp_path / f"sweep-{label}.json"
+        assert main(["simulate", spec, "--out", str(cohort), *jobs]) == 0
+        assert main(["evaluate", index, "--independent", "--out-json", str(report), *jobs]) == 0
+        assert main(["simulate", spec, *sweep, "--out-json", str(sweep_report), *jobs]) == 0
+        tree = {str(p.relative_to(cohort)): p.read_bytes() for p in cohort.rglob("*") if p.is_file()}
+        outputs[label] = (tree, report.read_bytes(), sweep_report.read_bytes())
+    capsys.readouterr()
+    assert len(outputs["serial"][0]) == 5 * (3 * 4 + 1) + 2
+    assert outputs["default"] == outputs["serial"]
+
+
 def test_evaluate_missing_ground_truth_exits_2(tmp_path, capsys):
     index = _mini_cohort(tmp_path, n_videos=2)
     cohort = load_cohort(index)
@@ -1224,9 +1299,9 @@ def test_simulate_usage_error_exits_2(tmp_path, capsys, argv, message):
 
 
 def test_simulate_without_sweep_rejects_the_sweep_flags(tmp_path, capsys):
-    """Without --sweep, simulate used to accept the sweep's flags and
-    --config and ignore them: it wrote the cohort and exited 0, but neither
-    the report nor the table, and never opened the missing config."""
+    """Without --sweep, simulate used to accept the sweep's flags, --config
+    and --format and ignore them: it wrote the cohort and exited 0, but
+    neither the report nor the table, and never opened the missing config."""
     spec_path = _sweep_spec(tmp_path)
     flags = [
         "--levels", "1,2",
@@ -1234,13 +1309,16 @@ def test_simulate_without_sweep_rejects_the_sweep_flags(tmp_path, capsys):
         "--out-json", str(tmp_path / "x.json"),
         "--out-csv", str(tmp_path / "y.csv"),
         "--config", str(tmp_path / "nope.json"),
+        "--format", "text",
+        "--format", "json",
     ]
     argv = ["simulate", str(spec_path), "--out", str(tmp_path / "d")]
     assert main([*argv, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: only a --sweep reads --levels, --replicates, --out-json, --out-csv, --config\n"
+        "error: only a --sweep reads --levels, --replicates, --out-json, --out-csv, --config, "
+        "--format\n"
     )
     for flag, value in zip(flags[::2], flags[1::2]):
         assert main([*argv, flag, value]) == 2
@@ -1371,7 +1449,8 @@ def test_report_renders_saved_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["evaluation", "sweep"])
 def test_report_format_json_prints_the_saved_bytes(tmp_path, capsys, kind):
-    """report --format json of a saved report prints the file's bytes."""
+    """report --format json of a saved report, and report without
+    --format, print the file's bytes."""
     if kind == "evaluation":
         argv = ["evaluate", str(_mini_cohort(tmp_path, n_videos=2)), "--independent"]
     else:
@@ -1379,8 +1458,9 @@ def test_report_format_json_prints_the_saved_bytes(tmp_path, capsys, kind):
     out_json = tmp_path / "report.json"
     assert main([*argv, "--out-json", str(out_json)]) == 0
     capsys.readouterr()
-    assert main(["report", str(out_json), "--format", "json"]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == out_json.read_bytes()
+    for fmt in (["--format", "json"], []):
+        assert main(["report", str(out_json), *fmt]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out_json.read_bytes()
 
 
 def test_report_rejects_unknown_kind(tmp_path):
