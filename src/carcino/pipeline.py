@@ -4,16 +4,18 @@ The chain per video: keep frames the relevance (ROI) score accepts,
 threshold the carcinomatosis confidence map, split it into nodules by
 connected components, assign every nodule to the organ it overlaps most
 (organ confidences are thresholded at nodule pixels; only organ Dice
-needs full organ masks), mark the organ's station positive when a nodule
-sits on it, OR the station vectors over all frames, and convert the
-positive-station count into the total score and the surgery indication.
+needs full organ masks), keep the nodules of at least min_nodule_pixels,
+mark a kept nodule's station positive in its frame, OR the frames, and
+convert the positive-station count into the total score and the surgery
+indication.
 
 score_frames runs that chain once per video for every caller: score_video
 over a manifest, cohort evaluation over a manifest with frame-level Dice,
 and the Monte Carlo sweep over generated frames; evaluation counts ROI
 accuracy by _is_relevant from the manifest alone. The video's ROI masks
 are stacked with a blank row after each, so one classify_frame call
-scores every nodule of the video, in one NoduleTable.
+assigns every nodule of the video, in one NoduleTable, and one decide
+call over that table holds the station rule.
 
 All thresholds use >= semantics. Thresholds are compared at float32
 precision, matching the raster payload, so a pixel stored as the
@@ -46,6 +48,7 @@ __all__ = [
     "connected_components",
     "assign_nodules",
     "classify_frame",
+    "decide",
     "score_frames",
     "score_video",
 ]
@@ -319,28 +322,27 @@ def assign_nodules(
 
     All nodules are scored at once: the confidences are thresholded as
     given, then one ``np.bincount`` over ``8 * pixel_nodule[pixel] +
-    organ + 8`` gives the overlap counts, and a second one, weighted by
-    the confidences, their float64 sums; the 8 leading bins, of the
-    pixels of dropped nodules (-1), are cut off. The winner is picked
-    with array operations under the rules above. Each bin adds its
-    pixels in the nodule's row-major order, whatever the threshold. A
-    pixel label outside [-1, n), or a pixel count other than
-    pixel_conf's, raises CarcinoError.
+    organ`` gives the overlap counts, and a second one, weighted by the
+    confidences, their float64 sums. The winner is picked with array
+    operations under the rules above. Each bin adds its pixels in the
+    nodule's row-major order, whatever the threshold. A pixel label
+    outside [0, n), or a pixel count other than pixel_conf's, raises
+    CarcinoError.
     """
     if pixel_conf.ndim != 2 or pixel_conf.shape[0] != 8:
         raise CarcinoError(f"expected 8 organ channels, got shape {pixel_conf.shape}")
     n = len(nodules)
     label = nodules.pixel_nodule
-    in_range = not label.size or -1 <= label.min() and label.max() < n
+    in_range = not label.size or 0 <= label.min() and label.max() < n
     if label.shape != pixel_conf.shape[1:] or not in_range:
         raise CarcinoError(
-            f"pixel_nodule {label.shape} must give a row in [-1, {n}) for each "
+            f"pixel_nodule {label.shape} must give a row in [0, {n}) for each "
             f"pixel of pixel_conf {pixel_conf.shape}"
         )
     organ, pixel = np.nonzero(_organ_hits(pixel_conf, constants))
-    key = 8 * label[pixel] + organ + 8
-    counts = np.bincount(key, minlength=8 * n + 8)[8:].reshape(n, 8)
-    conf_sums = np.bincount(key, pixel_conf[organ, pixel], minlength=8 * n + 8)[8:].reshape(n, 8)
+    key = 8 * label[pixel] + organ
+    counts = np.bincount(key, minlength=8 * n).reshape(n, 8)
+    conf_sums = np.bincount(key, pixel_conf[organ, pixel], minlength=8 * n).reshape(n, 8)
     most = counts.max(axis=1)
     top = counts == most[:, None]
     top_sums = np.where(top, conf_sums, -np.inf)
@@ -352,31 +354,28 @@ def assign_nodules(
 
 def classify_frame(
     pc_mask: np.ndarray, pixel_conf: np.ndarray, constants: ScoringConstants
-) -> tuple[np.ndarray, NoduleTable]:
-    """Station classification of one frame or of a stacked video.
+) -> NoduleTable:
+    """The assigned table of every nodule of pc_mask, a thresholded
+    carcinomatosis mask: one (H, W) frame, an (F, H + 1, W) stack or the
+    RowRuns of either (see connected_components). pixel_conf holds the
+    (8, P) organ confidences at its P true pixels in row-major order."""
+    return assign_nodules(connected_components(pc_mask), pixel_conf, constants)
 
-    pc_mask is a thresholded carcinomatosis mask, one (H, W) frame, an
-    (F, H + 1, W) stack or the RowRuns of either (see
-    connected_components), and pixel_conf the (8, P) organ confidences
-    at its P true pixels in row-major order. One connected_components
-    call splits the mask into nodules, those under min_nodule_pixels are
-    dropped, and one assign_nodules call assigns the rest to organs. A
-    station is positive in a frame iff a nodule of the frame was
-    assigned to one of its organs. Returns the (F, 6) bool station flags
-    (F = 1 for one frame) and the nodule table.
-    """
-    nodules = connected_components(pc_mask)
-    if pixel_conf.shape[1:] != nodules.pixel_nodule.shape:
-        raise CarcinoError(
-            f"pc_mask has {nodules.pixel_nodule.size} true pixels, pixel_conf {pixel_conf.shape}"
-        )
-    nodules = nodules.take(nodules.size >= constants.min_nodule_pixels)
-    assign_nodules(nodules, pixel_conf, constants)
-    n_frames = pc_mask.shape[0] if len(pc_mask.shape) == 3 else 1
-    stations = np.zeros((n_frames, len(Station)), dtype=bool)
-    hit = nodules.organ >= 0
-    stations[nodules.frame[hit], _ORGAN_STATION[nodules.organ[hit]]] = True
-    return stations, nodules
+
+def decide(
+    nodules: NoduleTable, n_frames: int, constants: ScoringConstants
+) -> tuple[NoduleTable, np.ndarray, tuple[bool, ...]]:
+    """The station rule over an assigned table of n_frames frames: keep
+    the nodules of at least min_nodule_pixels pixels; a station is
+    positive in a frame iff a kept nodule of the frame was assigned to
+    one of its organs, and in the video iff it is positive in any frame.
+    Returns the kept table, the (n_frames, 6) bool frame flags and the
+    video flags."""
+    kept = nodules.take(nodules.size >= constants.min_nodule_pixels)
+    frame_stations = np.zeros((n_frames, len(Station)), dtype=bool)
+    hit = kept.organ >= 0
+    frame_stations[kept.frame[hit], _ORGAN_STATION[kept.organ[hit]]] = True
+    return kept, frame_stations, tuple(frame_stations.any(axis=0).tolist())
 
 
 def _is_relevant(record, constants: ScoringConstants) -> bool:
@@ -410,7 +409,8 @@ def score_frames(
     block of a stack, whose row runs are read once ``_RUN_BLOCK_PIXELS``
     pixels (at least one frame) are in it, and its organ confidences are
     gathered at its mask's pixels before the next load; one
-    classify_frame call then scores the RowRuns of the whole stack.
+    classify_frame call then assigns the nodules of the whole stack's
+    RowRuns, and decide keeps those it counts and sets the flags.
 
     Returns the assessment and the Dice lists (want_dice: one list per
     organ slug and PC_DICE_KEY, in record order; otherwise None). Raises
@@ -466,8 +466,8 @@ def score_frames(
         )
     read_runs(len(frames) % len(block))
     stack = RowRuns(*map(np.concatenate, zip(*runs)), (len(frames), shape[0] + 1, shape[1]))
-    frame_stations, nodules = classify_frame(stack, np.concatenate(pixel_conf, axis=1), constants)
-    stations = tuple(frame_stations.any(axis=0).tolist())
+    nodules = classify_frame(stack, np.concatenate(pixel_conf, axis=1), constants)
+    nodules, frame_stations, stations = decide(nodules, len(frames), constants)
     fs = compute_fs(stations, constants)
     its = compute_its(fs, constants)
     frame_index, time_s = zip(*frames)

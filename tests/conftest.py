@@ -32,12 +32,16 @@ def make_frame(
 
 
 def classify(frame: ConfidenceFrame, constants) -> tuple[np.ndarray, pipeline.NoduleTable]:
-    """pipeline.classify_frame over one frame: its thresholded
-    carcinomatosis mask and the organ confidences at the mask's pixels.
-    Returns the (1, 6) station flags and the nodule table."""
+    """pipeline.classify_frame over one frame, its thresholded
+    carcinomatosis mask and the organ confidences at the mask's pixels,
+    then pipeline.decide over the table. Returns the (1, 6) station
+    flags and the kept nodule table."""
     mask = pipeline.threshold_pc_mask(frame, constants)
     pixel_conf = frame.organ_conf.reshape(8, -1)[:, np.flatnonzero(mask)]
-    return pipeline.classify_frame(mask, pixel_conf, constants)
+    kept, frame_stations, _ = pipeline.decide(
+        pipeline.classify_frame(mask, pixel_conf, constants), 1, constants
+    )
+    return frame_stations, kept
 
 
 def blank_organ_conf(shape=(8, 8), fill=0.0) -> np.ndarray:

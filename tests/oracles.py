@@ -20,7 +20,11 @@ generator, the confidence plateaus and the organs of a station from the
 package. connected_components, assign_nodules, classify_frame and
 aggregate_video are the former per-frame chain, one Nodule object per
 nodule, kept as the reference for the package's per-video table; they
-share only the organ-to-station map _STATION_OF with the package.
+share only the organ-to-station map _STATION_OF with the package. Like
+filter_then_assign, the package's former classify_frame over its own
+steps, they drop the nodules under min_nodule_pixels before assigning;
+both are references for the package, which assigns every nodule and
+then filters the assigned table in pipeline.decide.
 oracle_stations and oracle_fs read the planted truth of a generated
 video. assessment_dict, the former record builder of VideoAssessment,
 is the reference for its JSON writer. pixel_set, nodule_list and
@@ -30,7 +34,7 @@ fold_ids are plain views of package objects that only the tests take.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +352,27 @@ def classify_frame(frame, constants) -> FrameAssessment:
         station_positive=tuple(s in hit for s in Station),
         nodules=nodules,
     )
+
+
+def filter_then_assign(pc_mask, pixel_conf, constants) -> tuple[np.ndarray, pipeline.NoduleTable]:
+    """Reference for assigning first and deciding after: the package's
+    former classify_frame, which dropped the nodules under
+    min_nodule_pixels and then assigned only the kept ones. The dropped
+    nodules' pixels (pixel_nodule -1) are left out of the assignment, as
+    its former 8 leading bins left them out. Returns the (F, 6) station
+    flags and the kept table."""
+    nodules = pipeline.connected_components(pc_mask)
+    nodules = nodules.take(nodules.size >= constants.min_nodule_pixels)
+    on = nodules.pixel_nodule >= 0
+    assigned = pipeline.assign_nodules(
+        replace(nodules, pixel_nodule=nodules.pixel_nodule[on]), pixel_conf[:, on], constants
+    )
+    nodules.organ, nodules.counts = assigned.organ, assigned.counts
+    n_frames = pc_mask.shape[0] if len(pc_mask.shape) == 3 else 1
+    stations = np.zeros((n_frames, len(Station)), dtype=bool)
+    hit = nodules.organ >= 0
+    stations[nodules.frame[hit], np.array(_STATION_OF)[nodules.organ[hit]]] = True
+    return stations, nodules
 
 
 def aggregate_video(frame_assessments: list[FrameAssessment]) -> tuple[bool, ...]:

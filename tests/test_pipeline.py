@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carcino import cohort, maskio, pipeline, synth
@@ -354,27 +354,45 @@ def test_assign_checks_the_channel_count_without_nodules():
 
 
 def test_assign_rejects_pixels_outside_frame():
-    """A pixel label outside [-1, len(table)), or a pixel count other than
-    pixel_conf's, raises CarcinoError, not a bare ValueError
-    from np.bincount; a pixel labelled -1, of a dropped nodule, counts
-    for no nodule."""
+    """A pixel label outside [0, len(table)), -1 included, or a pixel
+    count other than pixel_conf's, raises CarcinoError, not a bare
+    ValueError from np.bincount."""
     mask = np.zeros((4, 4), dtype=bool)
     mask[0, 0] = mask[2, 2] = True
     pixel_conf = np.ones((8, 2), np.float32)
-    for bad in (2, 16, -2):
+    for bad in (2, 16, -1, -2):
         table = pipeline.connected_components(mask)
         table.pixel_nodule[1] = bad
-        with pytest.raises(CarcinoError, match=r"\[-1, 2\)"):
+        with pytest.raises(CarcinoError, match=r"\[0, 2\)"):
             pipeline.assign_nodules(table, pixel_conf, CONSTANTS)
     for columns in (1, 3):
         table = pipeline.connected_components(mask)
         with pytest.raises(CarcinoError, match="pixel_conf"):
             pipeline.assign_nodules(table, np.ones((8, columns), np.float32), CONSTANTS)
-    table = pipeline.connected_components(mask)
-    table.pixel_nodule[1] = -1
-    pipeline.assign_nodules(table, pixel_conf, CONSTANTS)
-    assert table.counts.sum(axis=1).tolist() == [8, 0]
-    assert table.organ.tolist() == [0, -1]
+
+
+def _tied_conf(rng, shape, thr, twins, same_conf):
+    """(8, *shape) float32 organ confidences drawn from the float32
+    threshold thr, its two float32 neighbours, 0, 1 and multiples of
+    1/64. Each (src, dst) twin copies organ src's passing pattern onto
+    organ dst, with other passing values, or with same_conf its
+    confidences too."""
+    grid = np.arange(65, dtype=np.float32) / 64
+    edge = np.array(
+        [np.nextafter(thr, np.float32(0)), thr, np.nextafter(thr, np.float32(2)), 0, 1],
+        dtype=np.float32,
+    )
+    values = np.concatenate([grid, edge, edge, edge])
+    below, above = values[values < thr], values[values >= thr]
+    conf = rng.choice(values, (8, *shape))
+    for src, dst in twins:
+        if same_conf:
+            conf[dst] = conf[src]
+        else:
+            conf[dst] = np.where(
+                conf[src] >= thr, rng.choice(above, shape), rng.choice(below, shape)
+            )
+    return conf
 
 
 @settings(max_examples=200, deadline=None)
@@ -400,23 +418,7 @@ def test_assign_matches_loop_reference_with_forced_ties(
     and the reference's agree bit for bit."""
     rng = np.random.default_rng(seed)
     thr = np.float32(threshold)
-    grid = np.arange(65, dtype=np.float32) / 64
-    edge = np.array(
-        [np.nextafter(thr, np.float32(0)), thr, np.nextafter(thr, np.float32(2)), 0, 1],
-        dtype=np.float32,
-    )
-    values = np.concatenate([grid, edge, edge, edge])
-    below, above = values[values < thr], values[values >= thr]
-    conf = rng.choice(values, (8, height, width))
-    for src, dst in twins:
-        if same_conf:
-            conf[dst] = conf[src]
-        else:
-            conf[dst] = np.where(
-                conf[src] >= thr,
-                rng.choice(above, (height, width)),
-                rng.choice(below, (height, width)),
-            )
+    conf = _tied_conf(rng, (height, width), thr, twins, same_conf)
     pc = rng.random((height, width)) < 0.5
     table = pipeline.connected_components(pc)
     expected = loop_assign([n.pixels for n in nodule_list(table, pc)], conf >= thr, conf)
@@ -523,6 +525,52 @@ def test_classify_frame_matches_naive_recomputation():
         frame = make_frame(conf, pc)
         stations, _ = classify(frame, CONSTANTS)
         assert tuple(stations[0].tolist()) == naive_station_vector(frame, CONSTANTS)
+
+
+_DECIDE_ARGS = dict(seed=0, threshold=0.7, twins=[], same_conf=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_frames=st.integers(1, 4),
+    height=st.integers(1, 8),
+    width=st.integers(1, 8),
+    density=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**31 - 1),
+    threshold=st.sampled_from([0.7, 0.5, 0.3, 0.9, 1 / 64, 1.0]),
+    twins=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+    same_conf=st.booleans(),
+    min_pixels=st.integers(1, 6),
+)
+@example(n_frames=3, height=4, width=4, density=0.0, min_pixels=1, **_DECIDE_ARGS)
+@example(n_frames=2, height=2, width=2, density=1.0, min_pixels=5, **_DECIDE_ARGS)
+def test_decide_after_assignment_equals_filtering_first(
+    n_frames, height, width, density, seed, threshold, twins, same_conf, min_pixels
+):
+    """classify_frame assigns every nodule of a stack of frames, each
+    followed by a blank row, and decide then keeps those of at least
+    min_nodule_pixels pixels: the kept table (every column, pixel_nodule
+    included) and the frame flags equal those of filtering first and
+    assigning only the kept nodules, under forced organ count and sum
+    ties, and the video flags are the frame flags ORed. A mask without
+    a carcinomatosis pixel, or a min_nodule_pixels above every nodule's
+    size, keeps no nodule and sets no flag."""
+    rng = np.random.default_rng(seed)
+    thr = np.float32(threshold)
+    conf = _tied_conf(rng, (n_frames, height + 1, width), thr, twins, same_conf)
+    stack = np.zeros((n_frames, height + 1, width), dtype=bool)
+    stack[:, :-1] = rng.random((n_frames, height, width)) < density
+    pixel_conf = conf.reshape(8, -1)[:, np.flatnonzero(stack)]
+    constants = ScoringConstants(organ_confidence_threshold=threshold, min_nodule_pixels=min_pixels)
+    table = pipeline.classify_frame(stack, pixel_conf, constants)
+    kept, frame_stations, station_positive = pipeline.decide(table, n_frames, constants)
+    want_stations, want = oracles.filter_then_assign(stack, pixel_conf, constants)
+    for column in ("frame", "id", "size", "organ", "counts", "pixel_nodule"):
+        assert getattr(kept, column).tolist() == getattr(want, column).tolist(), column
+    assert frame_stations.tolist() == want_stations.tolist()
+    assert station_positive == tuple(want_stations.any(axis=0).tolist())
+    if not (table.size >= min_pixels).any():
+        assert len(kept) == 0 and not frame_stations.any() and not any(station_positive)
 
 
 # --- aggregation and scoring ------------------------------------------------------
@@ -842,11 +890,14 @@ def test_a_frame_without_eight_organ_planes_fails_on_every_path(tmp_path):
 
 def test_classify_frame_checks_the_size_of_a_given_pc_mask():
     """pc_mask and pixel_conf both come from the caller: pixel_conf must
-    hold one column per true pixel of the mask."""
+    hold one column per true pixel of the mask, as assign_nodules checks."""
     mask = np.zeros((4, 4), dtype=bool)
     mask[1, 1] = True
-    for bad in (np.zeros((8, 2), np.float32), np.zeros((8, 4, 4), np.float32)):
-        with pytest.raises(CarcinoError, match="pc_mask has 1 true pixels"):
+    for bad, message in (
+        (np.zeros((8, 2), np.float32), r"pixel_nodule \(1,\) .* pixel_conf \(8, 2\)"),
+        (np.zeros((8, 4, 4), np.float32), r"expected 8 organ channels, got shape \(8, 4, 4\)"),
+    ):
+        with pytest.raises(CarcinoError, match=message):
             pipeline.classify_frame(mask, bad, CONSTANTS)
 
 
