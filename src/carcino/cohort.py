@@ -438,6 +438,8 @@ def _assess_video(
     except (CarcinoError, OSError) as exc:
         # all-or-nothing per video: a broken raster voids its frame metrics
         return _Scored(None, str(exc))
+    except Exception as exc:  # a fault outside carcino's checks, e.g. in numpy
+        return _Scored(None, f"{type(exc).__name__}: {exc}")
     return _Scored(video.station_positive, None, dice)
 
 

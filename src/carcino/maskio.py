@@ -28,6 +28,7 @@ relevance score, and optionally the clinical ground truth for the video.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -149,9 +150,9 @@ def _check_header(
     """Validate an MSK1 header against the size of the whole file.
 
     header holds the file's first HEADER_SIZE bytes, or all it has; size
-    is the file's length in bytes, or None for a stream, whose reader
-    checks the payload length. Returns the dtype code and (channels,
-    height, width). Every header check lives here, for the same messages.
+    is the file's length in bytes, or None for a stream, whose payload
+    length _decode checks as it reads. Returns the dtype code and
+    (channels, height, width).
     """
     if len(header) < HEADER_SIZE:
         raise MaskFormatError(f"file shorter than the {HEADER_SIZE}-byte header{where}")
@@ -172,74 +173,65 @@ def _check_header(
     return code, (channels, height, width)
 
 
-def decode_raster(blob: bytes | bytearray | memoryview, context: str = "") -> np.ndarray:
-    """Parse MSK1 bytes (any bytes-like object) into a (channels,
-    height, width) array."""
+def _read_on(fh: BinaryIO, end: int) -> bytearray:
+    """Up to end bytes from fh, fewer only where fh ends, read in chunks
+    so that memory follows the bytes that arrive."""
+    data = bytearray()
+    while len(data) < end and (chunk := fh.read(min(end - len(data), _STREAM_CHUNK))):
+        data += chunk
+    return data
+
+
+def _decode(
+    fh: BinaryIO, size: int | None, context: str = "", into: np.ndarray | None = None
+) -> np.ndarray:
+    """The MSK1 raster in fh, a binary file object of size bytes, or of
+    unknown length for a size of None; the header is parsed once. With a
+    size, the header is checked against it before anything is allocated,
+    and the payload is read straight into a new array, or into into when
+    that is a C-contiguous, writeable and aligned array of the header's
+    shape and dtype. A stream is read to one byte past its payload at
+    most, and the array is a view of the bytes read.
+    """
     where = f" in {context}" if context else ""
-    blob = memoryview(blob).cast("B")
-    code, shape = _check_header(blob, len(blob), where)
-    arr = np.frombuffer(blob, dtype=_NUMPY_DTYPES[code], offset=HEADER_SIZE).reshape(shape)
-    arr = arr.copy()  # frombuffer yields a view of the caller's buffer
+    # a file or bytes give what they hold in one read, a stream may not
+    header = fh.read(HEADER_SIZE) if size is not None else _read_on(fh, HEADER_SIZE)
+    code, shape = _check_header(header, size, where)
+    dtype = _NUMPY_DTYPES[code]
+    expected = math.prod(shape) * dtype.itemsize
+    if size is None:
+        data = _read_on(fh, expected + 1)
+        if len(data) > expected:
+            raise MaskFormatError(f"trailing bytes after payload{where}")
+        filled = len(data)
+        arr = np.frombuffer(data, dtype).reshape(shape) if filled == expected else None
+    else:
+        lend = into is not None and (into.shape, into.dtype) == (shape, dtype)
+        arr = into if lend and into.flags.carray else np.empty(shape, dtype=dtype)
+        view = memoryview(arr).cast("B")
+        filled = 0
+        while filled < expected and (n := fh.readinto(view[filled:])):
+            filled += n
+    if filled < expected:  # a stream that ended early, or a file that shrank after fstat
+        raise MaskFormatError(f"payload is {filled} bytes, expected {expected}{where}")
     _validate_values(arr, code, context)
     return arr
 
 
+def decode_raster(blob: bytes | bytearray | memoryview, context: str = "") -> np.ndarray:
+    """Parse MSK1 bytes (any bytes-like object) into a (channels,
+    height, width) array."""
+    blob = memoryview(blob).cast("B")
+    return _decode(io.BytesIO(blob), len(blob), context)
+
+
 def _read_file(path: str, into: np.ndarray | None = None) -> np.ndarray:
-    """Read an MSK1 file with one copy of its payload: the header is
-    checked against the file size before the array is allocated, then
-    the payload is read straight into it. When into is a writeable
-    C-contiguous array of the shape and dtype the header declares, the
-    payload goes into it and into is returned; otherwise the array is
-    new."""
-    where = f" in {path}"
+    """The MSK1 raster at path, read by _decode with into; a pipe or a
+    device has no size to check the header against and is read as a
+    stream."""
     with open(path, "rb", buffering=0) as fh:
         st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):  # a pipe or device has no size to check
-            return _read_stream(fh, path)
-        header = fh.read(HEADER_SIZE)
-        code, shape = _check_header(header, st.st_size, where)
-        dtype = _NUMPY_DTYPES[code]
-        if (
-            into is not None
-            and into.shape == shape
-            and into.dtype == dtype
-            and into.flags.c_contiguous
-            and into.flags.writeable
-        ):
-            arr = into
-        else:
-            arr = np.empty(shape, dtype=dtype)
-        view = memoryview(arr).cast("B")
-        filled = 0
-        while filled < view.nbytes:
-            n = fh.readinto(view[filled:])
-            if not n:  # the file shrank after fstat
-                raise MaskFormatError(
-                    f"payload is {filled} bytes, expected {view.nbytes}{where}"
-                )
-            filled += n
-    _validate_values(arr, code, path)
-    return arr
-
-
-def _read_stream(stream: BinaryIO, context: str = "") -> np.ndarray:
-    """Decode an MSK1 raster from a stream of unknown length: the header,
-    then at most one byte past the payload it declares, in chunks, so
-    memory follows the bytes that arrive, not the header's claim."""
-    where = f" in {context}" if context else ""
-    blob = bytearray()
-
-    def fill(end: int) -> None:  # read on to end bytes, or to the end of the stream
-        while len(blob) < end and (chunk := stream.read(min(end - len(blob), _STREAM_CHUNK))):
-            blob.extend(chunk)
-
-    fill(HEADER_SIZE)
-    code, shape = _check_header(blob, None, where)
-    end = HEADER_SIZE + math.prod(shape) * _NUMPY_DTYPES[code].itemsize
-    fill(end + 1)
-    if len(blob) > end:
-        raise MaskFormatError(f"trailing bytes after payload{where}")
-    return decode_raster(blob, context)
+        return _decode(fh, st.st_size if stat.S_ISREG(st.st_mode) else None, path, into)
 
 
 def read_raster(source: str | os.PathLike | bytes | BinaryIO) -> np.ndarray:
@@ -248,7 +240,7 @@ def read_raster(source: str | os.PathLike | bytes | BinaryIO) -> np.ndarray:
     if isinstance(source, (str, os.PathLike)):
         return _read_file(os.fspath(source))
     if hasattr(source, "read"):
-        return _read_stream(source)
+        return _decode(source, None)
     return decode_raster(source)
 
 
@@ -549,19 +541,6 @@ def save_manifest(manifest: VideoManifest, path: str | Path) -> None:
     Path(path).write_text(canonical_json(manifest_to_dict(manifest)), encoding="utf-8")
 
 
-def _read_frame_raster(path: str, lent: np.ndarray | None, code: int, channels: int) -> np.ndarray:
-    """The raster at path as a frame field of that dtype code and channel
-    count holds it, checked for both; lent, that field of an earlier
-    frame, is passed on to _read_file as into."""
-    single = channels == 1
-    raster = _read_file(path, lent[np.newaxis] if single and lent is not None else lent)
-    if raster.dtype != _NUMPY_DTYPES[code]:
-        raise CarcinoError(f"{path}: raster is {raster.dtype}, not {_NUMPY_DTYPES[code]}")
-    if raster.shape[0] != channels:
-        raise CarcinoError(f"{path}: {raster.shape[0]} channels, not {channels}")
-    return raster[0] if single else raster
-
-
 def load_frame(
     record: FrameRecord, base_dir: str | os.PathLike, into: ConfidenceFrame | None = None
 ) -> ConfidenceFrame:
@@ -581,9 +560,16 @@ def load_frame(
     fields = {}
     for name, code, channels in _FRAME_RASTERS:
         rel = getattr(record, name)
-        if rel is not None:
-            lent = None if into is None else getattr(into, name)
-            fields[name] = _read_frame_raster(os.path.join(base, rel), lent, code, channels)
+        if rel is None:
+            continue
+        path = os.path.join(base, rel)
+        lent = None if into is None else getattr(into, name)
+        raster = _read_file(path, lent[np.newaxis] if channels == 1 and lent is not None else lent)
+        if raster.dtype != _NUMPY_DTYPES[code]:
+            raise CarcinoError(f"{path}: raster is {raster.dtype}, not {_NUMPY_DTYPES[code]}")
+        if raster.shape[0] != channels:
+            raise CarcinoError(f"{path}: {raster.shape[0]} channels, not {channels}")
+        fields[name] = raster[0] if channels == 1 else raster
     if "gt_pc" in fields and (fields["gt_pc"] > 1).any():
         raise MaskFormatError(
             f"{os.path.join(base, record.gt_pc)}: binary ground truth must hold only 0/1"

@@ -400,6 +400,25 @@ def test_failed_videos_are_recorded_not_fatal(small_cohort_index, tmp_path):
     assert report["summary"]["failed_videos_total"] == 1
 
 
+def test_an_unexpected_exception_fails_one_video(small_cohort_index, monkeypatch):
+    """An exception that is not carcino's, raised while one video is
+    scored, fails that video alone, named by its class, at any --jobs."""
+    cohort = load_cohort(small_cohort_index)
+    broken = cohort.videos[3].video_id
+    score_frames = cm.pipeline.score_frames
+
+    def faulty(video_id, *args):
+        if video_id == broken:
+            raise ValueError("boom")
+        return score_frames(video_id, *args)
+
+    monkeypatch.setattr(cm.pipeline, "score_frames", faulty)
+    reports = [evaluate_cohort(cohort, independent_runs(cohort), jobs=jobs) for jobs in (1, 2)]
+    assert maskio.canonical_json(reports[0]) == maskio.canonical_json(reports[1])
+    assert render_report_text(reports[0]) == render_report_text(reports[1])
+    assert reports[0]["runs"][0]["failed"] == {broken: "ValueError: boom"}
+
+
 def test_evaluate_rejects_a_callable_predictor(small_cohort_index):
     cohort = load_cohort(small_cohort_index)
     with pytest.raises(CarcinoError, match="unknown predictor"):

@@ -214,15 +214,28 @@ def _assert_same_outcome(got, want):
 @settings(max_examples=300, deadline=None)
 @given(blob=st.binary(max_size=64) | _msk1_blobs() | _valid_msk1_blobs())
 def test_file_reader_matches_bytes_reference(tmp_path_factory, blob):
-    """Files read with one copy, and bytes-like objects, decode to the
-    same array, or fail with the same error class and message, as the
-    former read-everything-then-slice decoder."""
+    """Files read with one copy, bytes-like objects and streams decode to
+    the same array, or fail with the same error class and message, as the
+    former read-everything-then-slice decoder. A stream, read to one byte
+    past its payload, reports trailing bytes without counting them; an
+    array decoded from a bytes-like object never shares its memory."""
     path = tmp_path_factory.getbasetemp() / "equivalence.msk"
     path.write_bytes(blob)
     _assert_same_outcome(_outcome(maskio.read_raster, path), _outcome(bytes_read_raster, path))
     want = _outcome(bytes_decode_raster, blob)
     for source in (blob, bytearray(blob), memoryview(blob)):
-        _assert_same_outcome(_outcome(maskio.read_raster, source), want)
+        got = _outcome(maskio.read_raster, source)
+        _assert_same_outcome(got, want)
+        if isinstance(got, np.ndarray):
+            assert not np.shares_memory(got, np.frombuffer(source, np.uint8))
+    if isinstance(want, tuple):
+        want = (want[0], re.sub(r"^\d+ (?=trailing bytes after payload$)", "", want[1]))
+    for stream in (
+        io.BytesIO(blob),
+        _EndlessStream(blob, endless=False),
+        _OneByteStream(blob, endless=False),
+    ):
+        _assert_same_outcome(_outcome(maskio.read_raster, stream), want)
 
 
 _NEG_ZERO, _ONE, _AFTER_ONE = 0x80000000, 0x3F800000, 0x3F800001  # -0.0, 1.0, nextafter(1, 2)
@@ -346,6 +359,13 @@ class _EndlessStream(io.RawIOBase):
             buf[:n] = bytes(n)
         self.served += n
         return n
+
+
+class _OneByteStream(_EndlessStream):
+    """An _EndlessStream that serves one byte a read."""
+
+    def readinto(self, buf):
+        return super().readinto(memoryview(buf)[:1])
 
 
 def test_read_raster_reads_a_stream_no_further_than_its_header_needs():
