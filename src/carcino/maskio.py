@@ -194,8 +194,7 @@ def _decode(
     most, and the array is a view of the bytes read.
     """
     where = f" in {context}" if context else ""
-    # a file or bytes give what they hold in one read, a stream may not
-    header = fh.read(HEADER_SIZE) if size is not None else _read_on(fh, HEADER_SIZE)
+    header = _read_on(fh, HEADER_SIZE)
     code, shape = _check_header(header, size, where)
     dtype = _NUMPY_DTYPES[code]
     expected = math.prod(shape) * dtype.itemsize
@@ -221,8 +220,8 @@ def _decode(
 def decode_raster(blob: bytes | bytearray | memoryview, context: str = "") -> np.ndarray:
     """Parse MSK1 bytes (any bytes-like object) into a (channels,
     height, width) array."""
-    blob = memoryview(blob).cast("B")
-    return _decode(io.BytesIO(blob), len(blob), context)
+    size = len(memoryview(blob).cast("B"))  # a TypeError for a strided buffer
+    return _decode(io.BytesIO(blob), size, context)
 
 
 def _read_file(path: str, into: np.ndarray | None = None) -> np.ndarray:

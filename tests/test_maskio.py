@@ -238,6 +238,11 @@ def test_file_reader_matches_bytes_reference(tmp_path_factory, blob):
         _assert_same_outcome(_outcome(maskio.read_raster, stream), want)
 
 
+def test_decode_raster_rejects_a_strided_buffer():
+    with pytest.raises(TypeError, match="C-contiguous"):
+        maskio.decode_raster(memoryview(bytes(64))[::2])
+
+
 _NEG_ZERO, _ONE, _AFTER_ONE = 0x80000000, 0x3F800000, 0x3F800001  # -0.0, 1.0, nextafter(1, 2)
 _SUBNORMALS = (0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF)
 _INFS = (0x7F800000, 0xFF800000)
